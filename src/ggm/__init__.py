@@ -42,6 +42,7 @@ from .roof import (
     hjw_upper_bound,
     lower_hull_contacts,
     min_phase_ggm,
+    min_phase_ggm_many,
     simplex_grid,
 )
 from .states import (
@@ -59,6 +60,7 @@ from .states import (
 from .twirl import (
     LocalUnitaryElement,
     UnitaryGroup,
+    VerificationError,
     apply_local_unitary,
     builtin_group,
     twirl,
@@ -82,6 +84,7 @@ __all__ = [
     "SystemShape",
     "TwirledFamily",
     "UnitaryGroup",
+    "VerificationError",
     "apply_local_unitary",
     "builtin_group",
     "closed_form",
@@ -103,6 +106,7 @@ __all__ = [
     "matricize",
     "max_schmidt_sq",
     "min_phase_ggm",
+    "min_phase_ggm_many",
     "qutrit_sector_family",
     "rank2_symmetric",
     "rank3_gghz",

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .twirl import (
     GROUP_KINDS,
     LocalUnitaryElement,
     UnitaryGroup,
+    VerificationError,
     builtin_group,
     verify_invariance,
     verify_preimage,
@@ -63,10 +64,6 @@ class SpecError(ValueError):
     """Malformed input file or option; maps to exit code 1."""
 
 
-class VerificationFailure(Exception):
-    """A tolerance check failed; maps to exit code 2."""
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -79,7 +76,6 @@ class RunConfig:
     out: str | None = None
     alpha: float = 0.55
     r_values: tuple[float, ...] = (0.96, 0.98)
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,10 @@ def parse_group_spec(spec, context="group") -> UnitaryGroup:
             raise SpecError(f"{context}.elements[{i}]: {exc}") from exc
     try:
         return UnitaryGroup(shape, tuple(elements))
+    except VerificationError as exc:
+        raise VerificationError(f"{context}: {exc}") from exc
     except ValueError as exc:
-        raise VerificationFailure(f"{context}: {exc}") from exc
+        raise SpecError(f"{context}: {exc}") from exc
 
 
 def parse_family_spec(spec, context="family") -> TwirledFamily:
@@ -202,6 +200,8 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
                 f"{context}.family: {name!r} is not one of {sorted(FAMILY_BUILDERS)}")
         try:
             return FAMILY_BUILDERS[name](**spec.get("args", {}))
+        except VerificationError as exc:
+            raise VerificationError(f"{context}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise SpecError(f"{context}.args: {exc}") from exc
     group = parse_group_spec(_require(spec, "group", context), f"{context}.group")
@@ -210,26 +210,11 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
     weights = np.asarray(
         spec.get("weights", np.full(len(basis), 1.0 / len(basis))), dtype=float)
     names = tuple(spec.get("param_names", ()))
-    inv = verify_invariance(group, _mixture_or_spec_error(basis, weights, context))
-    if not inv.ok:
-        raise VerificationFailure(
-            f"{context}: group does not fix the mixture "
-            f"(deviation {inv.max_deviation:.3e})")
     try:
-        pre = verify_preimage(group, basis, weights)
-    except ValueError as exc:
-        raise SpecError(f"{context}: {exc}") from exc
-    if not pre.ok:
-        raise VerificationFailure(
-            f"{context}: preimage check failed (deviation {pre.max_deviation:.3e})")
-    return TwirledFamily(group=group, basis=tuple(basis), weights=weights,
-                         name=spec.get("name", "custom"), param_names=names)
-
-
-def _mixture_or_spec_error(basis, weights, context):
-    from .hilbert import DensityMatrix
-    try:
-        return DensityMatrix.mixture(basis, weights)
+        return TwirledFamily(group=group, basis=tuple(basis), weights=weights,
+                             name=spec.get("name", "custom"), param_names=names)
+    except VerificationError as exc:
+        raise VerificationError(f"{context}: {exc}") from exc
     except ValueError as exc:
         raise SpecError(f"{context}: {exc}") from exc
 
@@ -408,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mixed.add_argument("family", help="path to a JSON family spec")
     p_mixed.add_argument("--grid", type=int, default=None,
                          help="grid resolution per axis (>= 11)")
-    p_mixed.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_mixed.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p_ver = sub.add_parser("verify-group", help="check a group spec")
@@ -427,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gGHZ amplitude for figures 3 and 4")
     p_fig.add_argument("--r", default=None,
                        help="comma-separated slice ratios for figure 4")
-    p_fig.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_fig.add_argument("--out", default=None,
                        help="output CSV path (default figure_<k>.csv)")
     return parser
@@ -481,7 +464,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except VerificationFailure as exc:
+    except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:

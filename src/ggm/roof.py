@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import _batch
 from .hilbert import DensityMatrix, PureState
 from .pure import ggm_values
-from .twirl import UnitaryGroup, verify_invariance, verify_preimage
+from .twirl import UnitaryGroup, VerificationError, verify_invariance, verify_preimage
 
 __all__ = [
     "TwirledFamily",
@@ -60,7 +60,8 @@ class TwirledFamily:
     ``basis`` is the orthonormal list of pure states being mixed, ``weights``
     a reference probability vector over it. Construction verifies that the
     group twirl fixes the target mixture and maps phased superpositions of
-    the basis onto it; both checks raise on failure.
+    the basis onto it; either failure raises :class:`VerificationError`.
+    The family is immutable, so nothing downstream checks it again.
 
     ``param_names``/``weight_map`` describe how points of the family's
     mixing simplex translate to weight vectors (identity padding with the
@@ -92,11 +93,11 @@ class TwirledFamily:
             object.__setattr__(self, "param_names", names)
         inv = verify_invariance(self.group, self.target)
         if not inv.ok:
-            raise ValueError(
+            raise VerificationError(
                 f"group does not fix the target mixture (deviation {inv.max_deviation:.3e})")
         pre = verify_preimage(self.group, basis, weights)
         if not pre.ok:
-            raise ValueError(
+            raise VerificationError(
                 f"family fails the preimage check (deviation {pre.max_deviation:.3e})")
 
     @property
@@ -397,16 +398,12 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
               include_hessian: bool = True) -> GgmSurface:
     """Full mixed-state pipeline over a simplex grid of family parameters.
 
-    Re-verifies the preimage property, phase-minimizes the pure measure at
-    every grid point, convexifies over the sampled simplex (1- or
-    2-parameter grids), and fills central-difference Hessian diagnostics at
-    interior points (warm-started from each point's own minimizing phases).
+    Phase-minimizes the pure measure at every grid point of a family
+    verified at its construction, convexifies over the sampled simplex (1-
+    or 2-parameter grids), and fills central-difference Hessian diagnostics
+    at interior points (warm-started from each point's own minimizing
+    phases).
     """
-    pre = verify_preimage(family.group, family.basis, family.weights, random_draws=5)
-    if not pre.ok:
-        raise ValueError(
-            f"family fails the preimage check (deviation {pre.max_deviation:.3e})")
-
     arity = len(family.param_names)
     if arity > 2:
         raise ValueError(
@@ -431,7 +428,6 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
         envelope = convex_envelope_1d(grid[:, 0], raw)
     else:
         envelope = convex_envelope_2d(grid, raw)
-    envelope = np.minimum(envelope, raw)
 
     hessian = np.full(grid.shape[0], np.nan)
     if include_hessian:

@@ -30,6 +30,7 @@ __all__ = [
     "verify_preimage",
     "InvarianceResult",
     "PreimageResult",
+    "VerificationError",
     "GROUP_KINDS",
     "PREIMAGE_SEED",
 ]
@@ -41,6 +42,10 @@ GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
 # Fixed seed for the random phase draws of the preimage check; the property
 # is phase-independent, so sampling is a sanity net rather than a proof.
 PREIMAGE_SEED = 12345
+
+
+class VerificationError(ValueError):
+    """A group axiom or a family's symmetry premise fails its tolerance check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +116,14 @@ class UnitaryGroup:
         object.__setattr__(self, "_full", mats)
         eye = np.eye(self.shape.total_dim)
         if not any(_equal_up_to_phase(m, eye) for m in mats):
-            raise ValueError("group does not contain the identity")
+            raise VerificationError("group does not contain the identity")
         for i, a in enumerate(mats):
             if not any(_equal_up_to_phase(a.conj().T, m) for m in mats):
-                raise ValueError(f"group is not closed under inverse (element {i})")
+                raise VerificationError(f"group is not closed under inverse (element {i})")
             for j, b in enumerate(mats):
                 prod = a @ b
                 if not any(_equal_up_to_phase(prod, m) for m in mats):
-                    raise ValueError(
+                    raise VerificationError(
                         f"group is not closed under composition (elements {i}, {j})"
                     )
 
@@ -151,9 +156,7 @@ def twirl(group: UnitaryGroup, operator):
     if isinstance(operator, PureState):
         if operator.shape != group.shape:
             raise ValueError("shape mismatch between group and state")
-        vecs = np.stack([m @ operator.amplitudes for m in group.full_matrices()])
-        avg = vecs.T @ vecs.conj() / group.order
-        return DensityMatrix(group.shape, avg)
+        return DensityMatrix(group.shape, _twirl_vector(group, operator.amplitudes))
     if isinstance(operator, DensityMatrix):
         if operator.shape != group.shape:
             raise ValueError("shape mismatch between group and operator")
@@ -163,6 +166,11 @@ def twirl(group: UnitaryGroup, operator):
     if mat.shape != expected:
         raise ValueError(f"operator shape {mat.shape} does not match {expected}")
     return _twirl_matrix(group, mat)
+
+
+def _twirl_vector(group, amplitudes):
+    vecs = np.stack([m @ amplitudes for m in group.full_matrices()])
+    return vecs.T @ vecs.conj() / group.order
 
 
 def _twirl_matrix(group, mat):
@@ -284,9 +292,11 @@ def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_T
             vec[0] = 0.0
             phases.append(vec)
 
+    # An average of unitary conjugates of a unit vector is already a density
+    # matrix, so the twirled members are compared raw, without re-validation.
     worst = 0.0
     for vec in phases:
         member = superpose(basis, weights, vec)
-        twirled = twirl(group, member)
-        worst = max(worst, float(np.max(np.abs(twirled.entries - target))))
+        twirled = _twirl_vector(group, member.amplitudes)
+        worst = max(worst, float(np.max(np.abs(twirled - target))))
     return PreimageResult(worst <= tol, worst)

@@ -15,6 +15,7 @@ from ggm.cli import (
     parse_group_spec,
     parse_state_spec,
 )
+from ggm.twirl import verify_preimage
 
 
 def write_json(path, doc):
@@ -32,6 +33,17 @@ def ghz5_spec(tmp_path):
 def rank2_family_spec(tmp_path):
     return write_json(tmp_path / "fam.json",
                       {"family": "rank2_symmetric", "args": {"n_parties": 3}})
+
+
+def parity_family_doc(basis):
+    return {"group": {"kind": "parity", "dims": [2, 2, 2]}, "basis": basis,
+            "weights": [0.5, 0.5]}
+
+
+PARITY_SECTORS = [
+    {"constructor": "uniform_sector", "args": {"dims": [2, 2, 2], "modulus": 2, "k": k}}
+    for k in (0, 1)
+]
 
 
 class TestParseSpecs:
@@ -118,6 +130,33 @@ class TestMixedCommand:
 
     def test_grid_minimum_enforced(self, rank2_family_spec, capsys):
         assert main(["mixed", rank2_family_spec, "--grid", "5"]) == EXIT_USAGE
+
+    def test_group_not_fixing_custom_mixture_exits_2(self, tmp_path, capsys):
+        # parity maps GHZ to its sign-flipped partner, so it does not fix GHZ/W
+        spec = write_json(tmp_path / "fam.json", parity_family_doc([
+            {"constructor": "ghz", "args": {"n_parties": 3}},
+            {"constructor": "dicke", "args": {"n_parties": 3, "k": 1}},
+        ]))
+        assert main(["mixed", spec, "--grid", "11"]) == EXIT_VERIFICATION
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_custom_family_verified_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return verify_preimage(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "ggm" or name.startswith("ggm."):
+                for attr, value in list(vars(module).items()):
+                    if value is verify_preimage:
+                        monkeypatch.setattr(module, attr, counting)
+        spec = write_json(tmp_path / "fam.json",
+                          parity_family_doc(PARITY_SECTORS))
+        assert main(["mixed", spec, "--grid", "11", "--out",
+                     str(tmp_path / "surface.csv")]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestVerifyGroupCommand:

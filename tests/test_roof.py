@@ -26,7 +26,7 @@ from ggm.roof import (
     simplex_grid,
 )
 from ggm.states import dicke, ghz
-from ggm.twirl import builtin_group
+from ggm.twirl import LocalUnitaryElement, UnitaryGroup, VerificationError, builtin_group
 
 
 def rank2_closed(x):
@@ -49,6 +49,15 @@ class TestTwirledFamily:
                 basis=(ghz(3), dicke(3, 1)),
                 weights=np.array([0.5, 0.5]),
             )
+
+    def test_broken_preimage_raises_verification_error(self):
+        # the trivial group fixes every mixture but no coherent superposition
+        shape = SystemShape((2, 2, 2))
+        trivial = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 3),))
+        with pytest.raises(VerificationError, match="preimage") as info:
+            TwirledFamily(group=trivial, basis=(ghz(3), dicke(3, 1)),
+                          weights=np.array([0.5, 0.5]))
+        assert isinstance(info.value, ValueError)
 
     def test_params_to_weights_default_padding(self):
         fam = rank3_ghz_w()
