@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -208,12 +209,17 @@ def enumerate_bipartitions(shape: SystemShape) -> list[Bipartition]:
     Deterministic order: by size of side I, then lexicographic in the
     member indices.
     """
+    return list(_canonical_cuts(shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_cuts(shape: SystemShape) -> tuple[Bipartition, ...]:
+    # Bipartitions are immutable, so one tuple per shape is shared by all
+    # callers; each caller gets its own list.
     others = range(1, shape.party_count)
-    cuts = []
-    for k in range(shape.party_count - 1):
-        for combo in itertools.combinations(others, k):
-            cuts.append(Bipartition(shape, (0,) + combo))
-    return cuts
+    return tuple(Bipartition(shape, (0,) + combo)
+                 for k in range(shape.party_count - 1)
+                 for combo in itertools.combinations(others, k))
 
 
 def matricize(state: PureState, cut: Bipartition) -> np.ndarray:

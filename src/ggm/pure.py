@@ -50,7 +50,8 @@ def max_schmidt_sq(state: PureState, cut: Bipartition) -> float:
     """Square of the largest Schmidt coefficient across one bipartition.
 
     Computed as the top eigenvalue of the smaller-side Gram matrix of the
-    matricized state, which is exact at desk scale.
+    matricized state, which is exact at desk scale. This per-cut reference
+    is independent of the batched kernel that :func:`ggm_pure` uses.
     """
     if cut.shape != state.shape:
         raise ValueError("bipartition shape does not match state shape")
@@ -65,11 +66,15 @@ def max_schmidt_sq(state: PureState, cut: Bipartition) -> float:
 def ggm_pure(state: PureState) -> GgmReport:
     """Sweep all canonical bipartitions and report the measure.
 
-    Returns a :class:`GgmReport`; ``value`` lies in ``[0, 1 - 1/min_i d_i]``
-    and ties among maximizing cuts are reported in full.
+    One call of the batched Schmidt kernel shared with the mixed pipeline
+    covers every cut; no symmetry reduction is attempted, so ``per_cut``
+    is computed, not inferred, for each cut. Returns a :class:`GgmReport`;
+    ``value`` lies in ``[0, 1 - 1/min_i d_i]`` and ties among maximizing
+    cuts are reported in full.
     """
     cuts = enumerate_bipartitions(state.shape)
-    per_cut = {cut: max_schmidt_sq(state, cut) for cut in cuts}
+    squares = _batch.schmidt_sq_matrix(state.amplitudes[None, :], state.shape.dims)
+    per_cut = dict(zip(cuts, squares[0].tolist()))
     lambda_sq_max = max(per_cut.values())
     maximizing = tuple(c for c in cuts if per_cut[c] >= lambda_sq_max - TIE_TOL)
     return GgmReport(

@@ -12,6 +12,7 @@ closed form.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -61,7 +62,8 @@ class TwirledFamily:
     a reference probability vector over it. Construction verifies that the
     group twirl fixes the target mixture and maps phased superpositions of
     the basis onto it; either failure raises :class:`VerificationError`.
-    The family is immutable, so nothing downstream checks it again.
+    The family is immutable, so nothing downstream checks it again, and
+    its phase ``objective`` is built once, after verification.
 
     ``param_names``/``weight_map`` describe how points of the family's
     mixing simplex translate to weight vectors (identity padding with the
@@ -75,6 +77,7 @@ class TwirledFamily:
     param_names: tuple[str, ...] = ()
     weight_map: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
+    objective: _batch.PhaseObjective = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -99,6 +102,8 @@ class TwirledFamily:
         if not pre.ok:
             raise VerificationError(
                 f"family fails the preimage check (deviation {pre.max_deviation:.3e})")
+        object.__setattr__(self, "objective", _batch.PhaseObjective(
+            np.stack([b.amplitudes for b in basis]), self.shape.dims))
 
     @property
     def free_phases(self) -> int:
@@ -129,10 +134,6 @@ class TwirledFamily:
             raise ValueError(f"parameters {params} leave the mixing simplex")
         return np.clip(w, 0.0, None)
 
-    def _objective(self) -> _batch.PhaseObjective:
-        mat = np.stack([b.amplitudes for b in self.basis])
-        return _batch.PhaseObjective(mat, self.shape.dims)
-
 
 def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.ndarray]:
     """Phase-minimized values at many simplex parameter points at once.
@@ -143,20 +144,18 @@ def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.nd
     params = np.atleast_2d(np.asarray(params, dtype=float))
     weights = np.stack([family.params_to_weights(p) for p in params])
     return _batch.minimize_phases(
-        family._objective(), weights,
+        family.objective, weights,
         grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
 
 
-def min_phase_ggm(family: TwirledFamily, weights=None, *,
-                  grid_points: int = PHASE_GRID_POINTS,
-                  step_tol: float = PHASE_STEP_TOL) -> tuple[float, np.ndarray]:
+def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarray]:
     """Minimize the pure measure of a preimage member over its free phases.
 
-    Searches a ``grid_points`` grid per free phase followed by cyclic
+    Searches a ``PHASE_GRID_POINTS`` grid per free phase followed by cyclic
     coordinate descent with golden-section refinement until the step falls
-    below ``step_tol`` radians. Basis elements with weight exactly 0 are
-    dropped from the search; the first active element carries phase 0 as
-    the global-phase gauge.
+    below ``PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
+    are dropped from the search; the first active element carries phase 0
+    as the global-phase gauge.
 
     Returns ``(value, phases)`` with one phase per basis element.
     """
@@ -164,8 +163,8 @@ def min_phase_ggm(family: TwirledFamily, weights=None, *,
     if weights.shape != (len(family.basis),):
         raise ValueError("weights length does not match the family basis")
     values, phases = _batch.minimize_phases(
-        family._objective(), weights[None, :],
-        grid_points=grid_points, step_tol=step_tol)
+        family.objective, weights[None, :],
+        grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
     return float(values[0]), phases[0]
 
 
@@ -363,11 +362,16 @@ class GgmSurface:
 
     def envelope_at(self, query) -> np.ndarray:
         """Envelope value at arbitrary points of the sampled region."""
-        query = np.atleast_2d(np.asarray(query, dtype=float))
-        if self.grid.shape[1] == 1:
-            contacts = lower_hull_contacts(self.grid[:, 0], self.raw)
-            return np.interp(query[:, 0], self.grid[contacts, 0], self.raw[contacts])
-        return envelope_evaluator_2d(self.grid, self.raw)(query)
+        return self._envelope_evaluator(np.atleast_2d(np.asarray(query, dtype=float)))
+
+    @functools.cached_property
+    def _envelope_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        # Built on first use and kept: the surface is immutable.
+        if self.grid.shape[1] == 2:
+            return envelope_evaluator_2d(self.grid, self.raw)
+        contacts = lower_hull_contacts(self.grid[:, 0], self.raw)
+        knots, values = self.grid[contacts, 0], self.raw[contacts]
+        return lambda query: np.interp(query[:, 0], knots, values)
 
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream, lineterminator="\n")
@@ -420,9 +424,8 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
                          f"parameters {family.param_names}")
 
     weights = np.stack([family.params_to_weights(p) for p in grid])
-    objective = family._objective()
     raw, phases = _batch.minimize_phases(
-        objective, weights, grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
+        family.objective, weights, grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
 
     if arity == 1:
         envelope = convex_envelope_1d(grid[:, 0], raw)
@@ -439,7 +442,7 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
             stencil_w = np.stack([family.params_to_weights(p) for p in stencil_pts])
             init = np.repeat(phases[interior], len(offsets), axis=0)
             stencil_vals, _ = _batch.minimize_phases(
-                objective, stencil_w, init_phases=init,
+                family.objective, stencil_w, init_phases=init,
                 step_tol=PHASE_STEP_TOL, scan=False, max_cycles=3)
             stencil_vals = stencil_vals.reshape(interior.size, len(offsets))
             for row, idx in enumerate(interior):

@@ -1,0 +1,242 @@
+"""The batched Schmidt kernel shared by the pure and mixed pipelines, its
+symmetry reduction for twirled families, and the kernel invariants."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import ggm.roof
+from ggm import _batch
+from ggm.families import (
+    FAMILY_BUILDERS,
+    qutrit_sector_family,
+    rank3_gghz,
+    rank3_ghz_dicke,
+    rank3_ghz_w,
+    rank5_five_qubit,
+    zeta_slice_family,
+)
+from ggm.hilbert import PureState, SystemShape, enumerate_bipartitions
+from ggm.pure import ggm_pure, max_schmidt_sq
+from ggm.roof import ggm_mixed, min_phase_ggm
+from ggm.states import dicke, ghz, uniform_sector_state
+
+GENERIC_SHAPES = [(2,) * 6, (2,) * 8, (2,) * 10, (3,) * 4, (3,) * 6, (2, 3, 4, 5)]
+
+
+def random_amplitudes(rng, dims, rows=None):
+    size = (math.prod(dims),) if rows is None else (rows, math.prod(dims))
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_phased_rows(family, rows, seed):
+    rng = np.random.default_rng(seed)
+    n = len(family.basis)
+    roots = np.sqrt(rng.dirichlet(np.ones(n), size=rows))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n))
+    return roots, phases
+
+
+class TestKernelAgainstPerCutReference:
+    @pytest.mark.parametrize("dims", GENERIC_SHAPES, ids=str)
+    def test_random_states(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for _ in range(3):
+            psi = PureState(SystemShape(dims), random_amplitudes(rng, dims))
+            report = ggm_pure(psi)
+            assert len(report.per_cut) == 2 ** (len(dims) - 1) - 1
+            for cut, value in report.per_cut.items():
+                assert abs(value - max_schmidt_sq(psi, cut)) < 1e-12
+
+    @pytest.mark.parametrize("psi", [
+        ghz(3), ghz(6), ghz(8), dicke(4, 1), dicke(7, 1),
+        uniform_sector_state(SystemShape((3, 3, 3)), 3, 0),
+        uniform_sector_state(SystemShape((3,) * 4), 3, 1),
+    ], ids=lambda psi: str(psi.shape.dims))
+    def test_degenerate_states(self, psi):
+        for cut, value in ggm_pure(psi).per_cut.items():
+            assert abs(value - max_schmidt_sq(psi, cut)) < 1e-12
+
+    def test_matrix_columns_follow_enumeration_order(self):
+        rng = np.random.default_rng(4)
+        dims = (2, 3, 2, 2)
+        amps = random_amplitudes(rng, dims, rows=5)
+        matrix = _batch.schmidt_sq_matrix(amps, dims)
+        cuts = enumerate_bipartitions(SystemShape(dims))
+        assert matrix.shape == (5, len(cuts))
+        for row in range(5):
+            psi = PureState(SystemShape(dims), amps[row])
+            for col, cut in enumerate(cuts):
+                assert abs(matrix[row, col] - max_schmidt_sq(psi, cut)) < 1e-12
+
+
+class TestRowBlocking:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4)], ids=str)
+    def test_bit_identical_whatever_the_blocking(self, dims, monkeypatch):
+        amps = random_amplitudes(np.random.default_rng(8), dims, rows=700)
+        results = []
+        for entries in (1 << 10, 1 << 16):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            results.append(_batch.schmidt_sq_matrix(amps, dims))
+        results.append(np.concatenate(
+            [_batch.schmidt_sq_matrix(amps[i:i + 1], dims) for i in range(amps.shape[0])]))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_reduced_objective_matches_all_cuts(self, name):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases = random_phased_rows(family, 400, seed=len(name))
+        reduced = objective.values(roots, phases)
+        amps = (roots * np.exp(1j * phases)) @ objective.basis
+        full = 1.0 - _batch.max_schmidt_sq_batch(amps, objective.dims)
+        assert np.max(np.abs(reduced - full)) < 1e-12
+
+    @pytest.mark.parametrize("builder, n_cuts, n_orbits", [
+        (rank3_gghz, 3, 1),
+        (lambda: rank3_ghz_dicke(7), 63, 3),
+        (rank5_five_qubit, 15, 2),
+        (qutrit_sector_family, 3, 1),
+        (zeta_slice_family, 3, 2),
+    ], ids=["gghz3", "ghz_dicke7", "rank5", "qutrit", "zeta_slice"])
+    def test_orbit_counts(self, builder, n_cuts, n_orbits):
+        objective = builder().objective
+        assert len(_batch.canonical_cut_masks(objective.dims)) == n_cuts
+        assert len(objective.masks) == n_orbits
+
+    def test_basis_without_party_symmetry_keeps_every_cut(self):
+        dims = (2, 2, 2, 2)
+        basis = random_amplitudes(np.random.default_rng(2), dims, rows=3)
+        objective = _batch.PhaseObjective(basis, dims)
+        assert _batch.fixing_transpositions(basis, dims) == ()
+        assert objective.masks == _batch.canonical_cut_masks(dims)
+
+    def test_swaps_need_equal_local_dimensions(self):
+        # |0..0> is fixed by every permutation, but a qubit and a qutrit
+        # cannot be exchanged
+        dims = (2, 3, 2)
+        basis = np.zeros((1, 12), dtype=complex)
+        basis[0, 0] = 1.0
+        assert _batch.fixing_transpositions(basis, dims) == ((0, 2),)
+
+    def test_representatives_are_first_of_their_orbit(self):
+        masks = _batch.canonical_cut_masks((2,) * 4)
+        swaps = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        # one orbit per size of the smaller side: {0}, then {0,1}
+        assert _batch.orbit_representatives(4, masks, swaps) == (0b0001, 0b0011)
+        assert _batch.orbit_representatives(4, masks, ()) == masks
+
+
+class TestFamilyObjective:
+    def test_built_once_at_construction(self, monkeypatch):
+        family = rank3_ghz_w()
+        built = []
+        original = _batch.PhaseObjective.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_batch.PhaseObjective, "__init__", counting)
+        min_phase_ggm(family, np.full(3, 1 / 3))
+        min_phase_ggm(family, np.array([0.5, 0.25, 0.25]))
+        assert built == []
+
+    def test_min_phase_ggm_takes_no_search_keywords(self):
+        family = rank3_ghz_w()
+        with pytest.raises(TypeError):
+            min_phase_ggm(family, grid_points=16)
+        with pytest.raises(TypeError):
+            min_phase_ggm(family, step_tol=1e-3)
+
+
+class TestEnumerationMemo:
+    def test_fresh_list_per_call(self):
+        shape = SystemShape((2, 2, 2))
+        first = enumerate_bipartitions(shape)
+        first.clear()
+        assert len(enumerate_bipartitions(shape)) == 3
+
+
+class TestEnvelopeEvaluatorCached:
+    def test_hull_built_once_per_surface(self, monkeypatch):
+        surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9, include_hessian=False)
+        built = []
+        original = ggm.roof.ConvexHull
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ggm.roof, "ConvexHull", counting)
+        query = np.array([[0.3, 0.3], [0.1, 0.6]])
+        first = surface.envelope_at(query)
+        second = surface.envelope_at(query)
+        assert len(built) == 1
+        assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the measure the kernel computes
+
+SMALL_SHAPES = [(2, 2), (2, 3), (2, 2, 2), (3, 3, 3), (2, 3, 2), (2, 2, 2, 2), (2, 3, 4)]
+shapes = st.sampled_from(SMALL_SHAPES)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _state(dims, seed):
+    return PureState(SystemShape(dims), random_amplitudes(np.random.default_rng(seed), dims))
+
+
+@given(shapes, seeds)
+def test_invariant_under_local_unitaries(dims, seed):
+    psi = _state(dims, seed)
+    rng = np.random.default_rng(seed + 1)
+    tensor = psi.amplitudes.reshape(dims)
+    for axis, d in enumerate(dims):
+        tensor = np.moveaxis(np.tensordot(random_unitary(rng, d), tensor, axes=([1], [axis])),
+                             0, axis)
+    rotated = PureState(psi.shape, tensor.reshape(-1))
+    assert np.allclose(_batch.schmidt_sq_matrix(rotated.amplitudes[None], dims),
+                       _batch.schmidt_sq_matrix(psi.amplitudes[None], dims),
+                       rtol=0.0, atol=1e-9)
+
+
+@given(shapes.flatmap(lambda dims: st.tuples(st.just(dims),
+                                             st.permutations(range(len(dims))))), seeds)
+def test_invariant_under_party_permutations(dims_and_perm, seed):
+    dims, perm = dims_and_perm
+    psi = _state(dims, seed)
+    permuted_dims = tuple(dims[p] for p in perm)
+    tensor = psi.amplitudes.reshape(dims).transpose(perm)
+    permuted = PureState(SystemShape(permuted_dims), tensor.reshape(-1))
+    assert abs(ggm_pure(permuted).value - ggm_pure(psi).value) < 1e-9
+
+
+@given(shapes, seeds)
+def test_zero_on_product_states(dims, seed):
+    rng = np.random.default_rng(seed)
+    amps = np.ones(1, dtype=complex)
+    for d in dims:
+        amps = np.kron(amps, random_amplitudes(rng, (d,)))
+    report = ggm_pure(PureState(SystemShape(dims), amps))
+    assert abs(report.value) < 1e-12
+    assert len(report.maximizing_cuts) == len(report.per_cut)
+
+
+@given(shapes, seeds)
+def test_at_most_one_minus_inverse_min_dimension(dims, seed):
+    value = ggm_pure(_state(dims, seed)).value
+    assert -1e-12 <= value <= 1.0 - 1.0 / min(dims) + 1e-12
