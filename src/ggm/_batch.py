@@ -26,6 +26,17 @@ _CHUNK = 1 << 16
 # 2^20 ran 25-30% slower than 2^16 on 16k-64k unreduced rows of 3-5 parties.
 _BLOCK_ENTRIES = 1 << 16
 
+# Phase minimizer settings, shared by every caller: the scan grid per free
+# phase (its spacing is also the golden-section bracket), the bracket width
+# at which refinement stops, the per-cycle improvement below which cycles
+# stop, and the cycle budgets of cold (seeded and scanned) and warm
+# (refinement only) starts.
+PHASE_GRID_POINTS = 32
+PHASE_STEP_TOL = 1e-4
+PHASE_VALUE_TOL = 1e-9
+COLD_CYCLES = 8
+WARM_CYCLES = 3
+
 
 @functools.lru_cache(maxsize=None)
 def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -269,21 +280,18 @@ def minimize_phases(
     objective: PhaseObjective,
     weights: np.ndarray,
     init_phases: np.ndarray | None = None,
-    *,
-    grid_points: int = 32,
-    step_tol: float = 1e-4,
-    value_tol: float = 1e-9,
-    max_cycles: int = 8,
-    scan: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-descent phase minimization for a batch of weight rows.
 
     Each row minimizes over the phases of its strictly positive weights;
-    the first active element is gauged to phase 0. Cold starts are seeded
-    with the best point of a joint Cartesian phase lattice, then per cycle
-    every free coordinate is scanned on a ``grid_points`` grid (when
-    ``scan``) and refined by golden section to below ``step_tol`` radians.
-    Cycles repeat until no row improves by more than ``value_tol``.
+    the first active element is gauged to phase 0. A cold start (no
+    ``init_phases``) is seeded with the best point of a joint Cartesian
+    phase lattice, then per cycle every free coordinate is scanned on a
+    ``PHASE_GRID_POINTS`` grid and refined by golden section to below
+    ``PHASE_STEP_TOL`` radians, for up to ``COLD_CYCLES`` cycles. A warm
+    start from ``init_phases`` only refines, for up to ``WARM_CYCLES``
+    cycles. Cycles stop early once no row improves by more than
+    ``PHASE_VALUE_TOL``.
 
     Returns (values, phases), shapes (K,) and (K, n_basis).
     """
@@ -298,30 +306,31 @@ def minimize_phases(
     phases[~active] = 0.0
     phases[np.arange(k), gauge] = 0.0
 
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    half_width = 2.0 * np.pi / grid_points
+    grid = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID_POINTS, endpoint=False)
+    half_width = 2.0 * np.pi / PHASE_GRID_POINTS
     values = objective.values(roots, phases)
-    if cold_start and scan:
+    if cold_start:
         _apply_joint_seeds(objective, roots, phases, values, active, gauge)
 
-    for _ in range(max_cycles):
+    for _ in range(COLD_CYCLES if cold_start else WARM_CYCLES):
         cycle_start = values.copy()
         for coord in range(n):
             rows = np.flatnonzero(active[:, coord] & (gauge != coord))
             if rows.size == 0:
                 continue
-            if scan:
-                cand_phases = np.repeat(phases[rows], grid_points, axis=0)
+            if cold_start:
+                cand_phases = np.repeat(phases[rows], PHASE_GRID_POINTS, axis=0)
                 cand_phases[:, coord] = np.tile(grid, rows.size)
                 cand = objective.values(
-                    np.repeat(roots[rows], grid_points, axis=0), cand_phases
-                ).reshape(rows.size, grid_points)
+                    np.repeat(roots[rows], PHASE_GRID_POINTS, axis=0), cand_phases
+                ).reshape(rows.size, PHASE_GRID_POINTS)
                 best = np.argmin(cand, axis=1)
                 better = cand[np.arange(rows.size), best] < values[rows]
                 phases[rows[better], coord] = grid[best[better]]
-            _golden_refine(objective, roots, phases, coord, rows, half_width, step_tol)
+            _golden_refine(objective, roots, phases, coord, rows, half_width,
+                           PHASE_STEP_TOL)
         values = objective.values(roots, phases)
-        if np.max(cycle_start - values) <= value_tol:
+        if np.max(cycle_start - values) <= PHASE_VALUE_TOL:
             break
     phases = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
     phases[~active] = 0.0

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,20 +61,6 @@ EXIT_VERIFICATION = 2
 
 class SpecError(ValueError):
     """Malformed input file or option; maps to exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    family_path: str | None = None
-    figure: int | None = None
-    grid: int | None = None
-    tol: float = DEFAULT_TOL
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    alpha: float = 0.55
-    r_values: tuple[float, ...] = (0.96, 0.98)
 
 
 # ---------------------------------------------------------------------------
@@ -270,89 +255,84 @@ def _report_json(report) -> str:
 # commands
 
 
-def _cmd_pure(config: RunConfig) -> int:
-    state = parse_state_spec(_load_json(config.input_path))
-    _emit(_report_json(ggm_pure(state)), config.out)
+def _cmd_pure(args) -> int:
+    state = parse_state_spec(_load_json(args.state))
+    _emit(_report_json(ggm_pure(state)), args.out)
     return EXIT_OK
 
 
-def _cmd_mixed(config: RunConfig) -> int:
-    family = parse_family_spec(_load_json(config.input_path))
-    surface = ggm_mixed(family, grid_resolution=config.grid)
-    _emit(surface.to_csv_text(), config.out)
+def _cmd_mixed(args) -> int:
+    family = parse_family_spec(_load_json(args.family))
+    surface = ggm_mixed(family, grid_resolution=args.grid)
+    _emit(surface.to_csv_text(), args.out)
     return EXIT_OK
 
 
-def _cmd_verify_group(config: RunConfig) -> int:
+def _cmd_verify_group(args) -> int:
     lines = []
-    group = parse_group_spec(_load_json(config.input_path))
+    group = parse_group_spec(_load_json(args.group))
     lines.append(f"group ok: {group.order} elements on dims {group.shape.dims}")
     lines.append("closure/identity/inverse: pass (up to global phase)")
     failed = False
-    if config.family_path is not None:
-        family = parse_family_spec(_load_json(config.family_path))
-        inv = verify_invariance(group, family.target, tol=config.tol)
+    if args.family is not None:
+        family = parse_family_spec(_load_json(args.family))
+        inv = verify_invariance(group, family.target, tol=args.tol)
         lines.append(
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
-            f"(max deviation {inv.max_deviation:.3e}, tol {config.tol:g})")
+            f"(max deviation {inv.max_deviation:.3e}, tol {args.tol:g})")
         pre = verify_preimage(group, family.basis, family.weights,
-                              tol=config.tol, seed=config.seed)
+                              tol=args.tol, seed=args.seed)
         lines.append(
             f"preimage property: {'pass' if pre.ok else 'FAIL'} "
-            f"(max deviation {pre.max_deviation:.3e}, tol {config.tol:g})")
+            f"(max deviation {pre.max_deviation:.3e}, tol {args.tol:g})")
         failed = not (inv.ok and pre.ok)
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-# Defaults behind each reference dataset. Grid choices at or above the
-# plotting resolution are artifact choices; alpha and the r slices are
-# pinned by the source plots.
-FIGURE_DEFAULTS = {
-    1: ("rank2 symmetric mixture vs x (N=3)", 201),
-    2: ("GHZ/W/flipped-W mixture surface", 101),
-    3: ("gGHZ(alpha)/W/flipped-W surface, alpha=0.55", 101),
-    4: ("slices x2 = r(1-x1) of figure 3, r=0.96 and 0.98", 201),
-    5: ("five-qubit GHZ/D1/D4 mixture surface", 101),
-    6: ("five-qubit rank-5 Dicke mixture surface", 51),
-    7: ("zeta-family slice x2=x3=y/2 surface", 101),
-    8: ("three-qutrit sector mixture surface", 101),
+# Family builder (given the gGHZ alpha) and default grid behind each
+# reference dataset. Grid choices at or above the plotting resolution are
+# artifact choices; alpha and the r slices are pinned by the source plots.
+# The builders are looked up by name at call time, so a rebinding of this
+# module's names takes effect.
+FIGURES = {
+    1: (lambda alpha: rank2_symmetric(3), 201),
+    2: (lambda alpha: rank3_ghz_w(), 101),
+    3: (lambda alpha: rank3_gghz(alpha), 101),
+    4: (lambda alpha: rank3_gghz(alpha), 201),
+    5: (lambda alpha: rank3_ghz_dicke(5), 101),
+    6: (lambda alpha: rank5_five_qubit(), 51),
+    7: (lambda alpha: zeta_slice_family(), 101),
+    8: (lambda alpha: qutrit_sector_family(), 101),
 }
 
 
-def _figure_family(figure: int, config: RunConfig):
-    if figure == 1:
-        return rank2_symmetric(3)
-    if figure == 2:
-        return rank3_ghz_w()
-    if figure in (3, 4):
-        return rank3_gghz(config.alpha)
-    if figure == 5:
-        return rank3_ghz_dicke(5)
-    if figure == 6:
-        return rank5_five_qubit()
-    if figure == 7:
-        return zeta_slice_family()
-    if figure == 8:
-        return qutrit_sector_family()
-    raise SpecError(f"figure index must be 1..8, got {figure}")
+def _r_values(text) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise SpecError(f"--r: expected comma-separated floats: {exc}") from exc
+    for r in values:
+        if not 0.0 <= r <= 1.0:
+            raise SpecError(f"--r values must lie in [0, 1], got {r}")
+    return values
 
 
-def _cmd_figure(config: RunConfig) -> int:
-    figure = config.figure
-    if figure not in FIGURE_DEFAULTS:
-        raise SpecError(f"figure index must be 1..8, got {figure}")
-    _, default_grid = FIGURE_DEFAULTS[figure]
-    grid = config.grid if config.grid is not None else default_grid
-    family = _figure_family(figure, config)
-    out = config.out if config.out is not None else f"figure_{figure}.csv"
+def _cmd_figure(args) -> int:
+    if not 0.0 <= args.alpha <= 1.0:
+        raise SpecError(f"--alpha must lie in [0, 1], got {args.alpha}")
+    r_values = _r_values(args.r)
+    if args.index not in FIGURES:
+        raise SpecError(f"figure index must be 1..8, got {args.index}")
+    build, default_grid = FIGURES[args.index]
+    grid = args.grid if args.grid is not None else default_grid
+    family = build(args.alpha)
+    out = args.out if args.out is not None else f"figure_{args.index}.csv"
 
-    if figure == 4:
+    if args.index == 4:
         xs = np.linspace(0.0, 1.0, grid)
         rows = ["r,x1,raw,envelope"]
-        for r in config.r_values:
-            if not 0.0 <= r <= 1.0:
-                raise SpecError(f"--r values must lie in [0, 1], got {r}")
+        for r in r_values:
             params = np.column_stack([xs, r * (1.0 - xs)])
             raw, _ = min_phase_ggm_many(family, params)
             env = convex_envelope_1d(xs, raw)
@@ -364,6 +344,14 @@ def _cmd_figure(config: RunConfig) -> int:
         _atomic_write(out, surface.to_csv_text())
     sys.stdout.write(f"wrote {out}\n")
     return EXIT_OK
+
+
+COMMANDS = {
+    "pure": _cmd_pure,
+    "mixed": _cmd_mixed,
+    "verify-group": _cmd_verify_group,
+    "figure": _cmd_figure,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -409,58 +397,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the per-figure grid resolution")
     p_fig.add_argument("--alpha", type=float, default=0.55,
                        help="gGHZ amplitude for figures 3 and 4")
-    p_fig.add_argument("--r", default=None,
+    p_fig.add_argument("--r", default="0.96,0.98",
                        help="comma-separated slice ratios for figure 4")
     p_fig.add_argument("--out", default=None,
                        help="output CSV path (default figure_<k>.csv)")
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.out = getattr(args, "out", None)
-    config.seed = getattr(args, "seed", DEFAULT_SEED)
-    config.tol = getattr(args, "tol", DEFAULT_TOL)
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < 11:
-        raise SpecError(f"--grid must be at least 11, got {grid}")
-    config.grid = grid
-    if args.command == "pure":
-        config.input_path = args.state
-    elif args.command == "mixed":
-        config.input_path = args.family
-    elif args.command == "verify-group":
-        config.input_path = args.group
-        config.family_path = args.family
-    elif args.command == "figure":
-        config.figure = args.index
-        config.alpha = args.alpha
-        if not 0.0 <= config.alpha <= 1.0:
-            raise SpecError(f"--alpha must lie in [0, 1], got {config.alpha}")
-        if args.r is not None:
-            try:
-                config.r_values = tuple(float(v) for v in args.r.split(","))
-            except ValueError as exc:
-                raise SpecError(f"--r: expected comma-separated floats: {exc}") from exc
-    return config
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed configuration; returns the process exit code."""
-    handlers = {
-        "pure": _cmd_pure,
-        "mixed": _cmd_mixed,
-        "verify-group": _cmd_verify_group,
-        "figure": _cmd_figure,
-    }
-    return handlers[config.command](config)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        grid = getattr(args, "grid", None)
+        if grid is not None and grid < 11:
+            raise SpecError(f"--grid must be at least 11, got {grid}")
+        return COMMANDS[args.command](args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -87,9 +87,9 @@ def rank3_ghz_dicke(n_parties: int = 5) -> TwirledFamily:
 
 
 def _rank5_weights(params: np.ndarray) -> np.ndarray:
-    x1, x2 = params
+    x1, x2 = params[..., 0], params[..., 1]
     rest = 1.0 - x1 - x2
-    return np.array([x1, x2 / 2, x2 / 2, rest / 2, rest / 2])
+    return np.stack([x1, x2 / 2, x2 / 2, rest / 2, rest / 2], axis=-1)
 
 
 def rank5_five_qubit() -> TwirledFamily:
@@ -117,7 +117,7 @@ def ghz_dicke_mixture(n_parties: int = 4, alpha: float = 1 / math.sqrt(2)) -> Tw
         dicke(n_parties, k) for k in range(1, n_parties))
 
     def weight_map(params):
-        return np.concatenate([[1.0 - params.sum()], params])
+        return np.concatenate([1.0 - params.sum(axis=-1, keepdims=True), params], axis=-1)
 
     return TwirledFamily(
         group=builtin_group("omega", shape),
@@ -141,8 +141,8 @@ def zeta_family() -> TwirledFamily:
 
 
 def _zeta_slice_weights(params: np.ndarray) -> np.ndarray:
-    x, y = params
-    return np.array([x, y / 2, y / 2, 1.0 - x - y])
+    x, y = params[..., 0], params[..., 1]
+    return np.stack([x, y / 2, y / 2, 1.0 - x - y], axis=-1)
 
 
 def zeta_slice_family() -> TwirledFamily:

@@ -48,8 +48,6 @@ __all__ = [
 
 HESSIAN_STEP = 1e-3
 NONCONVEX_TOL = 1e-6
-PHASE_GRID_POINTS = 32
-PHASE_STEP_TOL = 1e-4
 DEFAULT_GRID_1D = 201
 DEFAULT_GRID_2D = 101
 
@@ -67,7 +65,10 @@ class TwirledFamily:
 
     ``param_names``/``weight_map`` describe how points of the family's
     mixing simplex translate to weight vectors (identity padding with the
-    residual weight when no map is given).
+    residual weight when no map is given). A ``weight_map`` works on whole
+    arrays: it maps a (..., arity) array of points to the (..., n_basis)
+    array of their weight vectors, one row per point, as
+    :meth:`params_to_weights` does.
     """
 
     group: UnitaryGroup
@@ -121,17 +122,30 @@ class TwirledFamily:
         return DensityMatrix.mixture(self.basis, weights)
 
     def params_to_weights(self, params) -> np.ndarray:
-        """Weight vector for one point of the mixing simplex."""
-        params = np.asarray(params, dtype=float).reshape(-1)
-        if params.size != len(self.param_names):
+        """Weight vectors for points of the mixing simplex.
+
+        ``params`` has shape (..., arity), one point per row; the result has
+        shape (..., n_basis). A single point gives a single vector. Raises
+        ``ValueError`` if any point leaves the simplex.
+        """
+        params = np.atleast_1d(np.asarray(params, dtype=float))
+        if params.shape[-1] != len(self.param_names):
             raise ValueError(
-                f"expected {len(self.param_names)} parameters, got {params.size}")
+                f"expected {len(self.param_names)} parameters, got {params.shape[-1]}")
         if self.weight_map is not None:
             w = np.asarray(self.weight_map(params), dtype=float)
+            expected = params.shape[:-1] + (len(self.basis),)
+            if w.shape != expected:
+                raise ValueError(
+                    f"weight_map returned shape {w.shape} for parameters of shape "
+                    f"{params.shape}; expected {expected}")
         else:
-            w = np.append(params, 1.0 - params.sum())
-        if w.min() < -1e-9 or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"parameters {params} leave the mixing simplex")
+            rest = 1.0 - params.sum(axis=-1, keepdims=True)
+            w = np.concatenate([params, rest], axis=-1)
+        bad = (w.min(axis=-1) < -1e-9) | (np.abs(w.sum(axis=-1) - 1.0) > 1e-9)
+        if bad.any():
+            raise ValueError(f"parameters {params[bad] if bad.ndim else params} "
+                             f"leave the mixing simplex")
         return np.clip(w, 0.0, None)
 
 
@@ -141,19 +155,17 @@ def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.nd
     Vectorized raw-surface evaluation without envelope or Hessian columns;
     returns ``(values, phases)`` with shapes (K,) and (K, n_basis).
     """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    weights = np.stack([family.params_to_weights(p) for p in params])
-    return _batch.minimize_phases(
-        family.objective, weights,
-        grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
+    weights = family.params_to_weights(np.atleast_2d(params))
+    return _batch.minimize_phases(family.objective, weights)
 
 
 def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarray]:
     """Minimize the pure measure of a preimage member over its free phases.
 
-    Searches a ``PHASE_GRID_POINTS`` grid per free phase followed by cyclic
-    coordinate descent with golden-section refinement until the step falls
-    below ``PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
+    Seeds from a joint phase lattice, then runs cyclic coordinate descent:
+    each free phase is scanned on the ``_batch.PHASE_GRID_POINTS`` grid and
+    refined by golden section until the step falls below
+    ``_batch.PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
     are dropped from the search; the first active element carries phase 0
     as the global-phase gauge.
 
@@ -162,9 +174,7 @@ def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarra
     weights = family.weights if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (len(family.basis),):
         raise ValueError("weights length does not match the family basis")
-    values, phases = _batch.minimize_phases(
-        family.objective, weights[None, :],
-        grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
+    values, phases = _batch.minimize_phases(family.objective, weights[None, :])
     return float(values[0]), phases[0]
 
 
@@ -187,8 +197,9 @@ class HessianReport:
         return bool(self.flagged.any())
 
 
-def _simplex_margin(points: np.ndarray) -> np.ndarray:
-    return np.minimum(points.min(axis=1), 1.0 - points.sum(axis=1))
+def _interior(points: np.ndarray, h: float) -> np.ndarray:
+    """Points at least ``2 h`` inside the simplex, where the stencil fits."""
+    return np.minimum(points.min(axis=1), 1.0 - points.sum(axis=1)) >= 2.0 * h
 
 
 def _hessian_offsets(arity: int, h: float):
@@ -207,41 +218,58 @@ def _hessian_offsets(arity: int, h: float):
     return np.array(offsets)
 
 
-def _assemble_hessian_min_eig(arity, h, center_value, stencil_values):
-    hess = np.zeros((arity, arity))
+def _hessian_min_eig(points: np.ndarray, h: float,
+                     center: Callable[[np.ndarray], np.ndarray],
+                     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                     ) -> np.ndarray:
+    """Minimum central-difference Hessian eigenvalue at each interior point.
+
+    ``center(rows)`` gives the function at the interior rows of ``points``;
+    ``evaluate(stencil_points, owner_rows)`` gives it at every stencil
+    point, each with the row of the point it belongs to. Both are called
+    once, and only for interior points. Points outside the interior get NaN.
+    """
+    k, arity = points.shape
+    min_eig = np.full(k, np.nan)
+    rows = np.flatnonzero(_interior(points, h))
+    if rows.size == 0:
+        return min_eig
+    offsets = _hessian_offsets(arity, h)
+    stencil = (points[rows][:, None, :] + offsets[None, :, :]).reshape(-1, arity)
+    values = evaluate(stencil, np.repeat(rows, len(offsets))).reshape(rows.size, -1)
+    mid = center(rows)
+    hess = np.empty((rows.size, arity, arity))
     for i in range(arity):
-        fp, fm = stencil_values[2 * i], stencil_values[2 * i + 1]
-        hess[i, i] = (fp - 2.0 * center_value + fm) / (h * h)
+        hess[:, i, i] = (values[:, 2 * i] - 2.0 * mid + values[:, 2 * i + 1]) / (h * h)
     pos = 2 * arity
     for i in range(arity):
         for j in range(i + 1, arity):
-            fpp, fpm, fmp, fmm = stencil_values[pos:pos + 4]
+            fpp, fpm, fmp, fmm = values[:, pos:pos + 4].T
             pos += 4
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return float(np.linalg.eigvalsh(hess)[0])
+            hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    min_eig[rows] = np.linalg.eigvalsh(hess)[:, 0]
+    return min_eig
 
 
-def hessian_report(f: Callable, points, h: float = HESSIAN_STEP, *,
-                   flag_tol: float = NONCONVEX_TOL) -> HessianReport:
+def hessian_report(f: Callable, points, h: float = HESSIAN_STEP) -> HessianReport:
     """Central-difference Hessian diagnostics on simplex points.
 
     ``f`` maps a vector of free simplex coordinates (the last weight
-    eliminated) to a value; ``points`` is an (K, arity) array. A point is
-    flagged nonconvex when the minimum eigenvalue of its symmetrized
-    Hessian falls below ``-flag_tol``.
+    eliminated) to a value; ``points`` is an (K, arity) array. Points closer
+    than ``2 h`` to the simplex boundary are skipped, and ``f`` is called
+    neither at them nor at their stencils. A point is flagged nonconvex
+    when the minimum eigenvalue of its symmetrized Hessian falls below
+    ``-NONCONVEX_TOL``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    k, arity = points.shape
-    offsets = _hessian_offsets(arity, h)
-    min_eig = np.full(k, np.nan)
-    skipped = _simplex_margin(points) < 2.0 * h
-    for idx in range(k):
-        if skipped[idx]:
-            continue
-        center = f(points[idx])
-        stencil = [f(points[idx] + off) for off in offsets]
-        min_eig[idx] = _assemble_hessian_min_eig(arity, h, center, stencil)
-    flagged = ~skipped & (min_eig < -flag_tol)
+
+    def apply(pts):
+        return np.array([f(p) for p in pts], dtype=float)
+
+    min_eig = _hessian_min_eig(points, h, lambda rows: apply(points[rows]),
+                               lambda stencil, _owners: apply(stencil))
+    skipped = ~_interior(points, h)
+    flagged = ~skipped & (min_eig < -NONCONVEX_TOL)
     return HessianReport(points, min_eig, skipped, flagged)
 
 
@@ -398,7 +426,6 @@ def _fmt(value) -> str:
 
 
 def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None = None,
-              hessian_step: float = HESSIAN_STEP,
               include_hessian: bool = True) -> GgmSurface:
     """Full mixed-state pipeline over a simplex grid of family parameters.
 
@@ -423,31 +450,24 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
         raise ValueError(f"grid arity {grid.shape[1]} does not match family "
                          f"parameters {family.param_names}")
 
-    weights = np.stack([family.params_to_weights(p) for p in grid])
-    raw, phases = _batch.minimize_phases(
-        family.objective, weights, grid_points=PHASE_GRID_POINTS, step_tol=PHASE_STEP_TOL)
+    weights = family.params_to_weights(grid)
+    raw, phases = _batch.minimize_phases(family.objective, weights)
 
     if arity == 1:
         envelope = convex_envelope_1d(grid[:, 0], raw)
     else:
         envelope = convex_envelope_2d(grid, raw)
 
-    hessian = np.full(grid.shape[0], np.nan)
     if include_hessian:
-        interior = np.flatnonzero(_simplex_margin(grid) >= 2.0 * hessian_step)
-        if interior.size:
-            offsets = _hessian_offsets(arity, hessian_step)
-            stencil_pts = (grid[interior][:, None, :] + offsets[None, :, :]).reshape(
-                -1, arity)
-            stencil_w = np.stack([family.params_to_weights(p) for p in stencil_pts])
-            init = np.repeat(phases[interior], len(offsets), axis=0)
-            stencil_vals, _ = _batch.minimize_phases(
-                family.objective, stencil_w, init_phases=init,
-                step_tol=PHASE_STEP_TOL, scan=False, max_cycles=3)
-            stencil_vals = stencil_vals.reshape(interior.size, len(offsets))
-            for row, idx in enumerate(interior):
-                hessian[idx] = _assemble_hessian_min_eig(
-                    arity, hessian_step, raw[idx], stencil_vals[row])
+        def stencil_values(points, owners):
+            # Warm-started from each owner's own minimizing phases.
+            values, _ = _batch.minimize_phases(
+                family.objective, family.params_to_weights(points), phases[owners])
+            return values
+
+        hessian = _hessian_min_eig(grid, HESSIAN_STEP, raw.__getitem__, stencil_values)
+    else:
+        hessian = np.full(grid.shape[0], np.nan)
 
     return GgmSurface(
         param_names=tuple(family.param_names),

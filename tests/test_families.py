@@ -14,7 +14,7 @@ from ggm.families import (
     zeta_family,
     zeta_slice_family,
 )
-from ggm.roof import ggm_mixed, min_phase_ggm_many
+from ggm.roof import TwirledFamily, ggm_mixed, min_phase_ggm_many
 from ggm.twirl import verify_invariance, verify_preimage
 
 
@@ -94,3 +94,45 @@ def test_registry_builds_everything():
     for name, builder in FAMILY_BUILDERS.items():
         fam = builder()
         assert fam.name, name
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+def test_params_to_weights_batch_equals_stacked_points(name):
+    fam = FAMILY_BUILDERS[name]()
+    arity = len(fam.param_names)
+    points = np.random.default_rng(23).dirichlet(np.ones(arity + 1), size=12)[:, :arity]
+    stacked = np.stack([fam.params_to_weights(p) for p in points])
+    batch = fam.params_to_weights(points)
+    assert batch.shape == (12, len(fam.basis))
+    assert np.array_equal(batch, stacked)
+    assert np.array_equal(fam.params_to_weights(points.reshape(3, 4, arity)),
+                          stacked.reshape(3, 4, -1))
+
+
+@pytest.mark.parametrize("builder", [rank3_ghz_w, rank5_five_qubit])
+def test_params_to_weights_rejects_a_batch_with_one_row_outside(builder):
+    fam = builder()
+    points = np.array([[0.2, 0.3], [0.7, 0.7], [0.1, 0.1]])
+    with pytest.raises(ValueError, match="leave the mixing simplex"):
+        fam.params_to_weights(points)
+
+
+def test_weight_map_of_the_wrong_shape_rejected():
+    base = rank3_ghz_w()
+
+    def one_point_map(params):
+        # Written for one vector: on a (2, 2) batch this unpacks rows.
+        x1, x2 = params
+        return np.array([x1, x2, 1.0 - x1 - x2])
+
+    fam = TwirledFamily(group=base.group, basis=base.basis, weights=base.weights,
+                        param_names=base.param_names, weight_map=one_point_map)
+    assert np.allclose(fam.params_to_weights([0.2, 0.3]), [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="weight_map returned shape"):
+        fam.params_to_weights(np.array([[0.2, 0.3], [0.1, 0.4]]))
+
+    short = TwirledFamily(group=base.group, basis=base.basis, weights=base.weights,
+                          param_names=base.param_names,
+                          weight_map=lambda params: params)
+    with pytest.raises(ValueError, match="weight_map returned shape"):
+        short.params_to_weights([0.2, 0.3])
