@@ -65,6 +65,7 @@ from .twirl import (
     builtin_group,
     twirl,
     verify_invariance,
+    verify_mixture_invariance,
     verify_preimage,
 )
 
@@ -120,6 +121,7 @@ __all__ = [
     "uniform_sector_state",
     "unmatricize",
     "verify_invariance",
+    "verify_mixture_invariance",
     "verify_preimage",
     "zeta",
     "zeta_family",

@@ -47,7 +47,7 @@ from .twirl import (
     UnitaryGroup,
     VerificationError,
     builtin_group,
-    verify_invariance,
+    verify_mixture_invariance,
     verify_preimage,
 )
 
@@ -276,7 +276,7 @@ def _cmd_verify_group(args) -> int:
     failed = False
     if args.family is not None:
         family = parse_family_spec(_load_json(args.family))
-        inv = verify_invariance(group, family.target, tol=args.tol)
+        inv = verify_mixture_invariance(group, family.basis, family.weights, tol=args.tol)
         lines.append(
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
             f"(max deviation {inv.max_deviation:.3e}, tol {args.tol:g})")

@@ -24,7 +24,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import _batch
 from .hilbert import DensityMatrix, PureState
 from .pure import ggm_values
-from .twirl import UnitaryGroup, VerificationError, verify_invariance, verify_preimage
+from .twirl import UnitaryGroup, VerificationError, verify_mixture_invariance, verify_preimage
 
 __all__ = [
     "TwirledFamily",
@@ -58,8 +58,10 @@ class TwirledFamily:
 
     ``basis`` is the orthonormal list of pure states being mixed, ``weights``
     a reference probability vector over it. Construction verifies that the
-    group twirl fixes the target mixture and maps phased superpositions of
-    the basis onto it; either failure raises :class:`VerificationError`.
+    group twirl fixes the mixture sum_k w_k |basis_k><basis_k| and maps
+    phased superpositions of the basis onto it, both on the per-party
+    factors without forming a D x D matrix; either failure raises
+    :class:`VerificationError`.
     The family is immutable, so nothing downstream checks it again, and
     its phase ``objective`` is built once, after verification.
 
@@ -95,7 +97,7 @@ class TwirledFamily:
             names = ("x",) if len(basis) == 2 else tuple(
                 f"x{i + 1}" for i in range(len(basis) - 1))
             object.__setattr__(self, "param_names", names)
-        inv = verify_invariance(self.group, self.target)
+        inv = verify_mixture_invariance(self.group, basis, weights)
         if not inv.ok:
             raise VerificationError(
                 f"group does not fix the target mixture (deviation {inv.max_deviation:.3e})")
@@ -113,10 +115,6 @@ class TwirledFamily:
     @property
     def shape(self):
         return self.basis[0].shape
-
-    @property
-    def target(self) -> DensityMatrix:
-        return self.target_at(self.weights)
 
     def target_at(self, weights) -> DensityMatrix:
         return DensityMatrix.mixture(self.basis, weights)

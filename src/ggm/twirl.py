@@ -2,23 +2,29 @@
 
 A group element is a tensor product of per-party unitaries; a group is a
 finite set of such elements closed under composition and inverse, where
-element equality is tested on the full tensor product up to a global phase
-(the asymmetric three-qubit group closes only modulo phases, and the twirl
-channel cannot see them). The twirl averages conjugation over the group,
-so it is idempotent and fixes exactly the operators commuting with every
-element.
+element equality means equality of the full tensor products up to a global
+phase (the asymmetric three-qubit group closes only modulo phases, and the
+twirl channel cannot see them). The twirl averages conjugation over the
+group, so it is idempotent and fixes exactly the operators commuting with
+every element.
+
+Construction-time checks work on the per-party factors and never form a
+D x D matrix: group axioms compare factor by factor, and twirl residuals of
+mixtures are Frobenius norms taken through a thin QR of the moved vectors.
+Full matrices are built on demand for the dense ``twirl`` and
+``verify_invariance`` on an arbitrary density matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import DensityMatrix, PureState, SystemShape
-from .states import superpose
+from .hilbert import NORM_TOL, DensityMatrix, PureState, SystemShape
 
 __all__ = [
     "LocalUnitaryElement",
@@ -27,6 +33,7 @@ __all__ = [
     "twirl",
     "builtin_group",
     "verify_invariance",
+    "verify_mixture_invariance",
     "verify_preimage",
     "InvarianceResult",
     "PreimageResult",
@@ -38,6 +45,11 @@ __all__ = [
 UNITARY_TOL = 1e-10
 GROUP_TOL = 1e-9
 GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
+
+# Entries in one block of the closure check (block x |G| x |G| x N x d^2)
+# and of the twirl residuals (block x r x r), to bound temporary memory.
+_CLOSURE_BLOCK = 1 << 16
+_RESIDUAL_BLOCK = 1 << 12
 
 # Fixed seed for the random phase draws of the preimage check; the property
 # is phase-independent, so sampling is a sanity net rather than a proof.
@@ -89,6 +101,8 @@ class LocalUnitaryElement:
 
 
 def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = GROUP_TOL) -> bool:
+    """Full-matrix equality up to a global phase: the reference that
+    :func:`_factors_equal_up_to_phase` is never looser than."""
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if abs(b[idx]) < tol:
         return bool(np.max(np.abs(a)) <= tol)
@@ -98,9 +112,47 @@ def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = GROUP_TOL) -> 
     return bool(np.max(np.abs(a - phase * b)) <= tol)
 
 
+def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> np.ndarray:
+    """Whether tensor products of unitary factors agree up to a global phase.
+
+    ``a`` and ``b`` hold one (..., d, d) stack per party; the leading axes
+    broadcast and the result has their shape. Each factor is aligned by its
+    own phase c_p = a_p[k] / b_p[k] at the largest entry k of b_p, leaving
+    the factor deviation e_p = max|a_p - c_p b_p| and the modulus deviation
+    m_p = ||c_p| - 1|. With M = prod(1 + m_p) and E = M sum e_p, the full
+    products differ from each other by at most E entrywise after the phase
+    prod c_p. ``_equal_up_to_phase`` realigns the full matrices at the
+    largest entry of b, which is at least 1/sqrt(D), so its residual is at
+    most 2 E and its phase modulus within (M - 1) + sqrt(D) E of 1. A match
+    is accepted only when both bounds are within ``tol``, so it is never
+    accepted where the full-matrix check rejects.
+    """
+    # Factors are flattened side by side, zero-padded to the largest d^2:
+    # a zero entry is never the largest of b_p and adds nothing to e_p.
+    lead = np.broadcast_shapes(*(x.shape[:-2] for x in (*a, *b)))
+    size = max(x.shape[-1] for x in b) ** 2
+    flat_a = np.zeros(lead + (len(a), size), dtype=complex)
+    flat_b = np.zeros_like(flat_a)
+    for p, (fa, fb) in enumerate(zip(a, b)):
+        flat_a[..., p, :fa.shape[-1] ** 2] = fa.reshape(fa.shape[:-2] + (-1,))
+        flat_b[..., p, :fb.shape[-1] ** 2] = fb.reshape(fb.shape[:-2] + (-1,))
+    k = np.argmax(np.abs(flat_b), axis=-1)[..., None]
+    phase = np.take_along_axis(flat_a, k, -1) / np.take_along_axis(flat_b, k, -1)
+    dev = np.max(np.abs(flat_a - phase * flat_b), axis=-1).sum(axis=-1)
+    growth = np.prod(1.0 + np.abs(np.abs(phase[..., 0]) - 1.0), axis=-1)
+    bound = growth * dev
+    return (2.0 * bound <= tol) & ((growth - 1.0) + math.sqrt(total_dim) * bound <= tol)
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
-    """Finite set of local-unitary elements, validated as a group."""
+    """Finite set of local-unitary elements, validated as a group.
+
+    Identity, inverse and closure are checked on the per-party factors,
+    stacked into one (|G|, d, d) array per party, by
+    :func:`_factors_equal_up_to_phase`; no D x D matrix is formed. The full
+    matrices are built on first use of :meth:`full_matrices`.
+    """
 
     shape: SystemShape
     elements: tuple[LocalUnitaryElement, ...]
@@ -112,24 +164,42 @@ class UnitaryGroup:
             if el.shape != self.shape:
                 raise ValueError("all elements must share the group's shape")
         object.__setattr__(self, "elements", tuple(self.elements))
-        mats = tuple(el.full_matrix() for el in self.elements)
-        object.__setattr__(self, "_full", mats)
-        eye = np.eye(self.shape.total_dim)
-        if not any(_equal_up_to_phase(m, eye) for m in mats):
+        stacks = [np.stack([el.factors[p] for el in self.elements])
+                  for p in range(self.shape.party_count)]
+        dim = self.shape.total_dim
+        if not _factors_equal_up_to_phase(
+                stacks, [np.eye(d) for d in self.shape.dims], dim).any():
             raise VerificationError("group does not contain the identity")
-        for i, a in enumerate(mats):
-            if not any(_equal_up_to_phase(a.conj().T, m) for m in mats):
+
+        def found(factors):
+            # factors[p] has shape (K, 1, d, d): K operators against every element
+            return _factors_equal_up_to_phase(
+                factors, [f[None] for f in stacks], dim).any(axis=-1)
+
+        inverse = found([f.conj().swapaxes(-1, -2)[:, None] for f in stacks])
+        step = max(1, _CLOSURE_BLOCK // (
+            self.order ** 2 * self.shape.party_count * max(self.shape.dims) ** 2))
+        closed = np.concatenate([
+            found([(f[lo:lo + step, None] @ f[None]).reshape((-1, 1) + f.shape[1:])
+                   for f in stacks])
+            for lo in range(0, self.order, step)]).reshape(self.order, self.order)
+        bad = ~inverse | ~closed.all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not inverse[i]:
                 raise VerificationError(f"group is not closed under inverse (element {i})")
-            for j, b in enumerate(mats):
-                prod = a @ b
-                if not any(_equal_up_to_phase(prod, m) for m in mats):
-                    raise VerificationError(
-                        f"group is not closed under composition (elements {i}, {j})"
-                    )
+            raise VerificationError(
+                f"group is not closed under composition "
+                f"(elements {i}, {int(np.argmin(closed[i]))})"
+            )
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _full(self) -> tuple[np.ndarray, ...]:
+        return tuple(el.full_matrix() for el in self.elements)
 
     def full_matrices(self) -> tuple[np.ndarray, ...]:
         return self._full
@@ -253,10 +323,105 @@ class PreimageResult(NamedTuple):
 
 def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
                       tol: float = GROUP_TOL) -> InvarianceResult:
-    """Check that the twirl fixes ``rho`` to within ``tol`` (max-entry norm)."""
+    """Check that the twirl fixes ``rho`` to within ``tol`` (max-entry norm).
+
+    Works on full matrices, for an arbitrary density matrix; a mixture of an
+    orthonormal basis is checked in factored form by
+    :func:`verify_mixture_invariance`.
+    """
     if rho.shape != group.shape:
         raise ValueError("shape mismatch between group and state")
     dev = float(np.max(np.abs(_twirl_matrix(group, rho.entries) - rho.entries)))
+    return InvarianceResult(dev <= tol, dev)
+
+
+def _mixture_rows(group: UnitaryGroup, basis, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Validated amplitude rows and weights of sum_k w_k |basis_k><basis_k|.
+
+    Raises the errors that building the mixture as a DensityMatrix (one
+    shape, unit trace, no negative eigenvalue; for an orthonormal basis the
+    eigenvalues are the weights) and superposing the basis (orthonormal
+    within 1e-8) would raise, without forming the D x D matrix.
+    """
+    basis = list(basis)
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.size != len(basis):
+        raise ValueError("weights length does not match basis length")
+    if any(b.shape != basis[0].shape for b in basis):
+        raise ValueError("all states in a mixture must share a shape")
+    if basis[0].shape != group.shape:
+        raise ValueError("shape mismatch between group and state")
+    rows = np.stack([b.amplitudes for b in basis])
+    gram = rows.conj() @ rows.T
+    trace_dev = abs(weights @ gram.diagonal().real - 1.0)
+    if trace_dev > NORM_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
+    if weights.min() < -NORM_TOL:
+        raise ValueError(f"matrix has negative eigenvalue {weights.min():.3e}")
+    gram_dev = np.max(np.abs(gram - np.eye(len(basis))))
+    if gram_dev > 1e-8:
+        raise ValueError(f"basis is not orthonormal (deviation {gram_dev:.3e})")
+    return rows, weights
+
+
+def _moved(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
+    """g|v> for every element g and row v: shape (|G|, len(rows), D).
+
+    Each factor acts on its own tensor axis, one ``tensordot`` per element
+    and party, so no D x D matrix is formed.
+    """
+    batch = rows.reshape((len(rows),) + group.shape.dims)
+    out = np.empty((group.order,) + rows.shape, dtype=complex)
+    for g, el in enumerate(group.elements):
+        vec = batch
+        for axis, factor in enumerate(el.factors, start=1):
+            vec = np.moveaxis(np.tensordot(vec, factor, axes=([axis], [1])), -1, axis)
+        out[g] = vec.reshape(rows.shape)
+    return out
+
+
+def _twirl_residuals(group: UnitaryGroup, rows: np.ndarray, factors: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Frobenius norms ||(1/|G|) sum_g g X_k g^dagger - Y||_F, one per X_k.
+
+    X_k = sum_j |x_kj><x_kj| with x_kj = sum_a factors[k, a, j] v_a, and
+    Y = sum_b w_b |v_b><v_b|, over the rows v_a of ``rows``. Each difference
+    is V C_k V^dagger for the columns V = [g v_a for every g, a; v_b] and a
+    block-diagonal C_k, so with a thin QR V = QR its norm is
+    ||R C_k R^dagger||_F. The norm is read from that small matrix and never
+    expanded into traces, whose cancellation would resolve it only to
+    about 1e-8.
+    """
+    n_moved = group.order * len(rows)
+    stacked = np.concatenate([_moved(group, rows).reshape(n_moved, -1), rows])
+    r = np.linalg.qr(stacked.T, mode="r")
+    r_moved = r[:, :n_moved].reshape(len(r), group.order, len(rows))
+    r_target = r[:, n_moved:]
+    target = (r_target * weights) @ r_target.conj().T
+    out = np.empty(len(factors))
+    step = max(1, _RESIDUAL_BLOCK // len(r) ** 2)
+    for lo in range(0, len(factors), step):
+        # R g x_kj for every element g and term j, as the columns of one matrix per k
+        moved = np.einsum("rga,kaj->krgj", r_moved, factors[lo:lo + step])
+        moved = moved.reshape(len(moved), len(r), -1)
+        diff = moved @ moved.conj().swapaxes(-1, -2)
+        diff /= group.order
+        diff -= target
+        out[lo:lo + step] = np.linalg.norm(diff, axis=(1, 2))
+    return out
+
+
+def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
+                              tol: float = GROUP_TOL) -> InvarianceResult:
+    """Check that the twirl fixes sum_k w_k |basis_k><basis_k| within ``tol``.
+
+    The deviation is the Frobenius norm of the twirl residual, computed on
+    the factors; it bounds the max-entry norm of :func:`verify_invariance`
+    from above, so this check is never the looser one.
+    """
+    rows, weights = _mixture_rows(group, basis, weights)
+    terms = np.diag(np.sqrt(np.clip(weights, 0.0, None)))[None]
+    dev = float(_twirl_residuals(group, rows, terms, weights)[0])
     return InvarianceResult(dev <= tol, dev)
 
 
@@ -270,33 +435,23 @@ def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_T
     sum_k w_k |basis_k><basis_k| regardless of the phases. Sampled phase
     assignments are an axis-aligned grid of ``grid_points`` values per free
     phase plus ``random_draws`` joint uniform draws from a fixed seed; pass
-    ``phases`` (a list of full-length phase vectors) to override.
+    ``phases`` (a list of full-length phase vectors) to override. The basis
+    and weights are validated once; all assignments then share one thin QR
+    of the moved basis, and the deviation is the largest Frobenius norm of
+    a twirl residual (see :func:`verify_mixture_invariance`).
     """
-    basis = list(basis)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    n = len(basis)
-    if weights.size != n:
-        raise ValueError("weights length does not match basis length")
-    target = DensityMatrix.mixture(basis, weights).entries
-
+    rows, weights = _mixture_rows(group, basis, weights)
+    n = len(rows)
     if phases is None:
-        phases = [np.zeros(n)]
-        for coord in range(1, n):
-            for angle in np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)[1:]:
-                vec = np.zeros(n)
-                vec[coord] = angle
-                phases.append(vec)
-        rng = np.random.default_rng(seed)
-        for _ in range(random_draws):
-            vec = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            vec[0] = 0.0
-            phases.append(vec)
-
-    # An average of unitary conjugates of a unit vector is already a density
-    # matrix, so the twirled members are compared raw, without re-validation.
-    worst = 0.0
-    for vec in phases:
-        member = superpose(basis, weights, vec)
-        twirled = _twirl_vector(group, member.amplitudes)
-        worst = max(worst, float(np.max(np.abs(twirled - target))))
+        angles = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)[1:]
+        grid = np.kron(np.eye(n)[1:], angles[:, None])
+        draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(random_draws, n))
+        draws[:, 0] = 0.0
+        phases = np.concatenate([np.zeros((1, n)), grid, draws])
+    elif any(np.size(vec) != n for vec in phases):
+        raise ValueError("basis, weights, and phases must have equal lengths")
+    coeffs = np.sqrt(np.clip(weights, 0.0, None)) * np.exp(
+        1j * np.asarray(phases, dtype=float).reshape(-1, n))
+    dev = _twirl_residuals(group, rows, coeffs[:, :, None], weights)
+    worst = float(dev.max(initial=0.0))
     return PreimageResult(worst <= tol, worst)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,9 +215,12 @@ class TestFigureCommand:
 
 class TestConsoleScript:
     def test_entry_point_runs(self, ghz5_spec):
+        # the package is importable from src/ without an install
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ggm.cli", "pure", ghz5_spec],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["value"] - 0.5) < 1e-9
 

@@ -2,17 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ggm import FAMILY_BUILDERS, hilbert, rank3_ghz_dicke
+from ggm.families import ghz_mixture
 from ggm.hilbert import DensityMatrix, PureState, SystemShape
 from ggm.states import dicke, ghz, superpose, uniform_sector_state
 from ggm.twirl import (
     GROUP_KINDS,
+    GROUP_TOL,
     LocalUnitaryElement,
     UnitaryGroup,
+    VerificationError,
+    _equal_up_to_phase,
+    _factors_equal_up_to_phase,
+    _twirl_residuals,
+    _twirl_vector,
     apply_local_unitary,
     builtin_group,
     twirl,
     verify_invariance,
+    verify_mixture_invariance,
     verify_preimage,
 )
 
@@ -264,3 +275,198 @@ class TestVerifyPreimage:
 class TestGroupKindsExported:
     def test_all_four_kinds(self):
         assert set(GROUP_KINDS) == {"parity", "omega", "zeta", "qudit"}
+
+
+# ---------------------------------------------------------------------------
+# Factored verification against the dense full-matrix reference
+
+AXIOM_GROUPS = [
+    builtin_group("parity", QUBITS3),
+    builtin_group("omega", SystemShape((2,) * 5)),
+    builtin_group("zeta", QUBITS3),
+    builtin_group("qudit", SystemShape((3, 3, 3))),
+    builtin_group("qudit", SystemShape((2, 4))),
+    builtin_group("qudit", SystemShape((2, 3))),
+    ghz_mixture(3).group,
+]
+
+
+def kron_all(factors):
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def factored_match(a, b):
+    """Factored decision for one pair of factor tuples."""
+    dim = int(np.prod([f.shape[0] for f in b]))
+    return bool(_factors_equal_up_to_phase(list(a), list(b), dim))
+
+
+def near_unitary(d, eps, seed):
+    """exp(i eps H) for a seeded Hermitian H of unit max-entry norm."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (x + x.conj().T) / 2
+    h /= np.max(np.abs(h))
+    lam, vec = np.linalg.eigh(h)
+    return (vec * np.exp(1j * eps * lam)) @ vec.conj().T
+
+
+class TestFactoredAxioms:
+    @pytest.mark.parametrize("group", AXIOM_GROUPS, ids=lambda g: str(g.shape.dims))
+    def test_decisions_equal_reference_on_builtin_groups(self, group):
+        full = group.full_matrices()
+        factors = [el.factors for el in group.elements]
+        eye = tuple(np.eye(d) for d in group.shape.dims)
+        for fi, mi in zip(factors, full):
+            assert factored_match(fi, eye) == _equal_up_to_phase(mi, np.eye(len(mi)))
+            inv = tuple(f.conj().T for f in fi)
+            for fk, mk in zip(factors, full):
+                assert factored_match(inv, fk) == _equal_up_to_phase(mi.conj().T, mk)
+                for fj, mj in zip(factors, full):
+                    prod = tuple(x @ y for x, y in zip(fi, fj))
+                    assert factored_match(prod, fk) == _equal_up_to_phase(mi @ mj, mk)
+
+    @given(group_index=st.integers(0, 2), element=st.integers(0, 3),
+           party=st.integers(0, 2), exponent=st.floats(-11.0, -7.0),
+           seed=st.integers(0, 2**16))
+    def test_never_accepts_where_full_check_rejects(self, group_index, element,
+                                                    party, exponent, seed):
+        group = AXIOM_GROUPS[group_index]
+        b = group.elements[element % group.order].factors
+        a = list(b)
+        a[party] = a[party] @ near_unitary(2, 10.0 ** exponent, seed)
+        if factored_match(a, b):
+            assert _equal_up_to_phase(kron_all(a), kron_all(b))
+
+    @pytest.mark.parametrize("kind,element", [("zeta", 1), ("parity", 1)])
+    def test_perturbation_sweep_brackets_the_tolerance(self, kind, element):
+        # both checks accept far below GROUP_TOL and reject far above it; in
+        # between, on a fine sweep, the factored check may only be stricter
+        b = builtin_group(kind, QUBITS3).elements[element].factors
+        scales = np.concatenate([np.geomspace(1e-3, 1e3, 25), np.linspace(0.5, 3.0, 101)])
+        decisions = []
+        for scale in scales:
+            for seed in range(3):
+                a = (b[0], b[1] @ near_unitary(2, scale * GROUP_TOL, seed), b[2])
+                fact, ref = factored_match(a, b), _equal_up_to_phase(kron_all(a), kron_all(b))
+                assert ref or not fact, f"factored accepts at scale {scale}, seed {seed}"
+                decisions.append((scale, fact, ref))
+        assert all(f and r for s, f, r in decisions if s <= 1e-2)
+        assert not any(f or r for s, f, r in decisions if s >= 1e2)
+
+    def test_per_factor_phases(self):
+        eye = (np.eye(2), np.eye(2))
+        for a in [(1j * np.eye(2), -1j * np.eye(2)), (1j * np.eye(2), np.eye(2)),
+                  (np.exp(0.7j) * SIGMA_Z, np.exp(-0.2j) * np.eye(2))]:
+            assert factored_match(a, eye) == _equal_up_to_phase(kron_all(a), kron_all(eye))
+        assert factored_match((1j * np.eye(2), -1j * np.eye(2)), eye)
+        assert not factored_match((np.exp(0.7j) * SIGMA_Z, np.eye(2)), eye)
+
+    def test_inverse_branch(self):
+        c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
+        r60 = np.array([[c, -s], [s, c]])
+        shape = SystemShape((2, 2))
+        with pytest.raises(VerificationError, match="inverse"):
+            UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 2),
+                                 LocalUnitaryElement(shape, (r60, np.eye(2)))))
+
+    def test_closure_violation_names_the_pair(self):
+        # closed under inverse (every element is its own), not under products
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        shape = SystemShape((2, 2))
+        with pytest.raises(VerificationError, match=r"composition \(elements 1, 2\)"):
+            UnitaryGroup(shape, tuple(LocalUnitaryElement(shape, (f, np.eye(2)))
+                                      for f in (np.eye(2), sigma_x, SIGMA_Z)))
+
+
+def dense_residual(group, rows, coeff, weights):
+    """Dense ||twirl(|psi><psi|) - sum_k w_k |b_k><b_k|||, Frobenius and max-entry."""
+    target = (rows.T * weights) @ rows.conj()
+    diff = _twirl_vector(group, coeff @ rows) - target
+    return np.linalg.norm(diff), np.max(np.abs(diff))
+
+
+def broken_family():
+    """Trivial group on GHZ/W: fixes the mixture, not its superpositions."""
+    shape = QUBITS3
+    trivial = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 3),))
+    return trivial, np.stack([ghz(3).amplitudes, dicke(3, 1).amplitudes]), np.array([0.3, 0.7])
+
+
+def family_cases():
+    cases = []
+    for name, builder in FAMILY_BUILDERS.items():
+        fam = builder()
+        cases.append((name, fam.group, np.stack([b.amplitudes for b in fam.basis]),
+                      np.asarray(fam.weights)))
+    return cases + [("broken", *broken_family())]
+
+
+class TestFactoredResidual:
+    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+                             ids=[c[0] for c in family_cases()])
+    def test_preimage_residual_matches_dense(self, name, group, rows, weights):
+        phases = np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, (6, len(weights)))
+        coeffs = np.sqrt(weights) * np.exp(1j * phases)
+        factored = _twirl_residuals(group, rows, coeffs[:, :, None], weights)
+        dense = np.array([dense_residual(group, rows, c, weights) for c in coeffs])
+        assert np.max(np.abs(factored - dense[:, 0])) <= 1e-12
+        # Frobenius >= max-entry, up to rounding of the two computations
+        assert np.all(factored >= dense[:, 1] - 1e-15)
+        if name == "broken":
+            assert np.all(factored >= dense[:, 1]) and factored.min() > 1e-3
+        basis = [PureState(group.shape, r) for r in rows]
+        batched = verify_preimage(group, basis, weights, phases=list(phases))
+        assert abs(batched.max_deviation - dense[:, 0].max()) <= 1e-12
+
+    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+                             ids=[c[0] for c in family_cases()])
+    def test_mixture_invariance_matches_dense(self, name, group, rows, weights):
+        basis = [PureState(group.shape, r) for r in rows]
+        rho = DensityMatrix.mixture(basis, weights)
+        diff = twirl(group, rho).entries - rho.entries
+        result = verify_mixture_invariance(group, basis, weights)
+        assert abs(result.max_deviation - np.linalg.norm(diff)) <= 1e-12
+        assert result.max_deviation >= verify_invariance(group, rho).max_deviation - 1e-15
+        assert result.ok
+
+    def test_invariance_failure_matches_dense(self):
+        group = builtin_group("parity", QUBITS3)
+        basis = [ghz(3), dicke(3, 1)]
+        rho = DensityMatrix.mixture(basis, [0.5, 0.5])
+        result = verify_mixture_invariance(group, basis, [0.5, 0.5])
+        dense = verify_invariance(group, rho)
+        assert not result.ok and not dense.ok
+        assert result.max_deviation >= dense.max_deviation
+
+    def test_default_draws_are_the_per_draw_maximum(self):
+        group, rows, weights = broken_family()
+        basis = [PureState(group.shape, r) for r in rows]
+        rng = np.random.default_rng(12345)
+        phases = [np.zeros(2)] + [np.array([0.0, a]) for a in
+                                  np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)[1:]]
+        for _ in range(20):
+            vec = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            vec[0] = 0.0
+            phases.append(vec)
+        per_draw = max(dense_residual(group, rows, np.sqrt(weights) * np.exp(1j * p),
+                                      weights)[0] for p in phases)
+        assert abs(verify_preimage(group, basis, weights).max_deviation - per_draw) <= 1e-12
+
+    def test_large_family_builds_no_dense_matrix(self, monkeypatch):
+        built = []
+        original = hilbert.DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__", counting)
+        fam = rank3_ghz_dicke(10)
+        assert "_full" not in vars(fam.group)
+        assert built == []
+        fam.group.full_matrices()
+        assert "_full" in vars(fam.group)
