@@ -62,13 +62,18 @@ class _GramGroup:
         self.index.setflags(write=False)
 
 
+def _cut_sides(n_parties: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Parties on side I (bits set in ``mask``) and on side L, in order."""
+    return (tuple(p for p in range(n_parties) if mask >> p & 1),
+            tuple(p for p in range(n_parties) if not mask >> p & 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[_GramGroup, ...]:
     flat = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for column, mask in enumerate(masks):
-        side_i = tuple(p for p in range(len(dims)) if mask >> p & 1)
-        side_l = tuple(p for p in range(len(dims)) if not mask >> p & 1)
+        side_i, side_l = _cut_sides(len(dims), mask)
         d_i = math.prod(dims[p] for p in side_i)
         d_l = math.prod(dims[p] for p in side_l)
         small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
@@ -80,7 +85,7 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[_GramGr
 
 
 def _eigmax_herm(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a stack of small Hermitian matrices (d >= 2)."""
+    """Largest eigenvalue of a stack of small Hermitian matrices."""
     if mats.shape[-1] == 2:
         # Analytic form; much faster than LAPACK for 2x2 stacks.
         half_tr = 0.5 * (mats[..., 0, 0].real + mats[..., 1, 1].real)
@@ -129,6 +134,86 @@ def ggm_batch(amps: np.ndarray, dims: tuple[int, ...],
     return 1.0 - max_schmidt_sq_batch(amps, dims, masks)
 
 
+# Singular values of a cut's joint support at or below this are dropped.
+# Unit-norm basis rows make them absolute; see SupportKernel for the bound.
+_SUPPORT_TOL = 1e-13
+
+
+class SupportKernel:
+    """Top squared Schmidt coefficients of superpositions of a fixed basis.
+
+    Rows are coefficient vectors c over the rows |b_k> of ``basis``
+    (n_basis, D), which should be orthonormal. For every cut in ``masks``
+    (all canonical cuts by default) the matricization of sum_k c_k |b_k>
+    is M(c) = sum_k c_k B_k. Construction takes orthonormal bases U of the
+    joint column span and V of the joint row span of the B_k from two SVDs
+    and stores A_k = U^dag B_k V. Then M(c) = U A(c) V^dag with
+    A(c) = sum_k c_k A_k, which has the singular values of M(c), so a row
+    costs n_basis * r1 * r2 and touches no D-sized array. Where r1 > r2 the
+    plain transpose A_k^T is stored: sum_k c_k A_k^T = A(c)^T keeps the
+    singular values, while the conjugate transpose would conjugate c.
+
+    Directions with singular value at most ``_SUPPORT_TOL`` are dropped.
+    With P the projector onto the dropped column directions,
+    M^dag M = (UU^dag M)^dag (UU^dag M) + (PM)^dag (PM), so dropping them
+    lowers the top square by at most ||PM||^2 <= |c|^2 * sum sigma_dropped^2,
+    and likewise on the row side. For a unit c the result is never above
+    the exact value and falls short by at most the dropped squares of both
+    sides, well inside the 2 * sqrt(sum sigma_dropped^2) that perturbing
+    the singular values gives. Keeping a small direction is exact, so any
+    basis is accepted.
+    """
+
+    def __init__(self, basis: np.ndarray, dims: tuple[int, ...],
+                 masks: tuple[int, ...] | None = None):
+        basis = np.asarray(basis, dtype=complex)
+        dims = tuple(dims)
+        self.masks = canonical_cut_masks(dims) if masks is None else tuple(masks)
+        n = basis.shape[0]
+        tensors = basis.reshape((n,) + dims)
+        groups: dict[tuple[int, int], tuple[list, list]] = {}
+        for column, mask in enumerate(self.masks):
+            side_i, side_l = _cut_sides(len(dims), mask)
+            d_i = math.prod(dims[p] for p in side_i)
+            blocks = tensors.transpose((0,) + tuple(p + 1 for p in side_i + side_l)
+                                       ).reshape(n, d_i, -1)
+            u, s, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(d_i, -1),
+                                    full_matrices=False)
+            u = u[:, s > _SUPPORT_TOL]
+            _, s, vh = np.linalg.svd(blocks.reshape(n * d_i, -1), full_matrices=False)
+            v = vh[s > _SUPPORT_TOL].conj().T
+            compressed = u.conj().T @ blocks @ v
+            if compressed.shape[1] > compressed.shape[2]:
+                compressed = compressed.swapaxes(1, 2)
+            columns, stacks = groups.setdefault(compressed.shape[1:], ([], []))
+            columns.append(column)
+            stacks.append(compressed)
+        # Per shape (r1, r2): output columns and the (n_basis, cuts * r1 * r2)
+        # blocks, so one matrix product builds every A(c) of the group.
+        self._groups = tuple(
+            (shape, np.array(columns), np.stack(stacks, axis=1).reshape(n, -1))
+            for shape, (columns, stacks) in groups.items())
+        self._row_entries = sum(flat.shape[1] for _, _, flat in self._groups)
+
+    def squares(self, coeff: np.ndarray) -> np.ndarray:
+        """Top squared Schmidt coefficient per row of ``coeff`` and per cut.
+
+        ``coeff`` has shape (K, n_basis); returns (K, n_cuts), clipped to
+        [0, 1]. Rows are blocked by ``_BLOCK_ENTRIES`` and each is computed
+        on its own, so the result does not depend on the blocking.
+        """
+        k = coeff.shape[0]
+        out = np.empty((k, len(self.masks)))
+        step = max(1, _BLOCK_ENTRIES // self._row_entries)
+        for start in range(0, k, step):
+            block = coeff[start:start + step]
+            for shape, columns, flat in self._groups:
+                mats = (block @ flat).reshape((block.shape[0], columns.size) + shape)
+                gram = mats @ mats.conj().swapaxes(-1, -2)
+                out[start:start + step, columns] = _eigmax_herm(gram)
+        return np.clip(out, 0.0, 1.0, out=out)
+
+
 def fixing_transpositions(basis: np.ndarray,
                           dims: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Party swaps (i, j), d_i == d_j, that leave every basis row unchanged.
@@ -148,28 +233,27 @@ def orbit_representatives(n_parties: int, masks: tuple[int, ...],
     """First cut of each orbit under the group generated by ``swaps``.
 
     ``masks`` lists every canonical cut, so each swap maps it onto itself.
-    Orbits are the connected components of the graph joining each cut to
-    its image under each swap, so the group itself is never enumerated.
+    Transpositions generate the product of the symmetric groups of the
+    connected components C_j of the swap graph on the parties, so a side
+    S can be sent to exactly those sides with the same counts |S ∩ C_j|.
+    Two cuts therefore share an orbit exactly when the smaller of the count
+    vectors of a side and of its complement agree, and the group itself is
+    never enumerated.
     """
-    column = {mask: c for c, mask in enumerate(masks)}
-    parent = list(range(len(masks)))
-
-    def root(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    full = (1 << n_parties) - 1
-    for c, mask in enumerate(masks):
-        for i, j in swaps:
-            if (mask >> i ^ mask >> j) & 1:
-                image = mask ^ (1 << i | 1 << j)
-                if not image & 1:
-                    image ^= full
-                a, b = root(c), root(column[image])
-                parent[max(a, b)] = min(a, b)
-    return tuple(mask for c, mask in enumerate(masks) if root(c) == c)
+    component = list(range(n_parties))
+    for i, j in swaps:
+        old, new = sorted((component[i], component[j]), reverse=True)
+        component = [new if c == old else c for c in component]
+    bits = {}
+    for p, c in enumerate(component):
+        bits[c] = bits.get(c, 0) | 1 << p
+    sizes = [m.bit_count() for m in bits.values()]
+    firsts = {}
+    for mask in masks:
+        counts = tuple((mask & m).bit_count() for m in bits.values())
+        key = min(counts, tuple(s - c for s, c in zip(sizes, counts)))
+        firsts.setdefault(key, mask)
+    return tuple(firsts.values())
 
 
 class PhaseObjective:

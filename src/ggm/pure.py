@@ -88,7 +88,7 @@ def ggm_pure(state: PureState) -> GgmReport:
 def ggm_values(amplitude_rows: np.ndarray, shape) -> np.ndarray:
     """Measure values for a batch of amplitude rows on a common shape.
 
-    Fast path used by the mixed-state pipeline and the decomposition
-    sampler; rows are assumed normalized.
+    One call of the batched Schmidt kernel over every canonical cut; rows
+    are assumed normalized.
     """
     return _batch.ggm_batch(np.asarray(amplitude_rows, dtype=complex), shape.dims)

@@ -23,7 +23,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import _batch
 from .hilbert import DensityMatrix, PureState
-from .pure import ggm_values
 from .twirl import UnitaryGroup, VerificationError, verify_mixture_invariance, verify_preimage
 
 __all__ = [
@@ -536,6 +535,21 @@ def closed_form(form_id: str, params) -> float:
     return float(fn(np.clip(params, 0.0, 1.0)))
 
 
+def _haar_isometries(rng: np.random.Generator, count: int, m: int,
+                     rank: int) -> np.ndarray:
+    """``count`` Haar-random m x rank isometries, shape (count, m, rank).
+
+    One Gaussian draw holds, per isometry, the real then the imaginary part
+    of an m x rank matrix, so the stream is the same however the draws are
+    split; one stacked QR orthonormalizes them all, and the phases of R's
+    diagonal are moved into Q so that Q is Haar-distributed.
+    """
+    raw = rng.standard_normal((count, 2, m, rank))
+    q, r = np.linalg.qr(raw[:, 0] + 1j * raw[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> float:
     """Decomposition-sampling upper bound on the convex-roof measure.
 
@@ -545,6 +559,11 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
     averaging the pure measure over each decomposition bounds the roof from
     above. The eigendecomposition itself is always included as the first
     candidate, and results are deterministic for a fixed seed.
+
+    Isometries come in blocks, each from one Gaussian draw and one stacked
+    QR. Every member lies in the range of ``rho``, so its Schmidt spectra
+    on all cuts are read from the eigenbasis blocks of one
+    :class:`~ggm._batch.SupportKernel`, with no symmetry assumed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -554,35 +573,25 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
     rank = int(lam.size)
     if m < rank:
         raise ValueError(f"decomposition size {m} is below the rank {rank}")
-    weighted = vecs * np.sqrt(lam)  # columns sqrt(lam_i)|e_i>
 
+    kernel = _batch.SupportKernel(vecs.T, rho.shape.dims)
+    sqrt_lam = np.sqrt(lam)
+
+    def average_measures(iso):
+        # Member j of a sample is sum_i conj(iso[j, i]) sqrt(lam_i) |e_i>.
+        coeff = iso.conj() * sqrt_lam
+        p = np.sum(np.abs(coeff) ** 2, axis=-1)
+        live = p > 1e-14
+        vals = np.zeros(p.shape)
+        vals[live] = 1.0 - kernel.squares(
+            coeff[live] / np.sqrt(p[live])[:, None]).max(axis=1)
+        return np.sum(p * vals, axis=1)
+
+    best = float(average_measures(np.eye(m, rank, dtype=complex)[None])[0])
+    # Draws go in blocks so that memory stays bounded for any sample count.
     rng = np.random.default_rng(seed)
-    best = math.inf
-    chunk = max(1, min(samples, 262144 // (m * rho.shape.total_dim) + 1))
-    produced = 0
-    while produced < samples:
-        count = min(chunk, samples - produced)
-        members = []
-        probs = []
-        for s in range(count):
-            if produced + s == 0:
-                iso = np.eye(m, rank, dtype=complex)
-            else:
-                gauss = rng.standard_normal((m, rank)) \
-                    + 1j * rng.standard_normal((m, rank))
-                q, r = np.linalg.qr(gauss)
-                diag = np.diagonal(r)
-                iso = q * (diag / np.abs(diag))
-            unnorm = weighted @ iso.conj().T  # (dim, m)
-            p = np.sum(np.abs(unnorm) ** 2, axis=0)
-            live = p > 1e-14
-            members.append(unnorm[:, live].T / np.sqrt(p[live])[:, None])
-            probs.append((np.flatnonzero(live), p[live]))
-        stacked = np.concatenate(members, axis=0)
-        vals = ggm_values(stacked, rho.shape)
-        pos = 0
-        for live, p in probs:
-            best = min(best, float(p @ vals[pos:pos + live.size]))
-            pos += live.size
-        produced += count
+    step = max(1, _batch._BLOCK_ENTRIES // (m * rank))
+    for start in range(1, samples, step):
+        iso = _haar_isometries(rng, min(step, samples - start), m, rank)
+        best = min(best, float(np.min(average_measures(iso))))
     return max(best, 0.0)

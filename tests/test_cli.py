@@ -213,19 +213,22 @@ class TestFigureCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _run_module(*args):
+    # the package is importable from src/ without an install
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ggm.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, ghz5_spec):
-        # the package is importable from src/ without an install
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ggm.cli", "pure", ghz5_spec],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = _run_module("pure", ghz5_spec)
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["value"] - 0.5) < 1e-9
 
     def test_usage_error_is_exit_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ggm.cli", "pure"],
-            capture_output=True, text=True)
+        proc = _run_module("pure")
         assert proc.returncode == 1
+        assert "usage:" in proc.stderr

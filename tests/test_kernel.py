@@ -138,6 +138,120 @@ class TestOrbitReduction:
         assert _batch.orbit_representatives(4, masks, swaps) == (0b0001, 0b0011)
         assert _batch.orbit_representatives(4, masks, ()) == masks
 
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_count_vectors_match_union_find_on_families(self, name):
+        objective = FAMILY_BUILDERS[name]().objective
+        n = len(objective.dims)
+        masks = _batch.canonical_cut_masks(objective.dims)
+        swaps = _batch.fixing_transpositions(objective.basis, objective.dims)
+        assert objective.masks == union_find_representatives(n, masks, swaps)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_count_vectors_match_union_find_on_random_swaps(self, n):
+        rng = np.random.default_rng(n)
+        masks = _batch.canonical_cut_masks((2,) * n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(20):
+            chosen = rng.choice(len(pairs), size=rng.integers(0, len(pairs) + 1),
+                                replace=False)
+            swaps = tuple(pairs[c] for c in sorted(chosen))
+            assert _batch.orbit_representatives(n, masks, swaps) \
+                == union_find_representatives(n, masks, swaps)
+
+
+def union_find_representatives(n_parties, masks, swaps):
+    """Reference orbits: components of the graph joining each cut to its
+    image under each swap, found by union-find over the cuts."""
+    column = {mask: c for c, mask in enumerate(masks)}
+    parent = list(range(len(masks)))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    full = (1 << n_parties) - 1
+    for c, mask in enumerate(masks):
+        for i, j in swaps:
+            if (mask >> i ^ mask >> j) & 1:
+                image = mask ^ (1 << i | 1 << j)
+                if not image & 1:
+                    image ^= full
+                a, b = root(c), root(column[image])
+                parent[max(a, b)] = min(a, b)
+    return tuple(mask for c, mask in enumerate(masks) if root(c) == c)
+
+
+def support_ranks(basis, dims, mask):
+    """Dimensions of the joint column and row spans of a cut's blocks."""
+    side_i = [p for p in range(len(dims)) if mask >> p & 1]
+    side_l = [p for p in range(len(dims)) if not mask >> p & 1]
+    d_i = math.prod(dims[p] for p in side_i)
+    blocks = basis.reshape((-1,) + dims).transpose(
+        [0] + [p + 1 for p in side_i + side_l]).reshape(basis.shape[0], d_i, -1)
+    return (np.linalg.matrix_rank(np.concatenate(list(blocks), axis=1)),
+            np.linalg.matrix_rank(np.concatenate(list(blocks), axis=0)))
+
+
+class TestSupportKernel:
+    """The support-compressed kernel against the gather kernel, same cuts."""
+
+    @staticmethod
+    def assert_matches_gather(basis, dims, masks=None, rows=300, seed=0):
+        coeff = random_amplitudes(np.random.default_rng(seed), (basis.shape[0],), rows)
+        compressed = _batch.SupportKernel(basis, dims, masks).squares(coeff)
+        gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims, masks)
+        assert compressed.shape == gathered.shape
+        assert np.max(np.abs(compressed - gathered)) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_family_bases(self, name):
+        objective = FAMILY_BUILDERS[name]().objective
+        self.assert_matches_gather(objective.basis, objective.dims)
+        self.assert_matches_gather(objective.basis, objective.dims, objective.masks)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4)], ids=str)
+    @pytest.mark.parametrize("n_basis", [2, 3, 5])
+    def test_complex_random_bases(self, dims, n_basis):
+        rng = np.random.default_rng([n_basis, *dims])
+        raw = random_amplitudes(rng, dims, rows=n_basis)
+        basis = np.linalg.qr(raw.T)[0].T  # orthonormal complex rows
+        self.assert_matches_gather(basis, dims, seed=n_basis)
+
+    def test_random_bases_include_transposed_blocks(self):
+        # side I is the larger side and keeps the larger support, so the
+        # plain-transpose path of the kernel runs
+        dims = (2, 3, 4)
+        basis = random_amplitudes(np.random.default_rng(1), dims, rows=2)
+        ranks = [support_ranks(basis, dims, mask)
+                 for mask in _batch.canonical_cut_masks(dims)]
+        assert any(r1 > r2 for r1, r2 in ranks)
+        self.assert_matches_gather(basis, dims)
+
+    def test_rank_deficient_basis(self):
+        # eigenbasis of the separable |..0> mixture: product vectors, so
+        # several cuts compress to a single direction
+        dims = (2, 2, 2)
+        basis0 = np.zeros((2, 2))
+        basis0[0, 0] = 1.0
+        lam, vecs = np.linalg.eigh(np.kron(np.eye(4) / 4, basis0))
+        basis = vecs[:, lam > 1e-12].T.astype(complex)
+        assert min(min(support_ranks(basis, dims, mask))
+                   for mask in _batch.canonical_cut_masks(dims)) == 1
+        self.assert_matches_gather(basis, dims)
+
+    def test_bit_identical_whatever_the_blocking(self, monkeypatch):
+        dims = (2, 3, 4)
+        basis = random_amplitudes(np.random.default_rng(5), dims, rows=4)
+        kernel = _batch.SupportKernel(basis, dims)
+        coeff = random_amplitudes(np.random.default_rng(6), (4,), rows=700)
+        results = []
+        for entries in (1 << 10, 1 << 16):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            results.append(kernel.squares(coeff))
+        assert np.array_equal(results[0], results[1])
+
 
 class TestFamilyObjective:
     def test_built_once_at_construction(self, monkeypatch):

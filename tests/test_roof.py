@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import ggm.roof
 from ggm.families import (
     ghz_mixture,
     qutrit_sector_family,
     rank2_symmetric,
     rank3_gghz,
     rank3_ghz_w,
+    rank5_five_qubit,
     zeta_slice_family,
 )
 from ggm.hilbert import DensityMatrix, SystemShape
+from ggm.pure import ggm_values
 from ggm.roof import (
     TwirledFamily,
     closed_form,
@@ -325,6 +328,84 @@ class TestHjwUpperBound:
         a = hjw_upper_bound(rho, 4, 500, seed=11)
         b = hjw_upper_bound(rho, 4, 500, seed=11)
         assert a == b
+
+
+def reference_isometries(samples, m, rank, seed):
+    """The sampler's isometries drawn one sample at a time."""
+    rng = np.random.default_rng(seed)
+    yield np.eye(m, rank, dtype=complex)
+    for _ in range(samples - 1):
+        gauss = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        q, r = np.linalg.qr(gauss)
+        diag = np.diagonal(r)
+        yield q * (diag / np.abs(diag))
+
+
+def reference_hjw_upper_bound(rho, m, samples, seed):
+    """The sampler with one QR per sample and the full-amplitude gather
+    kernel over every member row."""
+    eigvals, eigvecs = np.linalg.eigh(rho.entries)
+    keep = eigvals > 1e-12
+    lam, vecs = eigvals[keep], eigvecs[:, keep]
+    weighted = vecs * np.sqrt(lam)  # columns sqrt(lam_i)|e_i>
+    members, probs = [], []
+    for iso in reference_isometries(samples, m, lam.size, seed):
+        unnorm = weighted @ iso.conj().T  # (dim, m)
+        p = np.sum(np.abs(unnorm) ** 2, axis=0)
+        live = p > 1e-14
+        members.append(unnorm[:, live].T / np.sqrt(p[live])[:, None])
+        probs.append(p[live])
+    vals = ggm_values(np.concatenate(members, axis=0), rho.shape)
+    best, pos = math.inf, 0
+    for p in probs:
+        best = min(best, float(p @ vals[pos:pos + p.size]))
+        pos += p.size
+    return max(best, 0.0)
+
+
+def _separable_rho():
+    basis0 = np.zeros((2, 2))
+    basis0[0, 0] = 1.0
+    return DensityMatrix(SystemShape((2, 2, 2)),
+                         np.kron(np.eye(4) / 4, basis0).astype(complex))
+
+
+def _family_target(family, params):
+    return family.target_at(family.params_to_weights(params))
+
+
+class TestSamplerAgainstReference:
+    TARGETS = {
+        "rank5": lambda: _family_target(rank5_five_qubit(), [0.3, 0.25]),
+        "qutrit": lambda: _family_target(qutrit_sector_family(), [0.2, 0.45]),
+        "rank2_symmetric": lambda: rank2_symmetric(3).target_at([0.3, 0.7]),
+        "separable": _separable_rho,
+        "dicke31": lambda: dicke(3, 1).projector(),
+    }
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_bound_matches_reference(self, target, seed):
+        rho = self.TARGETS[target]()
+        m = rho.rank() + 2
+        bound = hjw_upper_bound(rho, m, 400, seed)
+        assert abs(bound - reference_hjw_upper_bound(rho, m, 400, seed)) < 1e-12
+
+    @pytest.mark.parametrize("m, rank", [(7, 5), (3, 3), (4, 1)])
+    def test_isometries_bit_identical_to_per_sample_draws(self, m, rank):
+        rng = np.random.default_rng(m * rank)
+        batched = np.concatenate([np.eye(m, rank, dtype=complex)[None]] + [
+            ggm.roof._haar_isometries(rng, count, m, rank) for count in (1, 120, 178)])
+        expected = np.stack(list(reference_isometries(300, m, rank, seed=m * rank)))
+        assert np.array_equal(batched, expected)
+
+    def test_bound_independent_of_draw_blocks(self, monkeypatch):
+        rho = _family_target(rank5_five_qubit(), [0.3, 0.25])
+        bounds = []
+        for entries in (1 << 8, 1 << 16):
+            monkeypatch.setattr(ggm._batch, "_BLOCK_ENTRIES", entries)
+            bounds.append(hjw_upper_bound(rho, 7, 300, seed=3))
+        assert bounds[0] == bounds[1]
 
 
 class TestPipelineAgainstDecompositionBound:
