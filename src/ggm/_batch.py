@@ -143,13 +143,13 @@ class SupportKernel:
     """Top squared Schmidt coefficients of superpositions of a fixed basis.
 
     Rows are coefficient vectors c over the rows |b_k> of ``basis``
-    (n_basis, D), which should be orthonormal. For every cut in ``masks``
-    (all canonical cuts by default) the matricization of sum_k c_k |b_k>
-    is M(c) = sum_k c_k B_k. Construction takes orthonormal bases U of the
-    joint column span and V of the joint row span of the B_k from two SVDs
-    and stores A_k = U^dag B_k V. Then M(c) = U A(c) V^dag with
-    A(c) = sum_k c_k A_k, which has the singular values of M(c), so a row
-    costs n_basis * r1 * r2 and touches no D-sized array. Where r1 > r2 the
+    (n_basis, D), which should be orthonormal. For every canonical cut the
+    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k. Construction
+    takes orthonormal bases U of the joint column span and V of the joint
+    row span of the B_k from two SVDs and stores A_k = U^dag B_k V. Then
+    M(c) = U A(c) V^dag with A(c) = sum_k c_k A_k, which has the singular
+    values of M(c), so a row costs n_basis * r1 * r2 and touches no D-sized
+    array. Where r1 > r2 the
     plain transpose A_k^T is stored: sum_k c_k A_k^T = A(c)^T keeps the
     singular values, while the conjugate transpose would conjugate c.
 
@@ -164,11 +164,10 @@ class SupportKernel:
     basis is accepted.
     """
 
-    def __init__(self, basis: np.ndarray, dims: tuple[int, ...],
-                 masks: tuple[int, ...] | None = None):
+    def __init__(self, basis: np.ndarray, dims: tuple[int, ...]):
         basis = np.asarray(basis, dtype=complex)
         dims = tuple(dims)
-        self.masks = canonical_cut_masks(dims) if masks is None else tuple(masks)
+        self.masks = canonical_cut_masks(dims)
         n = basis.shape[0]
         tensors = basis.reshape((n,) + dims)
         groups: dict[tuple[int, int], tuple[list, list]] = {}

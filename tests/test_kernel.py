@@ -198,10 +198,10 @@ class TestSupportKernel:
     """The support-compressed kernel against the gather kernel, same cuts."""
 
     @staticmethod
-    def assert_matches_gather(basis, dims, masks=None, rows=300, seed=0):
+    def assert_matches_gather(basis, dims, rows=300, seed=0):
         coeff = random_amplitudes(np.random.default_rng(seed), (basis.shape[0],), rows)
-        compressed = _batch.SupportKernel(basis, dims, masks).squares(coeff)
-        gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims, masks)
+        compressed = _batch.SupportKernel(basis, dims).squares(coeff)
+        gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims)
         assert compressed.shape == gathered.shape
         assert np.max(np.abs(compressed - gathered)) < 1e-12
 
@@ -209,7 +209,6 @@ class TestSupportKernel:
     def test_family_bases(self, name):
         objective = FAMILY_BUILDERS[name]().objective
         self.assert_matches_gather(objective.basis, objective.dims)
-        self.assert_matches_gather(objective.basis, objective.dims, objective.masks)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4)], ids=str)
     @pytest.mark.parametrize("n_basis", [2, 3, 5])
