@@ -19,11 +19,9 @@ import numpy as np
 
 from .hilbert import SystemShape, enumerate_bipartitions
 
-_CHUNK = 1 << 16
-
-# Gathered complex amplitudes per row block of the Schmidt kernel. With
-# 2^19 the generic-states benchmark's peak RSS rose from 90 to 105 MB, and
-# 2^20 ran 25-30% slower than 2^16 on 16k-64k unreduced rows of 3-5 parties.
+# Matrix entries per row block of the Schmidt kernel. With 2^19 the
+# generic-states benchmark's peak RSS rose from 90 to 105 MB, and 2^20 ran
+# 25-30% slower than 2^16 on 16k-64k unreduced rows of 3-5 parties.
 _BLOCK_ENTRIES = 1 << 16
 
 # Phase minimizer settings, shared by every caller: the scan grid per free
@@ -45,35 +43,20 @@ def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
                  for cut in enumerate_bipartitions(SystemShape(dims)))
 
 
-class _GramGroup:
-    """Cuts sharing one Gram shape (dim_small, dim_big), gathered at once.
+@functools.lru_cache(maxsize=None)
+def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The cut table: ``masks`` grouped by matricization shape.
 
+    One ``(shape, columns, index)`` per shape (dim_small, dim_big):
+    ``columns`` are the positions in ``masks`` of the group's cuts and
     ``index[m, r, c]`` is the flat amplitude index of entry (r, c) of cut
     m's matricization, rows on its smaller side (side I on a tie).
     """
-
-    __slots__ = ("columns", "index")
-
-    def __init__(self, columns, index):
-        # Cached and shared by every caller, so frozen.
-        self.columns = np.array(columns)
-        self.index = np.stack(index)
-        self.columns.setflags(write=False)
-        self.index.setflags(write=False)
-
-
-def _cut_sides(n_parties: int, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Parties on side I (bits set in ``mask``) and on side L, in order."""
-    return (tuple(p for p in range(n_parties) if mask >> p & 1),
-            tuple(p for p in range(n_parties) if not mask >> p & 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[_GramGroup, ...]:
     flat = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for column, mask in enumerate(masks):
-        side_i, side_l = _cut_sides(len(dims), mask)
+        side_i = tuple(p for p in range(len(dims)) if mask >> p & 1)
+        side_l = tuple(p for p in range(len(dims)) if not mask >> p & 1)
         d_i = math.prod(dims[p] for p in side_i)
         d_l = math.prod(dims[p] for p in side_l)
         small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
@@ -81,7 +64,14 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[_GramGr
         columns, index = groups.setdefault(shape, ([], []))
         columns.append(column)
         index.append(flat.transpose(small + big).reshape(shape))
-    return tuple(_GramGroup(c, i) for c, i in groups.values())
+    table = []
+    for shape, (columns, index) in groups.items():
+        # Cached and shared by every caller, so frozen.
+        columns, index = np.array(columns), np.stack(index)
+        columns.setflags(write=False)
+        index.setflags(write=False)
+        table.append((shape, columns, index))
+    return tuple(table)
 
 
 def _eigmax_herm(mats: np.ndarray) -> np.ndarray:
@@ -95,48 +85,78 @@ def _eigmax_herm(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...],
-                      masks: tuple[int, ...] | None = None) -> np.ndarray:
-    """Top squared Schmidt coefficient of every row across every cut.
+def _combine(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """sum_k c_k B_k for coefficient rows c over flattened basis blocks B_k.
 
-    ``amps`` has shape (K, total_dim); ``masks`` selects the cuts (all
-    canonical cuts by default). Returns shape (K, n_cuts), clipped to
-    [0, 1]. Each row is computed on its own, so the result does not depend
-    on how rows are blocked.
+    BLAS's matrix-vector product, which numpy takes for a one-row block,
+    rounds differently from its matrix-matrix product, so such a block is
+    given a second row to keep every row's bits independent of the blocking.
     """
-    dims = tuple(dims)
-    if masks is None:
-        masks = canonical_cut_masks(dims)
-    groups = _gram_groups(dims, tuple(masks))
-    k = amps.shape[0]
-    out = np.empty((k, len(masks)))
-    step = max(1, _BLOCK_ENTRIES // (len(masks) * amps.shape[1]))
-    for start in range(0, k, step):
-        block = amps[start:start + step]
-        for group in groups:
-            mats = block[:, group.index]
+    if block.shape[0] == 1:
+        return (np.repeat(block, 2, axis=0) @ flat)[:1]
+    return block @ flat
+
+
+def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices) -> np.ndarray:
+    """Top squared Schmidt coefficient per row and per cut, clipped to [0, 1].
+
+    ``groups`` holds one ``(shape, columns, operand)`` per matrix shape and
+    ``matrices(block, operand)`` turns a row block into that group's
+    matrices; output column ``columns[m]`` holds the group's cut m. Rows are
+    blocked by ``_BLOCK_ENTRIES`` matrix entries and each is computed on
+    its own, so the result does not depend on the blocking.
+    """
+    out = np.empty((rows.shape[0], sum(columns.size for _, columns, _ in groups)))
+    row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        for shape, columns, operand in groups:
+            mats = matrices(block, operand).reshape((block.shape[0], columns.size) + shape)
             gram = mats @ mats.conj().swapaxes(-1, -2)
-            out[start:start + step, group.columns] = _eigmax_herm(gram)
+            out[start:start + step, columns] = _eigmax_herm(gram)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def max_schmidt_sq_batch(amps: np.ndarray, dims: tuple[int, ...],
-                         masks: tuple[int, ...] | None = None) -> np.ndarray:
-    """Per-state maximum squared Schmidt coefficient over the given cuts.
+def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Top squared Schmidt coefficient of every row across every cut.
 
-    ``amps`` has shape (K, total_dim); returns shape (K,).
+    ``amps`` has shape (K, total_dim); returns shape (K, n_cuts), clipped
+    to [0, 1], columns in enumeration order. The result does not depend on
+    how rows are blocked.
     """
-    return schmidt_sq_matrix(amps, dims, masks).max(axis=1)
-
-
-def ggm_batch(amps: np.ndarray, dims: tuple[int, ...],
-              masks: tuple[int, ...] | None = None) -> np.ndarray:
-    return 1.0 - max_schmidt_sq_batch(amps, dims, masks)
+    dims = tuple(dims)
+    return _top_squares(amps, _gram_groups(dims, canonical_cut_masks(dims)),
+                        lambda block, index: block[:, index])
 
 
 # Singular values of a cut's joint support at or below this are dropped.
 # Unit-norm basis rows make them absolute; see SupportKernel for the bound.
 _SUPPORT_TOL = 1e-13
+
+
+def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
+                    masks: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Groups of the (n_basis, cuts * r1 * r2) compressed blocks of
+    ``basis`` on ``masks``, for :func:`_combine`; see SupportKernel."""
+    n = basis.shape[0]
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    for _, columns, index in _gram_groups(dims, masks):
+        for column, cut in zip(columns, index):
+            blocks = basis[:, cut]
+            u, s, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(cut.shape[0], -1),
+                                    full_matrices=False)
+            u = u[:, s > _SUPPORT_TOL]
+            _, s, vh = np.linalg.svd(blocks.reshape(-1, cut.shape[1]), full_matrices=False)
+            v = vh[s > _SUPPORT_TOL].conj().T
+            compressed = u.conj().T @ blocks @ v
+            if compressed.shape[1] > compressed.shape[2]:
+                compressed = compressed.swapaxes(1, 2)
+            members, stacks = groups.setdefault(compressed.shape[1:], ([], []))
+            members.append(column)
+            stacks.append(compressed)
+    return tuple((shape, np.array(members), np.stack(stacks, axis=1).reshape(n, -1))
+                 for shape, (members, stacks) in groups.items())
 
 
 class SupportKernel:
@@ -165,52 +185,17 @@ class SupportKernel:
     """
 
     def __init__(self, basis: np.ndarray, dims: tuple[int, ...]):
-        basis = np.asarray(basis, dtype=complex)
         dims = tuple(dims)
-        self.masks = canonical_cut_masks(dims)
-        n = basis.shape[0]
-        tensors = basis.reshape((n,) + dims)
-        groups: dict[tuple[int, int], tuple[list, list]] = {}
-        for column, mask in enumerate(self.masks):
-            side_i, side_l = _cut_sides(len(dims), mask)
-            d_i = math.prod(dims[p] for p in side_i)
-            blocks = tensors.transpose((0,) + tuple(p + 1 for p in side_i + side_l)
-                                       ).reshape(n, d_i, -1)
-            u, s, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(d_i, -1),
-                                    full_matrices=False)
-            u = u[:, s > _SUPPORT_TOL]
-            _, s, vh = np.linalg.svd(blocks.reshape(n * d_i, -1), full_matrices=False)
-            v = vh[s > _SUPPORT_TOL].conj().T
-            compressed = u.conj().T @ blocks @ v
-            if compressed.shape[1] > compressed.shape[2]:
-                compressed = compressed.swapaxes(1, 2)
-            columns, stacks = groups.setdefault(compressed.shape[1:], ([], []))
-            columns.append(column)
-            stacks.append(compressed)
-        # Per shape (r1, r2): output columns and the (n_basis, cuts * r1 * r2)
-        # blocks, so one matrix product builds every A(c) of the group.
-        self._groups = tuple(
-            (shape, np.array(columns), np.stack(stacks, axis=1).reshape(n, -1))
-            for shape, (columns, stacks) in groups.items())
-        self._row_entries = sum(flat.shape[1] for _, _, flat in self._groups)
+        self._groups = _support_groups(np.asarray(basis, dtype=complex), dims,
+                                       canonical_cut_masks(dims))
 
     def squares(self, coeff: np.ndarray) -> np.ndarray:
         """Top squared Schmidt coefficient per row of ``coeff`` and per cut.
 
         ``coeff`` has shape (K, n_basis); returns (K, n_cuts), clipped to
-        [0, 1]. Rows are blocked by ``_BLOCK_ENTRIES`` and each is computed
-        on its own, so the result does not depend on the blocking.
+        [0, 1]. The result does not depend on how rows are blocked.
         """
-        k = coeff.shape[0]
-        out = np.empty((k, len(self.masks)))
-        step = max(1, _BLOCK_ENTRIES // self._row_entries)
-        for start in range(0, k, step):
-            block = coeff[start:start + step]
-            for shape, columns, flat in self._groups:
-                mats = (block @ flat).reshape((block.shape[0], columns.size) + shape)
-                gram = mats @ mats.conj().swapaxes(-1, -2)
-                out[start:start + step, columns] = _eigmax_herm(gram)
-        return np.clip(out, 0.0, 1.0, out=out)
+        return _top_squares(coeff, self._groups, _combine)
 
 
 def fixing_transpositions(basis: np.ndarray,
@@ -271,6 +256,10 @@ class PhaseObjective:
         self.masks = orbit_representatives(
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
+        # Raw blocks: _support_groups would tip tied zeta-slice argmins (ROADMAP item 3).
+        self._groups = tuple(
+            (shape, columns, self.basis[:, index].reshape(self.n_basis, -1))
+            for shape, columns, index in _gram_groups(self.dims, self.masks))
 
     @property
     def n_basis(self) -> int:
@@ -279,7 +268,7 @@ class PhaseObjective:
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""
         coeff = roots * np.exp(1j * phases)
-        return ggm_batch(coeff @ self.basis, self.dims, self.masks)
+        return 1.0 - _top_squares(coeff, self._groups, _combine).max(axis=1)
 
 
 def _golden_refine(objective, roots, phases, coord, rows, half_width, step_tol):
@@ -342,7 +331,7 @@ def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
         rows = np.array(members)
         angles = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
         combos = np.array(list(itertools.product(angles, repeat=len(free))))
-        per_call = max(1, _CHUNK // rows.size)
+        per_call = max(1, _BLOCK_ENTRIES // rows.size)
         for start in range(0, combos.shape[0], per_call):
             block = combos[start:start + per_call]
             cand = np.repeat(phases[rows][:, None, :], block.shape[0], axis=1)

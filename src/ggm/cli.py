@@ -295,6 +295,8 @@ def _cmd_verify_group(args) -> int:
 # artifact choices; alpha and the r slices are pinned by the source plots.
 # The builders are looked up by name at call time, so a rebinding of this
 # module's names takes effect.
+DEFAULT_ALPHA = 0.55
+DEFAULT_R = "0.96,0.98"
 FIGURES = {
     1: (lambda alpha: rank2_symmetric(3), 201),
     2: (lambda alpha: rank3_ghz_w(), 101),
@@ -319,20 +321,24 @@ def _r_values(text) -> tuple[float, ...]:
 
 
 def _cmd_figure(args) -> int:
-    if not 0.0 <= args.alpha <= 1.0:
-        raise SpecError(f"--alpha must lie in [0, 1], got {args.alpha}")
-    r_values = _r_values(args.r)
     if args.index not in FIGURES:
         raise SpecError(f"figure index must be 1..8, got {args.index}")
+    if args.alpha is not None and args.index not in (3, 4):
+        raise SpecError(f"--alpha applies to figures 3 and 4 only, not figure {args.index}")
+    if args.r is not None and args.index != 4:
+        raise SpecError(f"--r applies to figure 4 only, not figure {args.index}")
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    if not 0.0 <= alpha <= 1.0:
+        raise SpecError(f"--alpha must lie in [0, 1], got {alpha}")
     build, default_grid = FIGURES[args.index]
     grid = args.grid if args.grid is not None else default_grid
-    family = build(args.alpha)
+    family = build(alpha)
     out = args.out if args.out is not None else f"figure_{args.index}.csv"
 
     if args.index == 4:
         xs = np.linspace(0.0, 1.0, grid)
         rows = ["r,x1,raw,envelope"]
-        for r in r_values:
+        for r in _r_values(DEFAULT_R if args.r is None else args.r):
             params = np.column_stack([xs, r * (1.0 - xs)])
             raw, _ = min_phase_ggm_many(family, params)
             env = convex_envelope_1d(xs, raw)
@@ -395,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("index", type=int, help="figure number (1..8)")
     p_fig.add_argument("--grid", type=int, default=None,
                        help="override the per-figure grid resolution")
-    p_fig.add_argument("--alpha", type=float, default=0.55,
-                       help="gGHZ amplitude for figures 3 and 4")
-    p_fig.add_argument("--r", default="0.96,0.98",
-                       help="comma-separated slice ratios for figure 4")
+    p_fig.add_argument("--alpha", type=float, default=None,
+                       help=f"gGHZ amplitude, figures 3 and 4 only (default {DEFAULT_ALPHA})")
+    p_fig.add_argument("--r", default=None,
+                       help=f"comma-separated slice ratios, figure 4 only (default {DEFAULT_R})")
     p_fig.add_argument("--out", default=None,
                        help="output CSV path (default figure_<k>.csv)")
     return parser

@@ -91,4 +91,5 @@ def ggm_values(amplitude_rows: np.ndarray, shape) -> np.ndarray:
     One call of the batched Schmidt kernel over every canonical cut; rows
     are assumed normalized.
     """
-    return _batch.ggm_batch(np.asarray(amplitude_rows, dtype=complex), shape.dims)
+    return 1.0 - _batch.schmidt_sq_matrix(np.asarray(amplitude_rows, dtype=complex),
+                                          shape.dims).max(axis=1)

@@ -89,16 +89,6 @@ class LocalUnitaryElement:
             out = np.kron(out, factor)
         return out
 
-    def compose(self, other: "LocalUnitaryElement") -> "LocalUnitaryElement":
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch in composition")
-        return LocalUnitaryElement(
-            self.shape, tuple(a @ b for a, b in zip(self.factors, other.factors))
-        )
-
-    def dagger(self) -> "LocalUnitaryElement":
-        return LocalUnitaryElement(self.shape, tuple(f.conj().T for f in self.factors))
-
 
 def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = GROUP_TOL) -> bool:
     """Full-matrix equality up to a global phase: the reference that

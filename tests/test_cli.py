@@ -206,6 +206,28 @@ class TestFigureCommand:
     def test_figure_index_validated(self, capsys):
         assert main(["figure", "9"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, option", [
+        (["figure", "1", "--alpha", "0.3"], "--alpha"),
+        (["figure", "3", "--r", "0.9"], "--r"),
+    ])
+    def test_option_of_another_figure_rejected(self, argv, option, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("index, pinned", [
+        ("3", ["--alpha", "0.55"]),
+        ("4", ["--alpha", "0.55", "--r", "0.96,0.98"]),
+    ])
+    def test_defaults_are_the_pinned_values(self, index, pinned, tmp_path, capsys):
+        # the values the options defaulted to when they were parsed for
+        # every figure
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert main(["figure", index, "--grid", "21", "--out", str(default)]) == EXIT_OK
+        assert main(["figure", index, "--grid", "21", *pinned,
+                     "--out", str(explicit)]) == EXIT_OK
+        assert default.read_bytes() == explicit.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["figure", "1", "--grid", "31", "--out", str(out1)])

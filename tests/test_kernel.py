@@ -21,7 +21,7 @@ from ggm.families import (
 )
 from ggm.hilbert import PureState, SystemShape, enumerate_bipartitions
 from ggm.pure import ggm_pure, max_schmidt_sq
-from ggm.roof import ggm_mixed, min_phase_ggm
+from ggm.roof import ggm_mixed, hjw_upper_bound, min_phase_ggm
 from ggm.states import dicke, ghz, uniform_sector_state
 
 GENERIC_SHAPES = [(2,) * 6, (2,) * 8, (2,) * 10, (3,) * 4, (3,) * 6, (2, 3, 4, 5)]
@@ -93,6 +93,98 @@ class TestRowBlocking:
             assert np.array_equal(results[0], other)
 
 
+def eigenbasis(rho):
+    """Range basis of ``rho`` as rows, as the decomposition sampler takes it."""
+    eigvals, eigvecs = np.linalg.eigh(rho.entries)
+    return eigvecs[:, eigvals > 1e-12].T
+
+
+class TestCoefficientRowBlocking:
+    """Coefficient rows give the same bits however they are blocked, down to
+    one-row calls, so no result depends on ``_BLOCK_ENTRIES``."""
+
+    ENTRIES = (1, 1 << 8, 1 << 10, 1 << 16)
+
+    @classmethod
+    def assert_blocking_free(cls, evaluate, rows, monkeypatch):
+        results = []
+        for entries in cls.ENTRIES:
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            results.append(evaluate(rows))
+        results.append(np.concatenate([evaluate(rows[i:i + 1]) for i in range(len(rows))]))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_family_objective_and_kernel(self, name, monkeypatch):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases = random_phased_rows(family, 200, seed=len(name))
+        rows = np.stack([roots, phases], axis=1)
+        self.assert_blocking_free(lambda r: objective.values(r[:, 0], r[:, 1]),
+                                  rows, monkeypatch)
+        kernel = _batch.SupportKernel(objective.basis, objective.dims)
+        self.assert_blocking_free(kernel.squares, roots * np.exp(1j * phases), monkeypatch)
+
+    @pytest.mark.parametrize("builder, params", [
+        (rank5_five_qubit, [0.3, 0.25]),
+        (qutrit_sector_family, [0.2, 0.45]),
+    ], ids=["rank5", "qutrit"])
+    def test_sampler_eigenbases(self, builder, params, monkeypatch):
+        family = builder()
+        basis = eigenbasis(family.target_at(family.params_to_weights(params)))
+        coeff = random_amplitudes(np.random.default_rng(5), (basis.shape[0],), 200)
+        kernel = _batch.SupportKernel(basis, family.shape.dims)
+        self.assert_blocking_free(kernel.squares, coeff, monkeypatch)
+
+    def test_bound_independent_of_blocking_for_every_seed(self, monkeypatch):
+        family = rank5_five_qubit()
+        rho = family.target_at(family.params_to_weights([0.3, 0.25]))
+        for seed in range(12):
+            bounds = []
+            for entries in (1 << 8, 1 << 16):
+                monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+                bounds.append(hjw_upper_bound(rho, 7, 300, seed))
+            assert bounds[0] == bounds[1], seed
+
+
+def reference_objective_values(objective, roots, phases):
+    """The objective as it was computed before it took coefficient rows:
+    D-sized amplitude rows gathered over the orbit cuts, in blocks of
+    2^16 // (cuts * D) rows. The coefficient path must match it bit for bit."""
+    amps = (roots * np.exp(1j * phases)) @ objective.basis
+    dims, masks = objective.dims, objective.masks
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    groups = {}
+    for column, mask in enumerate(masks):
+        side_i = tuple(p for p in range(len(dims)) if mask >> p & 1)
+        side_l = tuple(p for p in range(len(dims)) if not mask >> p & 1)
+        d_i = math.prod(dims[p] for p in side_i)
+        d_l = math.prod(dims[p] for p in side_l)
+        small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
+        shape = (min(d_i, d_l), max(d_i, d_l))
+        columns, index = groups.setdefault(shape, ([], []))
+        columns.append(column)
+        index.append(flat.transpose(small + big).reshape(shape))
+    out = np.empty((amps.shape[0], len(masks)))
+    step = max(1, (1 << 16) // (len(masks) * amps.shape[1]))
+    for start in range(0, amps.shape[0], step):
+        block = amps[start:start + step]
+        for columns, index in groups.values():
+            mats = block[:, np.stack(index)]
+            gram = mats @ mats.conj().swapaxes(-1, -2)
+            out[start:start + step, columns] = _batch._eigmax_herm(gram)
+    return 1.0 - np.clip(out, 0.0, 1.0).max(axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+def test_objective_bit_identical_to_gathered_amplitudes(name):
+    family = FAMILY_BUILDERS[name]()
+    roots, phases = random_phased_rows(family, 1 << 16, seed=len(name))
+    assert np.array_equal(family.objective.values(roots, phases),
+                          reference_objective_values(family.objective, roots, phases))
+
+
 class TestOrbitReduction:
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_reduced_objective_matches_all_cuts(self, name):
@@ -101,7 +193,7 @@ class TestOrbitReduction:
         roots, phases = random_phased_rows(family, 400, seed=len(name))
         reduced = objective.values(roots, phases)
         amps = (roots * np.exp(1j * phases)) @ objective.basis
-        full = 1.0 - _batch.max_schmidt_sq_batch(amps, objective.dims)
+        full = 1.0 - _batch.schmidt_sq_matrix(amps, objective.dims).max(axis=1)
         assert np.max(np.abs(reduced - full)) < 1e-12
 
     @pytest.mark.parametrize("builder, n_cuts, n_orbits", [
@@ -226,6 +318,19 @@ class TestSupportKernel:
         ranks = [support_ranks(basis, dims, mask)
                  for mask in _batch.canonical_cut_masks(dims)]
         assert any(r1 > r2 for r1, r2 in ranks)
+        self.assert_matches_gather(basis, dims)
+
+    def test_plain_transpose_of_wider_column_support(self):
+        # on cut {0}|{1,2} the rows x_k (x) |00> span two column directions
+        # but one row direction, so the kernel stores the plain transpose;
+        # <x_0|x_1> is not real, so a conjugate transpose would be caught
+        dims = (2, 2, 2)
+        tail = np.zeros(4)
+        tail[0] = 1.0
+        xs = np.array([[1.0, 0.0], [1j, 1.0]]) / np.array([[1.0], [math.sqrt(2.0)]])
+        basis = 0.5 * np.stack([np.kron(x, tail) for x in xs])
+        ranks = [support_ranks(basis, dims, mask) for mask in _batch.canonical_cut_masks(dims)]
+        assert ranks[0] == (2, 1)
         self.assert_matches_gather(basis, dims)
 
     def test_rank_deficient_basis(self):
