@@ -1,6 +1,7 @@
 """The batched Schmidt kernel shared by the pure and mixed pipelines, its
 symmetry reduction for twirled families, and the kernel invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,112 @@ class TestRowBlocking:
             [_batch.schmidt_sq_matrix(amps[i:i + 1], dims) for i in range(amps.shape[0])]))
         for other in results[1:]:
             assert np.array_equal(results[0], other)
+
+
+def rotated_spectra(spectra, seed):
+    """U diag(s) U^dag for each row s of ``spectra`` (K, 3), U Haar-random."""
+    rng = np.random.default_rng(seed)
+    unitaries = np.stack([random_unitary(rng, 3) for _ in range(len(spectra))])
+    return (unitaries * spectra[:, None, :]) @ unitaries.conj().swapaxes(-1, -2)
+
+
+def assert_top_eigenvalues_match(mats):
+    """The kernel's top eigenvalues meet LAPACK's within 1e-12, and no
+    floating-point warning is raised on the way."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        top = _batch._eigmax_herm(mats)
+    assert top.shape == mats.shape[:-2]
+    assert np.max(np.abs(top - np.linalg.eigvalsh(mats)[..., -1])) < 1e-12
+
+
+def recorded_grams(evaluate, monkeypatch):
+    """Every 3x3 Gram stack that ``evaluate()`` hands to the top eigenvalue."""
+    grams = []
+    original = _batch._eigmax_herm
+
+    def recording(mats):
+        if mats.shape[-1] == 3:
+            grams.append(mats.reshape(-1, 3, 3).copy())
+        return original(mats)
+
+    monkeypatch.setattr(_batch, "_eigmax_herm", recording)
+    evaluate()
+    monkeypatch.undo()
+    return np.concatenate(grams)
+
+
+def lattice_rows(n_basis, angles=4):
+    """Equal-weight coefficient rows over a lattice of relative phases:
+    exact degeneracies in their Schmidt spectra are common."""
+    phases = np.array(list(itertools.product(
+        np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False), repeat=n_basis - 1)))
+    phases = np.concatenate([np.zeros((len(phases), 1)), phases], axis=1)
+    return np.exp(1j * phases) / math.sqrt(n_basis)
+
+
+class TestClosedFormTopEigenvalue:
+    """The closed-form 3x3 top eigenvalue and its guard against LAPACK."""
+
+    @pytest.mark.parametrize("spectrum", [
+        (0.5, 0.5, 0.0),
+        (0.5 + 1e-10, 0.5 - 1e-10, 0.0),
+        (0.5 + 1e-7, 0.5 - 1e-7, 0.0),
+        (0.5 + 5e-4, 0.5 - 5e-4, 0.0),
+        (1 / 3, 1 / 3, 1 / 3),
+        (0.6, 0.2, 0.2),
+        (1.0, 0.0, 0.0),
+    ], ids=["double_top", "split_2e-10", "split_2e-7", "split_1e-3", "triple",
+            "bottom_double", "rank1"])
+    def test_rotated_spectra(self, spectrum):
+        assert_top_eigenvalues_match(rotated_spectra(np.tile(spectrum, (2000, 1)), seed=3))
+
+    def test_random_spectra(self):
+        spectra = np.random.default_rng(4).dirichlet(np.ones(3), size=2000)
+        assert_top_eigenvalues_match(rotated_spectra(spectra, seed=4))
+
+    def test_exact_triple_roots_and_zero(self):
+        # p = 0 exactly: the closed form must return q without dividing
+        mats = np.stack([np.zeros((3, 3)), np.eye(3) / 3, np.eye(3)]).astype(complex)
+        assert_top_eigenvalues_match(mats)
+        assert np.array_equal(_batch._eigmax_herm(mats), [0.0, 1 / 3, 1.0])
+
+    def test_guarded_rows_independent_of_the_stack(self):
+        # double-top rows go to LAPACK among closed-form rows; each row's
+        # bits are the same as when it is evaluated alone
+        spectra = np.repeat([[0.5, 0.5, 0.0], [0.7, 0.2, 0.1]], 50, axis=0)
+        mats = rotated_spectra(np.random.default_rng(7).permutation(spectra), seed=5)
+        mats = mats.reshape(25, 4, 3, 3)
+        whole = _batch._eigmax_herm(mats)
+        alone = np.array([[_batch._eigmax_herm(m[None])[0] for m in row] for row in mats])
+        assert np.array_equal(whole, alone)
+
+    @pytest.mark.parametrize("psi", [
+        ghz(3, d=3), ghz(4, d=3),
+        uniform_sector_state(SystemShape((3, 3, 3)), 3, 0),
+        uniform_sector_state(SystemShape((3,) * 4), 3, 1),
+    ], ids=["ghz3_qutrit", "ghz4_qutrit", "sector3", "sector4"])
+    def test_amplitude_grams_of_qutrit_states(self, psi, monkeypatch):
+        # the embedded GHZ has a double top pair, the sector states triples
+        dims = psi.shape.dims
+        rows = np.vstack([psi.amplitudes,
+                          random_amplitudes(np.random.default_rng(8), dims, rows=20)])
+        assert_top_eigenvalues_match(recorded_grams(
+            lambda: _batch.schmidt_sq_matrix(rows, dims), monkeypatch))
+
+    @pytest.mark.parametrize("builder", [
+        lambda: rank3_ghz_dicke(5), rank5_five_qubit, qutrit_sector_family,
+    ], ids=["ghz_w_dicke5", "rank5", "qutrit"])
+    def test_sampler_grams_of_family_bases(self, builder, monkeypatch):
+        # GHZ, W (D^1) and qutrit-sector superpositions on a phase lattice,
+        # compressed to 3x3 Grams as the decomposition sampler forms them
+        family = builder()
+        basis, dims = family.objective.basis, family.objective.dims
+        kernel = _batch.SupportKernel(basis, dims)
+        rows = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
+            np.random.default_rng(9), (basis.shape[0],), rows=200)])
+        grams = recorded_grams(lambda: kernel.squares(rows), monkeypatch)
+        assert len(grams) >= len(rows)
+        assert_top_eigenvalues_match(grams)
 
 
 def eigenbasis(rho):
@@ -276,12 +383,15 @@ def union_find_representatives(n_parties, masks, swaps):
 
 
 def support_ranks(basis, dims, mask):
-    """Dimensions of the joint column and row spans of a cut's blocks."""
+    """Dimensions of the joint column and row spans of a cut's blocks, rows
+    on the smaller side (side I on a tie) as in the kernel's cut table."""
     side_i = [p for p in range(len(dims)) if mask >> p & 1]
     side_l = [p for p in range(len(dims)) if not mask >> p & 1]
     d_i = math.prod(dims[p] for p in side_i)
+    d_l = math.prod(dims[p] for p in side_l)
+    small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
     blocks = basis.reshape((-1,) + dims).transpose(
-        [0] + [p + 1 for p in side_i + side_l]).reshape(basis.shape[0], d_i, -1)
+        [0] + [p + 1 for p in small + big]).reshape(basis.shape[0], min(d_i, d_l), -1)
     return (np.linalg.matrix_rank(np.concatenate(list(blocks), axis=1)),
             np.linalg.matrix_rank(np.concatenate(list(blocks), axis=0)))
 
@@ -310,14 +420,21 @@ class TestSupportKernel:
         basis = np.linalg.qr(raw.T)[0].T  # orthonormal complex rows
         self.assert_matches_gather(basis, dims, seed=n_basis)
 
-    def test_random_bases_include_transposed_blocks(self):
-        # side I is the larger side and keeps the larger support, so the
-        # plain-transpose path of the kernel runs
+    def test_structured_basis_includes_transposed_blocks(self):
+        # rows x_k (x) |phi> with |phi> entangled between parties 0 and 2:
+        # on cut {0,2}|{1} the smaller side, party 1, spans three column
+        # directions and the larger one a single row direction, so the
+        # kernel stores the plain transpose there; the other cuts keep
+        # their orientation. The x_k have non-real overlaps, so a
+        # conjugate transpose would be caught.
         dims = (2, 3, 4)
-        basis = random_amplitudes(np.random.default_rng(1), dims, rows=2)
-        ranks = [support_ranks(basis, dims, mask)
-                 for mask in _batch.canonical_cut_masks(dims)]
-        assert any(r1 > r2 for r1, r2 in ranks)
+        xs = np.array([[1.0, 0.0, 0.0], [1j, 1.0, 0.0], [0.0, 1.0, 1j]])
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        phi = np.zeros((2, 4))
+        phi[0, 0] = phi[1, 1] = 1 / math.sqrt(2)
+        basis = 0.5 * np.einsum("ac,kb->kabc", phi, xs).reshape(3, -1)
+        ranks = [support_ranks(basis, dims, mask) for mask in _batch.canonical_cut_masks(dims)]
+        assert ranks == [(2, 6), (2, 6), (3, 1)]
         self.assert_matches_gather(basis, dims)
 
     def test_plain_transpose_of_wider_column_support(self):
@@ -452,6 +569,16 @@ def test_zero_on_product_states(dims, seed):
     report = ggm_pure(PureState(SystemShape(dims), amps))
     assert abs(report.value) < 1e-12
     assert len(report.maximizing_cuts) == len(report.per_cut)
+
+
+@given(st.integers(1, 3), seeds)
+def test_closed_form_top_eigenvalue_on_psd_matrices(rank, seed):
+    # unit-trace 3x3 PSD matrices of the given rank, as Grams of unit rows are
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((50, 3, rank)) + 1j * rng.standard_normal((50, 3, rank))
+    mats = factors @ factors.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    assert_top_eigenvalues_match(mats)
 
 
 @given(shapes, seeds)

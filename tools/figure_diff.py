@@ -1,0 +1,37 @@
+"""Compare two figure CSVs of the same grid: ``figure_diff.py A.csv B.csv``.
+
+Prints the largest |B - A| of every column (``inf`` where only one side is
+``nan``) with the number of rows that differ there and, for surfaces, how
+many points change their nonconvexity flag ``hessian_min_eig <
+-NONCONVEX_TOL`` between the two files:
+
+    python3 tools/figure_diff.py before.csv after.csv
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from ggm.roof import NONCONVEX_TOL  # noqa: E402
+
+if len(sys.argv) != 3:
+    sys.exit(__doc__.splitlines()[0])
+header_a, header_b = (Path(p).read_text().split("\n", 1)[0] for p in sys.argv[1:])
+if header_a != header_b:
+    sys.exit(f"columns differ:\n  {header_a}\n  {header_b}")
+a, b = (np.atleast_2d(np.loadtxt(p, delimiter=",", skiprows=1)) for p in sys.argv[1:])
+names = header_a.split(",")
+grid = names.index("raw")
+if a.shape != b.shape or not np.array_equal(a[:, :grid], b[:, :grid]):
+    sys.exit("the files hold different grids")
+one_nan = np.isnan(a) != np.isnan(b)
+delta = np.where(one_nan, np.inf, np.nan_to_num(np.abs(b - a), nan=0.0))
+for name, worst, changed in zip(names, delta.max(axis=0), np.sum(delta > 0, axis=0)):
+    print(f"{name:>16}  max |delta| {worst:.3g} in {changed} of {len(a)} rows")
+if "hessian_min_eig" in names:
+    column = names.index("hessian_min_eig")
+    flags_a, flags_b = (m[:, column] < -NONCONVEX_TOL for m in (a, b))
+    print(f"flags {int(flags_a.sum())} -> {int(flags_b.sum())}, "
+          f"{int(np.sum(flags_a != flags_b))} flipped")
