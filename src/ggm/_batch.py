@@ -130,7 +130,8 @@ def _eigmax_herm3(mats: np.ndarray) -> np.ndarray:
 
 
 def _combine(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """sum_k c_k B_k for coefficient rows c over flattened basis blocks B_k.
+    """``block @ flat``: sum_k c_k B_k for coefficient rows c over flattened
+    basis blocks B_k (the envelope's plane values take it too).
 
     BLAS's matrix-vector product, which numpy takes for a one-row block,
     rounds differently from its matrix-matrix product, so such a block is
@@ -139,6 +140,32 @@ def _combine(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
     if block.shape[0] == 1:
         return (np.repeat(block, 2, axis=0) @ flat)[:1]
     return block @ flat
+
+
+def _gram(mats: np.ndarray) -> np.ndarray:
+    """Hermitian Gram M M^dag of each matrix M of a stack.
+
+    Up to 3 rows, the Gram is formed one diagonal at a time: diagonal d
+    above the main one is one ``einsum`` of rows i and the conjugates of
+    rows i + d, and diagonal d below is its conjugate. A stacked ``matmul``
+    makes one BLAS call per matrix: on blocks of thousands of such matrices
+    it is 1.5-5x slower. ``einsum`` sums every entry over its columns in
+    order, so no entry depends on the stack around it (a ``sum`` over the
+    last axis does not give that). Larger Grams take ``matmul``.
+    """
+    rows = mats.shape[-2]
+    if rows > 3:
+        return mats @ mats.conj().swapaxes(-1, -2)
+    conj = mats.conj()
+    # Row-major entries: (i, i + d) sit at d + i (rows + 1), (i + d, i) at
+    # d rows + i (rows + 1).
+    gram = np.empty(mats.shape[:-2] + (rows * rows,), dtype=complex)
+    for d in range(rows):
+        upper = np.einsum("...ik,...ik->...i", mats[..., :rows - d, :], conj[..., d:, :])
+        gram[..., d:(rows - d) * rows:rows + 1] = upper
+        if d:
+            gram[..., d * rows::rows + 1] = upper.conj()
+    return gram.reshape(mats.shape[:-1] + (rows,))
 
 
 def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices) -> np.ndarray:
@@ -157,8 +184,7 @@ def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices) -> np.nd
         block = rows[start:start + step]
         for shape, columns, operand in groups:
             mats = matrices(block, operand).reshape((block.shape[0], columns.size) + shape)
-            gram = mats @ mats.conj().swapaxes(-1, -2)
-            out[start:start + step, columns] = _eigmax_herm(gram)
+            out[start:start + step, columns] = _eigmax_herm(_gram(mats))
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -356,6 +382,18 @@ def _joint_seed_size(n_free: int) -> int:
     return 8 if n_free <= 3 else 4
 
 
+def _first_near_min(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``vals``, the first column within ``PHASE_VALUE_TOL`` of
+    the row minimum, and its value.
+
+    Tied candidates (a symmetric family has many) differ only in their last
+    bits, which ``argmin`` would follow; the first of them does not move
+    when those bits change.
+    """
+    best = np.argmax(vals <= vals.min(axis=1, keepdims=True) + PHASE_VALUE_TOL, axis=1)
+    return best, vals[np.arange(vals.shape[0]), best]
+
+
 def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
     """Replace each row's starting phases by its best Cartesian seed.
 
@@ -384,10 +422,10 @@ def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
             vals = objective.values(
                 np.repeat(roots[rows], block.shape[0], axis=0), cand
             ).reshape(rows.size, block.shape[0])
-            best = np.argmin(vals, axis=1)
-            improved = vals[np.arange(rows.size), best] < values[rows]
+            best, best_vals = _first_near_min(vals)
+            improved = best_vals < values[rows] - PHASE_VALUE_TOL
             hit = rows[improved]
-            values[hit] = vals[improved, best[improved]]
+            values[hit] = best_vals[improved]
             phases[hit] = cand.reshape(rows.size, block.shape[0], -1)[
                 improved, best[improved]]
 
@@ -408,6 +446,15 @@ def minimize_phases(
     start from ``init_phases`` only refines, for up to ``WARM_CYCLES``
     cycles. Cycles stop early once no row improves by more than
     ``PHASE_VALUE_TOL``.
+
+    The seed and the scan make their discrete choices by one tie rule:
+    take the first candidate (in lattice or grid order) within
+    ``PHASE_VALUE_TOL`` of the row's minimum, and move only if it beats
+    the current value by more than ``PHASE_VALUE_TOL``. Symmetric families
+    have tied argmins whose values differ in the last bits; the rule keeps
+    a last-bit change in the objective (a Gram formed another way, say)
+    from switching a point, or the warm-started Hessian stencil around it,
+    to another branch.
 
     Returns (values, phases), shapes (K,) and (K, n_basis).
     """
@@ -440,8 +487,8 @@ def minimize_phases(
                 cand = objective.values(
                     np.repeat(roots[rows], PHASE_GRID_POINTS, axis=0), cand_phases
                 ).reshape(rows.size, PHASE_GRID_POINTS)
-                best = np.argmin(cand, axis=1)
-                better = cand[np.arange(rows.size), best] < values[rows]
+                best, best_vals = _first_near_min(cand)
+                better = best_vals < values[rows] - PHASE_VALUE_TOL
                 phases[rows[better], coord] = grid[best[better]]
             _golden_refine(objective, roots, phases, coord, rows, half_width,
                            PHASE_STEP_TOL)

@@ -334,12 +334,19 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
     except QhullError as exc:
         raise ValueError(f"degenerate grid for the convex envelope: {exc}") from exc
     lower = hull.equations[hull.equations[:, 2] < -1e-12]
+    normals = lower[:, :2].T
 
     def evaluate(query):
         query = np.atleast_2d(np.asarray(query, dtype=float))
-        # plane: n0 x + n1 y + n2 z + off = 0  ->  z = -(n0 x + n1 y + off)/n2
-        planes = -(query @ lower[:, :2].T + lower[:, 3]) / lower[:, 2]
-        return planes.max(axis=1)
+        out = np.empty(query.shape[0])
+        # Row blocks of about _BLOCK_ENTRIES planes bound the temporaries.
+        step = max(1, _batch._BLOCK_ENTRIES // lower.shape[0])
+        for start in range(0, query.shape[0], step):
+            # plane: n0 x + n1 y + n2 z + off = 0  ->  z = -(n0 x + n1 y + off)/n2
+            planes = -(_batch._combine(query[start:start + step], normals)
+                       + lower[:, 3]) / lower[:, 2]
+            out[start:start + step] = planes.max(axis=1)
+        return out
 
     return evaluate
 
@@ -399,27 +406,19 @@ class GgmSurface:
         return lambda query: np.interp(query[:, 0], knots, values)
 
     def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
         phase_cols = [f"phase_{i + 1}" for i in range(self.phase_argmin.shape[1])]
-        writer.writerow(list(self.param_names)
-                        + ["raw", "envelope", "hessian_min_eig"] + phase_cols)
-        for i in range(self.grid.shape[0]):
-            row = [_fmt(v) for v in self.grid[i]]
-            row += [_fmt(self.raw[i]), _fmt(self.envelope[i]),
-                    _fmt(self.hessian_min_eig[i])]
-            row += [_fmt(v) for v in self.phase_argmin[i]]
-            writer.writerow(row)
+        csv.writer(stream, lineterminator="\n").writerow(
+            list(self.param_names) + ["raw", "envelope", "hessian_min_eig"] + phase_cols)
+        table = np.column_stack([self.grid, self.raw, self.envelope,
+                                 self.hessian_min_eig, self.phase_argmin])
+        # One "%.12g" template per row; it prints nan as "nan".
+        template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+        stream.writelines(template % tuple(row) for row in table.tolist())
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if np.isnan(value):
-        return "nan"
-    return format(float(value), ".12g")
 
 
 def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None = None,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ggm import closed_form, ggm_mixed, hessian_report, rank2_symmetric
+from ggm import _batch, closed_form, ggm_mixed, hessian_report, rank2_symmetric
+from ggm.families import zeta_slice_family
+from ggm.roof import NONCONVEX_TOL
 
 H = 1e-3
 
@@ -81,3 +83,24 @@ def test_report_never_calls_f_within_h_of_the_boundary_2d():
     assert np.allclose(report.min_eigenvalues[~report.skipped], 2.0, atol=1e-4)
     # One center and eight stencil points per evaluated point.
     assert len(calls) == 4 * 9
+
+
+def test_flags_survive_a_last_bit_perturbation(monkeypatch):
+    # The zeta slice has tied argmins (phases that differ by pi at the same
+    # value). A 1e-14 perturbation of the objective must not send a point's
+    # warm-started stencil onto another branch.
+    family = zeta_slice_family()
+    exact = ggm_mixed(family, grid_resolution=41)
+    values = _batch.PhaseObjective.values
+
+    def perturbed(self, roots, phases):
+        return values(self, roots, phases) + 1e-14 * np.sin(
+            1e3 * phases.sum(axis=1) + 7.0 * roots.sum(axis=1))
+
+    monkeypatch.setattr(_batch.PhaseObjective, "values", perturbed)
+    shifted = ggm_mixed(family, grid_resolution=41)
+    interior = np.isfinite(exact.hessian_min_eig)
+    assert np.array_equal(interior, np.isfinite(shifted.hessian_min_eig))
+    before, after = exact.hessian_min_eig[interior], shifted.hessian_min_eig[interior]
+    assert np.array_equal(before < -NONCONVEX_TOL, after < -NONCONVEX_TOL)
+    assert np.max(np.abs(after - before)) <= 1e-8

@@ -94,6 +94,34 @@ class TestRowBlocking:
             assert np.array_equal(results[0], other)
 
 
+class TestGram:
+    """The kernel's Gram of up to 3 rows against the stacked matmul."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4),
+                                      (3, 3, 2, 2)], ids=str)
+    def test_gathered_blocks(self, dims):
+        amps = random_amplitudes(np.random.default_rng(11), dims, rows=300)
+        shapes = []
+        for shape, _, index in _batch._gram_groups(dims, _batch.canonical_cut_masks(dims)):
+            if shape[0] > 3:
+                continue
+            shapes.append(shape)
+            mats = amps[:, index]
+            # the same matrices gathered column-major: strided along each row
+            strided = amps[:, index.swapaxes(-1, -2)].swapaxes(-1, -2)
+            assert not strided.flags.c_contiguous
+            gram = _batch._gram(mats)
+            assert np.max(np.abs(gram - mats @ mats.conj().swapaxes(-1, -2))) < 1e-12
+            assert np.array_equal(_batch._gram(strided), gram)
+            assert np.array_equal(_batch._gram(mats[:1]), gram[:1])
+            assert np.array_equal(_batch._gram(mats[:, :1]), gram[:, :1])
+        assert shapes
+
+    def test_larger_grams_take_matmul(self):
+        mats = random_amplitudes(np.random.default_rng(12), (4, 6), rows=50).reshape(50, 4, 6)
+        assert np.array_equal(_batch._gram(mats), mats @ mats.conj().swapaxes(-1, -2))
+
+
 def rotated_spectra(spectra, seed):
     """U diag(s) U^dag for each row s of ``spectra`` (K, 3), U Haar-random."""
     rng = np.random.default_rng(seed)
@@ -279,8 +307,7 @@ def reference_objective_values(objective, roots, phases):
         block = amps[start:start + step]
         for columns, index in groups.values():
             mats = block[:, np.stack(index)]
-            gram = mats @ mats.conj().swapaxes(-1, -2)
-            out[start:start + step, columns] = _batch._eigmax_herm(gram)
+            out[start:start + step, columns] = _batch._eigmax_herm(_batch._gram(mats))
     return 1.0 - np.clip(out, 0.0, 1.0).max(axis=1)
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import ggm.roof
+from ggm import _batch
 from ggm.families import (
     ghz_mixture,
     qutrit_sector_family,
@@ -20,6 +22,7 @@ from ggm.roof import (
     closed_form,
     convex_envelope_1d,
     convex_envelope_2d,
+    envelope_evaluator_2d,
     ggm_mixed,
     hessian_report,
     hjw_upper_bound,
@@ -194,6 +197,25 @@ class TestConvexEnvelope2d:
         pts = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 1, 10)])
         with pytest.raises(ValueError):
             convex_envelope_2d(pts, np.ones(10))
+
+    def test_row_blocks_bit_identical_to_one_block(self, monkeypatch):
+        # The evaluator works in row blocks of about _BLOCK_ENTRIES plane
+        # values. A one-row block is padded: BLAS's matrix-vector path,
+        # which numpy would take for it, rounds differently.
+        grid = simplex_grid(31, 2)
+        v = np.cos(7.0 * grid[:, 0]) * np.sin(5.0 * grid[:, 1]) + grid[:, 0] ** 2
+        lifted = ConvexHull(np.column_stack([grid, v]))
+        faces = int(np.sum(lifted.equations[:, 2] < -1e-12))
+        query = np.random.default_rng(3).dirichlet(np.ones(3), size=10 * 7 + 1)[:, :2]
+        evaluate = envelope_evaluator_2d(grid, v)
+        monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", faces * query.shape[0])
+        whole = evaluate(query)
+        # blocks of 7 rows with a last block of one row, then one-row blocks
+        for entries in (faces * 7, 1):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            assert np.array_equal(evaluate(query), whole)
+        assert np.array_equal(evaluate(query[:1]), whole[:1])
+        assert np.array_equal(evaluate(query[-1]), whole[-1:])
 
     def test_midpoint_convexity_on_lattice(self):
         fam = rank3_gghz(0.55)

@@ -3,7 +3,8 @@
 Prints the largest |B - A| of every column (``inf`` where only one side is
 ``nan``) with the number of rows that differ there and, for surfaces, how
 many points change their nonconvexity flag ``hessian_min_eig <
--NONCONVEX_TOL`` between the two files:
+-NONCONVEX_TOL`` between the two files, then one line per flipped point:
+its parameters, its ``hessian_min_eig`` and its phases in A and in B.
 
     python3 tools/figure_diff.py before.csv after.csv
 """
@@ -35,3 +36,9 @@ if "hessian_min_eig" in names:
     flags_a, flags_b = (m[:, column] < -NONCONVEX_TOL for m in (a, b))
     print(f"flags {int(flags_a.sum())} -> {int(flags_b.sum())}, "
           f"{int(np.sum(flags_a != flags_b))} flipped")
+    phases = slice(column + 1, None)
+    for row in np.flatnonzero(flags_a != flags_b):
+        params = ", ".join(f"{n}={v:.6g}" for n, v in zip(names[:grid], a[row, :grid]))
+        print(f"  {params}: hessian_min_eig {a[row, column]:.6g} -> {b[row, column]:.6g}, "
+              f"phases {np.array2string(a[row, phases], precision=6)} -> "
+              f"{np.array2string(b[row, phases], precision=6)}")
