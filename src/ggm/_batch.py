@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from .hilbert import SystemShape, enumerate_bipartitions
-
 # Matrix entries per row block of the Schmidt kernel. With 2^19 the
 # generic-states benchmark's peak RSS rose from 90 to 105 MB, and 2^20 ran
 # 25-30% slower than 2^16 on 16k-64k unreduced rows of 3-5 parties.
@@ -39,8 +37,9 @@ WARM_CYCLES = 3
 @functools.lru_cache(maxsize=None)
 def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     """Bitmasks of every canonical cut of ``dims``, in enumeration order."""
-    return tuple(sum(1 << i for i in cut.side_I)
-                 for cut in enumerate_bipartitions(SystemShape(dims)))
+    others = [1 << p for p in range(1, len(dims))]
+    return tuple(1 | sum(combo) for k in range(len(dims) - 1)
+                 for combo in itertools.combinations(others, k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,11 +312,11 @@ def orbit_representatives(n_parties: int, masks: tuple[int, ...],
 class PhaseObjective:
     """GGM of sum_k sqrt(w_k) e^{i phi_k} |basis_k> as a function of phases.
 
-    Evaluates whole batches of (weights, phases) rows at once; one instance
-    is reused across an entire surface computation. Only one cut per orbit
-    of the party swaps fixing every basis state is evaluated: such a swap
-    fixes every phased superposition too, so a cut and its image have the
-    same Schmidt spectrum.
+    Evaluates batches of (weights, phases) rows on the compressed blocks of
+    :class:`SupportKernel`; one instance serves a whole surface. Only one
+    cut per orbit of the party swaps fixing every basis state is evaluated:
+    such a swap fixes every phased superposition too, so a cut and its
+    image have the same Schmidt spectrum.
     """
 
     def __init__(self, basis_matrix: np.ndarray, dims: tuple[int, ...]):
@@ -326,14 +325,7 @@ class PhaseObjective:
         self.masks = orbit_representatives(
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
-        # Raw blocks: _support_groups would tip tied zeta-slice argmins (ROADMAP item 3).
-        self._groups = tuple(
-            (shape, columns, self.basis[:, index].reshape(self.n_basis, -1))
-            for shape, columns, index in _gram_groups(self.dims, self.masks))
-
-    @property
-    def n_basis(self) -> int:
-        return self.basis.shape[0]
+        self._groups = _support_groups(self.basis, self.dims, self.masks)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +46,8 @@ UNITARY_TOL = 1e-10
 GROUP_TOL = 1e-9
 GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
 
-# Entries in one block of the closure check (block x |G| x |G| x N x d^2)
-# and of the twirl residuals (block x r x r), to bound temporary memory.
+# Entries in one block of the closure check (block x |G| x |G| x N x d^2), of
+# the moved rows (block x rows x D) and of the residuals (block x r x r).
 _CLOSURE_BLOCK = 1 << 16
 _RESIDUAL_BLOCK = 1 << 12
 
@@ -138,14 +138,15 @@ def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> 
 class UnitaryGroup:
     """Finite set of local-unitary elements, validated as a group.
 
-    Identity, inverse and closure are checked on the per-party factors,
-    stacked into one (|G|, d, d) array per party, by
-    :func:`_factors_equal_up_to_phase`; no D x D matrix is formed. The full
-    matrices are built on first use of :meth:`full_matrices`.
+    ``stacks`` holds one (|G|, d, d) array of factors per party. The axioms
+    are checked on it by :func:`_factors_equal_up_to_phase` and the group
+    acts through it, so no D x D matrix is formed; the full matrices are
+    built on first use of :meth:`full_matrices`.
     """
 
     shape: SystemShape
     elements: tuple[LocalUnitaryElement, ...]
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -154,8 +155,9 @@ class UnitaryGroup:
             if el.shape != self.shape:
                 raise ValueError("all elements must share the group's shape")
         object.__setattr__(self, "elements", tuple(self.elements))
-        stacks = [np.stack([el.factors[p] for el in self.elements])
-                  for p in range(self.shape.party_count)]
+        stacks = tuple(np.stack([el.factors[p] for el in self.elements])
+                       for p in range(self.shape.party_count))
+        object.__setattr__(self, "stacks", stacks)
         dim = self.shape.total_dim
         if not _factors_equal_up_to_phase(
                 stacks, [np.eye(d) for d in self.shape.dims], dim).any():
@@ -357,16 +359,19 @@ def _mixture_rows(group: UnitaryGroup, basis, weights) -> tuple[np.ndarray, np.n
 def _moved(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
     """g|v> for every element g and row v: shape (|G|, len(rows), D).
 
-    Each factor acts on its own tensor axis, one ``tensordot`` per element
-    and party, so no D x D matrix is formed.
+    Per block of elements, each party's stack acts on its own tensor axis,
+    moved last: one batched product per party, and no D x D matrix.
     """
-    batch = rows.reshape((len(rows),) + group.shape.dims)
     out = np.empty((group.order,) + rows.shape, dtype=complex)
-    for g, el in enumerate(group.elements):
-        vec = batch
-        for axis, factor in enumerate(el.factors, start=1):
-            vec = np.moveaxis(np.tensordot(vec, factor, axes=([axis], [1])), -1, axis)
-        out[g] = vec.reshape(rows.shape)
+    step = max(1, _CLOSURE_BLOCK // rows.size)
+    for lo in range(0, group.order, step):
+        vec = rows.reshape((1, len(rows)) + group.shape.dims)
+        for axis, stack in enumerate(group.stacks, start=2):
+            last = np.moveaxis(vec, axis, -1)
+            factors = stack[lo:lo + step].swapaxes(-1, -2)
+            moved = last.reshape(len(last), -1, last.shape[-1]) @ factors
+            vec = np.moveaxis(moved.reshape((len(moved),) + last.shape[1:]), -1, axis)
+        out[lo:lo + step] = vec.reshape((len(vec),) + rows.shape)
     return out
 
 

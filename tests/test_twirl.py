@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from ggm.twirl import (
     VerificationError,
     _equal_up_to_phase,
     _factors_equal_up_to_phase,
+    _moved,
     _twirl_residuals,
     _twirl_vector,
     apply_local_unitary,
@@ -432,6 +434,30 @@ class TestFactoredResidual:
         assert abs(result.max_deviation - np.linalg.norm(diff)) <= 1e-12
         assert result.max_deviation >= verify_invariance(group, rho).max_deviation - 1e-15
         assert result.ok
+
+    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+                             ids=[c[0] for c in family_cases()])
+    def test_moved_rows_match_full_matrices(self, name, group, rows, weights):
+        dense = np.stack([rows @ m.T for m in group.full_matrices()])
+        assert np.max(np.abs(_moved(group, rows) - dense)) <= 1e-14
+
+    def test_moved_rows_on_mixed_dimensions(self, monkeypatch):
+        # powers of a non-diagonal generator of order 6 on a 2 x 3 x 4 system
+        shape = SystemShape((2, 3, 4))
+        gen = (np.eye(2)[::-1], np.roll(np.eye(3), 1, axis=0), np.eye(4)[[1, 0, 3, 2]])
+        group = UnitaryGroup(shape, tuple(
+            LocalUnitaryElement(shape, tuple(np.linalg.matrix_power(f, k) for f in gen))
+            for k in range(6)))
+        rng = np.random.default_rng(29)
+        rows = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
+        dense = np.stack([rows @ m.T for m in group.full_matrices()])
+        whole = _moved(group, rows)
+        assert np.max(np.abs(whole - dense)) <= 1e-14
+        # element blocks of 4 and 2, then one element at a time
+        module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
+        for entries in (4 * rows.size, 1):
+            monkeypatch.setattr(module, "_CLOSURE_BLOCK", entries)
+            assert np.array_equal(_moved(group, rows), whole)
 
     def test_invariance_failure_matches_dense(self):
         group = builtin_group("parity", QUBITS3)
