@@ -74,14 +74,14 @@ def ggm_pure(state: PureState) -> GgmReport:
     """
     cuts = enumerate_bipartitions(state.shape)
     squares = _batch.schmidt_sq_matrix(state.amplitudes[None, :], state.shape.dims)
-    per_cut = dict(zip(cuts, squares[0].tolist()))
-    lambda_sq_max = max(per_cut.values())
-    maximizing = tuple(c for c in cuts if per_cut[c] >= lambda_sq_max - TIE_TOL)
+    row = squares[0].tolist()
+    lambda_sq_max = max(row)
+    maximizing = tuple(c for c, v in zip(cuts, row) if v >= lambda_sq_max - TIE_TOL)
     return GgmReport(
         value=1.0 - lambda_sq_max,
         lambda_sq_max=lambda_sq_max,
         maximizing_cuts=maximizing,
-        per_cut=MappingProxyType(per_cut),
+        per_cut=MappingProxyType(dict(zip(cuts, row))),
     )
 
 

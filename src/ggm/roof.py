@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import _batch
 from .hilbert import DensityMatrix, PureState
-from .twirl import UnitaryGroup, VerificationError, verify_mixture_invariance, verify_preimage
+from .twirl import UnitaryGroup, VerificationError, _verify_family
 
 __all__ = [
     "TwirledFamily",
@@ -96,11 +95,10 @@ class TwirledFamily:
             names = ("x",) if len(basis) == 2 else tuple(
                 f"x{i + 1}" for i in range(len(basis) - 1))
             object.__setattr__(self, "param_names", names)
-        inv = verify_mixture_invariance(self.group, basis, weights)
+        inv, pre = _verify_family(self.group, basis, weights)
         if not inv.ok:
             raise VerificationError(
                 f"group does not fix the target mixture (deviation {inv.max_deviation:.3e})")
-        pre = verify_preimage(self.group, basis, weights)
         if not pre.ok:
             raise VerificationError(
                 f"family fails the preimage check (deviation {pre.max_deviation:.3e})")
@@ -328,6 +326,10 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
             query = np.atleast_2d(np.asarray(query, dtype=float))
             return coeffs[0] + query @ coeffs[1:]
         return affine
+
+    # Imported here, not at module level: only a 2-D hull needs Qhull, and
+    # loading scipy.spatial would slow the start of every other command.
+    from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(np.column_stack([points, values]))

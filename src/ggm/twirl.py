@@ -51,9 +51,12 @@ GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
 _CLOSURE_BLOCK = 1 << 16
 _RESIDUAL_BLOCK = 1 << 12
 
-# Fixed seed for the random phase draws of the preimage check; the property
-# is phase-independent, so sampling is a sanity net rather than a proof.
+# Default phase sample of the preimage check: a fixed seed for its random
+# draws, their count, and the grid points per free phase. The property is
+# phase-independent, so sampling is a sanity net rather than a proof.
 PREIMAGE_SEED = 12345
+PREIMAGE_DRAWS = 20
+PREIMAGE_GRID_POINTS = 8
 
 
 class VerificationError(ValueError):
@@ -375,22 +378,32 @@ def _moved(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _twirl_residuals(group: UnitaryGroup, rows: np.ndarray, factors: np.ndarray,
+def _moved_r(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
+    """R of the thin QR V = QR of the columns V = [g v_a for every g, a; v_b].
+
+    The columns run over the rows v_a of ``rows``, first moved by every
+    element g (g-major), then unmoved; every twirl residual of mixtures of
+    these rows is read from R by :func:`_twirl_residuals`.
+    """
+    n_moved = group.order * len(rows)
+    stacked = np.concatenate([_moved(group, rows).reshape(n_moved, -1), rows])
+    return np.linalg.qr(stacked.T, mode="r")
+
+
+def _twirl_residuals(r: np.ndarray, order: int, factors: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Frobenius norms ||(1/|G|) sum_g g X_k g^dagger - Y||_F, one per X_k.
 
     X_k = sum_j |x_kj><x_kj| with x_kj = sum_a factors[k, a, j] v_a, and
-    Y = sum_b w_b |v_b><v_b|, over the rows v_a of ``rows``. Each difference
-    is V C_k V^dagger for the columns V = [g v_a for every g, a; v_b] and a
-    block-diagonal C_k, so with a thin QR V = QR its norm is
-    ||R C_k R^dagger||_F. The norm is read from that small matrix and never
-    expanded into traces, whose cancellation would resolve it only to
-    about 1e-8.
+    Y = sum_b w_b |v_b><v_b|, over the rows v_a behind ``r`` (the output of
+    :func:`_moved_r` for a group of ``order`` elements). Each difference
+    is V C_k V^dagger for the columns V of :func:`_moved_r` and a
+    block-diagonal C_k, so with V = QR its norm is ||R C_k R^dagger||_F.
+    The norm is read from that small matrix and never expanded into
+    traces, whose cancellation would resolve it only to about 1e-8.
     """
-    n_moved = group.order * len(rows)
-    stacked = np.concatenate([_moved(group, rows).reshape(n_moved, -1), rows])
-    r = np.linalg.qr(stacked.T, mode="r")
-    r_moved = r[:, :n_moved].reshape(len(r), group.order, len(rows))
+    n_moved = order * len(weights)
+    r_moved = r[:, :n_moved].reshape(len(r), order, len(weights))
     r_target = r[:, n_moved:]
     target = (r_target * weights) @ r_target.conj().T
     out = np.empty(len(factors))
@@ -400,10 +413,38 @@ def _twirl_residuals(group: UnitaryGroup, rows: np.ndarray, factors: np.ndarray,
         moved = np.einsum("rga,kaj->krgj", r_moved, factors[lo:lo + step])
         moved = moved.reshape(len(moved), len(r), -1)
         diff = moved @ moved.conj().swapaxes(-1, -2)
-        diff /= group.order
+        diff /= order
         diff -= target
         out[lo:lo + step] = np.linalg.norm(diff, axis=(1, 2))
     return out
+
+
+def _invariance(r: np.ndarray, order: int, weights: np.ndarray,
+                tol: float) -> InvarianceResult:
+    terms = np.diag(np.sqrt(np.clip(weights, 0.0, None)))[None]
+    dev = float(_twirl_residuals(r, order, terms, weights)[0])
+    return InvarianceResult(dev <= tol, dev)
+
+
+def _preimage(r: np.ndarray, order: int, weights: np.ndarray, phases: np.ndarray,
+              tol: float) -> PreimageResult:
+    coeffs = np.sqrt(np.clip(weights, 0.0, None)) * np.exp(1j * phases)
+    worst = float(_twirl_residuals(r, order, coeffs[:, :, None], weights).max(initial=0.0))
+    return PreimageResult(worst <= tol, worst)
+
+
+def _sampled_phases(n: int, random_draws: int, grid_points: int,
+                    seed: int) -> np.ndarray:
+    """Phase vectors of the preimage check, one row each, phase 0 fixed at 0.
+
+    Zero phases, an axis-aligned grid of ``grid_points`` values per free
+    phase, then ``random_draws`` joint uniform draws from ``seed``.
+    """
+    angles = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)[1:]
+    grid = np.kron(np.eye(n)[1:], angles[:, None])
+    draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(random_draws, n))
+    draws[:, 0] = 0.0
+    return np.concatenate([np.zeros((1, n)), grid, draws])
 
 
 def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
@@ -415,13 +456,12 @@ def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
     from above, so this check is never the looser one.
     """
     rows, weights = _mixture_rows(group, basis, weights)
-    terms = np.diag(np.sqrt(np.clip(weights, 0.0, None)))[None]
-    dev = float(_twirl_residuals(group, rows, terms, weights)[0])
-    return InvarianceResult(dev <= tol, dev)
+    return _invariance(_moved_r(group, rows), group.order, weights, tol)
 
 
 def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL,
-                    random_draws: int = 20, grid_points: int = 8,
+                    random_draws: int = PREIMAGE_DRAWS,
+                    grid_points: int = PREIMAGE_GRID_POINTS,
                     seed: int = PREIMAGE_SEED,
                     phases: list | None = None) -> PreimageResult:
     """Check that phased superpositions of ``basis`` twirl onto the mixture.
@@ -438,15 +478,25 @@ def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_T
     rows, weights = _mixture_rows(group, basis, weights)
     n = len(rows)
     if phases is None:
-        angles = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)[1:]
-        grid = np.kron(np.eye(n)[1:], angles[:, None])
-        draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(random_draws, n))
-        draws[:, 0] = 0.0
-        phases = np.concatenate([np.zeros((1, n)), grid, draws])
+        phases = _sampled_phases(n, random_draws, grid_points, seed)
     elif any(np.size(vec) != n for vec in phases):
         raise ValueError("basis, weights, and phases must have equal lengths")
-    coeffs = np.sqrt(np.clip(weights, 0.0, None)) * np.exp(
-        1j * np.asarray(phases, dtype=float).reshape(-1, n))
-    dev = _twirl_residuals(group, rows, coeffs[:, :, None], weights)
-    worst = float(dev.max(initial=0.0))
-    return PreimageResult(worst <= tol, worst)
+    phases = np.asarray(phases, dtype=float).reshape(-1, n)
+    return _preimage(_moved_r(group, rows), group.order, weights, phases, tol)
+
+
+def _verify_family(group: UnitaryGroup, basis,
+                   weights) -> tuple[InvarianceResult, PreimageResult]:
+    """:func:`verify_mixture_invariance` and :func:`verify_preimage` at their
+    defaults, read from one moved basis and one thin QR.
+
+    Both deviations are bit-identical to those of the two separate calls,
+    which compute the same R.
+    """
+    rows, weights = _mixture_rows(group, basis, weights)
+    r = _moved_r(group, rows)
+    return (_invariance(r, group.order, weights, GROUP_TOL),
+            _preimage(r, group.order, weights,
+                      _sampled_phases(len(rows), PREIMAGE_DRAWS, PREIMAGE_GRID_POINTS,
+                                      PREIMAGE_SEED),
+                      GROUP_TOL))

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from ggm.cli import (
     parse_group_spec,
     parse_state_spec,
 )
-from ggm.twirl import verify_preimage
+
+twirl_module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
 
 
 def write_json(path, doc):
@@ -143,17 +145,16 @@ class TestMixedCommand:
         assert "verification failed" in capsys.readouterr().err
 
     def test_custom_family_verified_once(self, tmp_path, monkeypatch, capsys):
+        # Both checks of a family read one set of moved basis rows, so one
+        # verification is one _moved call.
         calls = []
+        original = twirl_module._moved
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return verify_preimage(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name == "ggm" or name.startswith("ggm."):
-                for attr, value in list(vars(module).items()):
-                    if value is verify_preimage:
-                        monkeypatch.setattr(module, attr, counting)
+        monkeypatch.setattr(twirl_module, "_moved", counting)
         spec = write_json(tmp_path / "fam.json",
                           parity_family_doc(PARITY_SECTORS))
         assert main(["mixed", spec, "--grid", "11", "--out",
@@ -235,13 +236,36 @@ class TestFigureCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def _run_module(*args):
+def _run_python(*args):
     # the package is importable from src/ without an install
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ggm.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def _run_module(*args):
+    return _run_python("-m", "ggm.cli", *args)
+
+
+# Runs in a fresh interpreter, because this process has imported scipy already.
+COLD_START = """
+import sys
+
+import ggm
+import ggm.cli
+
+pure, group, family, surface = sys.argv[1:]
+for argv in (["pure", pure], ["verify-group", group, "--family", family],
+             ["mixed", family, "--grid", "11", "--out", surface]):
+    assert ggm.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+grid = ggm.simplex_grid(5, 2)
+ggm.convex_envelope_2d(grid, (grid ** 2).sum(axis=1))
+assert "scipy.spatial" in sys.modules
+"""
 
 
 class TestConsoleScript:
@@ -254,3 +278,9 @@ class TestConsoleScript:
         proc = _run_module("pure")
         assert proc.returncode == 1
         assert "usage:" in proc.stderr
+
+    def test_scipy_loaded_only_for_a_2d_hull(self, tmp_path, ghz5_spec, rank2_family_spec):
+        group = write_json(tmp_path / "grp.json", {"kind": "parity", "dims": [2, 2, 2]})
+        proc = _run_python("-c", COLD_START, ghz5_spec, group, rank2_family_spec,
+                           str(tmp_path / "surface.csv"))
+        assert proc.returncode == 0, proc.stderr

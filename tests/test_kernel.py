@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 
-import ggm.roof
 from ggm import _batch
 from ggm.families import (
     FAMILY_BUILDERS,
@@ -560,13 +560,14 @@ class TestEnvelopeEvaluatorCached:
     def test_hull_built_once_per_surface(self, monkeypatch):
         surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9, include_hessian=False)
         built = []
-        original = ggm.roof.ConvexHull
+        original = scipy.spatial.ConvexHull
 
         def counting(*args, **kwargs):
             built.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ggm.roof, "ConvexHull", counting)
+        # envelope_evaluator_2d imports ConvexHull from scipy.spatial at call time
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
         query = np.array([[0.3, 0.3], [0.1, 0.6]])
         first = surface.envelope_at(query)
         second = surface.envelope_at(query)

@@ -19,8 +19,10 @@ from ggm.twirl import (
     _equal_up_to_phase,
     _factors_equal_up_to_phase,
     _moved,
+    _moved_r,
     _twirl_residuals,
     _twirl_vector,
+    _verify_family,
     apply_local_unitary,
     builtin_group,
     twirl,
@@ -413,7 +415,8 @@ class TestFactoredResidual:
     def test_preimage_residual_matches_dense(self, name, group, rows, weights):
         phases = np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, (6, len(weights)))
         coeffs = np.sqrt(weights) * np.exp(1j * phases)
-        factored = _twirl_residuals(group, rows, coeffs[:, :, None], weights)
+        factored = _twirl_residuals(_moved_r(group, rows), group.order,
+                                    coeffs[:, :, None], weights)
         dense = np.array([dense_residual(group, rows, c, weights) for c in coeffs])
         assert np.max(np.abs(factored - dense[:, 0])) <= 1e-12
         # Frobenius >= max-entry, up to rounding of the two computations
@@ -481,6 +484,25 @@ class TestFactoredResidual:
         per_draw = max(dense_residual(group, rows, np.sqrt(weights) * np.exp(1j * p),
                                       weights)[0] for p in phases)
         assert abs(verify_preimage(group, basis, weights).max_deviation - per_draw) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_construction_moves_the_basis_once(self, name, monkeypatch):
+        module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
+        calls = []
+        original = module._moved
+
+        def counting(group, rows):
+            calls.append(1)
+            return original(group, rows)
+
+        monkeypatch.setattr(module, "_moved", counting)
+        family = FAMILY_BUILDERS[name]()
+        assert len(calls) == 1
+        # the shared R gives the deviations of the two separate checks, bit for bit
+        separate = (verify_mixture_invariance(family.group, family.basis, family.weights),
+                    verify_preimage(family.group, family.basis, family.weights))
+        assert len(calls) == 3
+        assert _verify_family(family.group, family.basis, family.weights) == separate
 
     def test_large_family_builds_no_dense_matrix(self, monkeypatch):
         built = []
