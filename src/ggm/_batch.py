@@ -326,28 +326,78 @@ class PhaseObjective:
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
         self._groups = _support_groups(self.basis, self.dims, self.masks)
+        # Compressed block entries per row: a pencil of ``_BLOCK_ENTRIES //
+        # row_entries`` rows keeps B, P, S and T within that many entries.
+        self.row_entries = sum(columns.size * math.prod(shape)
+                               for shape, columns, _ in self._groups)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""
         coeff = roots * np.exp(1j * phases)
         return 1.0 - _top_squares(coeff, self._groups, _combine).max(axis=1)
 
+    def pencil(self, roots: np.ndarray, phases: np.ndarray, coord: int):
+        """Probe of the rows' GGM as a function of phase ``coord`` alone.
 
-def _golden_refine(objective, roots, phases, coord, rows, half_width, step_tol):
+        With B the block combination of a row without coefficient ``coord``
+        (its phase there is ignored), A = A_coord and r = roots[:, coord],
+        each cut's Gram at angle theta is the Hermitian pencil
+        G(theta) = P + cos(theta) S + sin(theta) T with P = BB^dag + r^2 AA^dag,
+        Q = r AB^dag, S = Q + Q^dag and T = i(Q - Q^dag). They are built once
+        here (the caller bounds the rows: B has ``row_entries`` per row);
+        the returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM
+        at each angle, of the same shape. Every step is elementwise per row
+        or the kernel's own, so no row depends on the rows around it.
+        """
+        coeff = roots * np.exp(1j * phases)
+        coeff[:, coord] = 0.0
+        r = roots[:, coord, None, None, None]
+        pencils = []
+        for shape, columns, operand in self._groups:
+            b = _combine(coeff, operand).reshape((len(coeff), columns.size) + shape)
+            a = operand[coord].reshape((columns.size,) + shape)
+            # Q = r A B^dag one column at a time, in order, so it is elementwise.
+            b_conj = b.conj()
+            q = a[..., :, None, 0] * b_conj[..., None, :, 0]
+            for k in range(1, shape[1]):
+                q += a[..., :, None, k] * b_conj[..., None, :, k]
+            q *= r
+            q_dag = q.conj().swapaxes(-1, -2)
+            p = _gram(b) + r * r * _gram(a)
+            # Real views: the angle weights multiply real and imaginary parts.
+            pencils.append(tuple(m.view(float)[:, None]
+                                 for m in (p, q + q_dag, 1j * (q - q_dag))))
+
+        def probe(angles: np.ndarray) -> np.ndarray:
+            angles = np.asarray(angles, dtype=float)
+            flat = angles.reshape(len(coeff), -1)
+            top = np.empty(flat.shape)
+            step = max(1, _BLOCK_ENTRIES // (flat.shape[1] * self.row_entries))
+            for start in range(0, flat.shape[0], step):
+                block = flat[start:start + step, :, None, None, None]
+                cos, sin = np.cos(block), np.sin(block)
+                best = None
+                for p, s, t in pencils:
+                    gram = p[start:start + step] + cos * s[start:start + step]
+                    gram += sin * t[start:start + step]
+                    tops = _eigmax_herm(gram.view(complex)).max(axis=-1)
+                    best = tops if best is None else np.maximum(best, tops)
+                top[start:start + step] = best
+            return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
+
+        return probe
+
+
+def _golden_refine(probe, phases, coord, rows, half_width, step_tol):
     """Lockstep golden-section refinement of one phase coordinate.
 
-    Only ``rows`` participate; the rest keep their phase. Brackets shrink
-    until narrower than ``step_tol`` radians.
+    Only ``rows`` participate, ``probe`` giving their values at angles of
+    ``coord``; the rest keep their phase. Brackets shrink until narrower
+    than ``step_tol`` radians.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo = phases[rows, coord] - half_width
     hi = phases[rows, coord] + half_width
-
-    def probe(vals):
-        p = phases[rows].copy()
-        p[:, coord] = vals
-        return objective.values(roots[rows], p)
-
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = probe(c), probe(d)
@@ -473,17 +523,18 @@ def minimize_phases(
             rows = np.flatnonzero(active[:, coord] & (gauge != coord))
             if rows.size == 0:
                 continue
-            if cold_start:
-                cand_phases = np.repeat(phases[rows], PHASE_GRID_POINTS, axis=0)
-                cand_phases[:, coord] = np.tile(grid, rows.size)
-                cand = objective.values(
-                    np.repeat(roots[rows], PHASE_GRID_POINTS, axis=0), cand_phases
-                ).reshape(rows.size, PHASE_GRID_POINTS)
-                best, best_vals = _first_near_min(cand)
-                better = best_vals < values[rows] - PHASE_VALUE_TOL
-                phases[rows[better], coord] = grid[best[better]]
-            _golden_refine(objective, roots, phases, coord, rows, half_width,
-                           PHASE_STEP_TOL)
+            # One pencil per row block serves the scan and the refinement:
+            # neither moves the other coordinates.
+            step = max(1, _BLOCK_ENTRIES // objective.row_entries)
+            for start in range(0, rows.size, step):
+                block = rows[start:start + step]
+                probe = objective.pencil(roots[block], phases[block], coord)
+                if cold_start:
+                    cand = probe(np.broadcast_to(grid, (block.size, grid.size)))
+                    best, best_vals = _first_near_min(cand)
+                    better = best_vals < values[block] - PHASE_VALUE_TOL
+                    phases[block[better], coord] = grid[best[better]]
+                _golden_refine(probe, phases, coord, block, half_width, PHASE_STEP_TOL)
         values = objective.values(roots, phases)
         if np.max(cycle_start - values) <= PHASE_VALUE_TOL:
             break

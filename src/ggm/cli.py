@@ -46,9 +46,8 @@ from .twirl import (
     LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
+    _verify_family,
     builtin_group,
-    verify_mixture_invariance,
-    verify_preimage,
 )
 
 DEFAULT_SEED = 12345
@@ -276,12 +275,12 @@ def _cmd_verify_group(args) -> int:
     failed = False
     if args.family is not None:
         family = parse_family_spec(_load_json(args.family))
-        inv = verify_mixture_invariance(group, family.basis, family.weights, tol=args.tol)
+        # Both checks read one moved basis and one QR.
+        inv, pre = _verify_family(group, family.basis, family.weights,
+                                  tol=args.tol, seed=args.seed)
         lines.append(
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
             f"(max deviation {inv.max_deviation:.3e}, tol {args.tol:g})")
-        pre = verify_preimage(group, family.basis, family.weights,
-                              tol=args.tol, seed=args.seed)
         lines.append(
             f"preimage property: {'pass' if pre.ok else 'FAIL'} "
             f"(max deviation {pre.max_deviation:.3e}, tol {args.tol:g})")

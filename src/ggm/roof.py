@@ -307,6 +307,12 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
     supporting plane of the envelope, so the pointwise maximum of the face
     planes reproduces it everywhere inside the sampled region.
     """
+    return _lower_hull_2d(points, values)[0]
+
+
+def _lower_hull_2d(points, values) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """:func:`envelope_evaluator_2d` and the indices of the samples that are
+    vertices of a lower hull face (none for affine data)."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -325,7 +331,7 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
         def affine(query):
             query = np.atleast_2d(np.asarray(query, dtype=float))
             return coeffs[0] + query @ coeffs[1:]
-        return affine
+        return affine, np.empty(0, dtype=int)
 
     # Imported here, not at module level: only a 2-D hull needs Qhull, and
     # loading scipy.spatial would slow the start of every other command.
@@ -335,7 +341,8 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
         hull = ConvexHull(np.column_stack([points, values]))
     except QhullError as exc:
         raise ValueError(f"degenerate grid for the convex envelope: {exc}") from exc
-    lower = hull.equations[hull.equations[:, 2] < -1e-12]
+    faces = hull.equations[:, 2] < -1e-12
+    lower = hull.equations[faces]
     normals = lower[:, :2].T
 
     def evaluate(query):
@@ -350,13 +357,23 @@ def envelope_evaluator_2d(points, values) -> Callable[[np.ndarray], np.ndarray]:
             out[start:start + step] = planes.max(axis=1)
         return out
 
-    return evaluate
+    return evaluate, np.unique(hull.simplices[faces])
 
 
 def convex_envelope_2d(points, values) -> np.ndarray:
-    """Lower convex envelope of samples over a 2-D region, at the samples."""
-    evaluate = envelope_evaluator_2d(points, values)
-    return np.minimum(evaluate(points), np.asarray(values, dtype=float))
+    """Lower convex envelope of samples over a 2-D region, at the samples.
+
+    A vertex of a lower hull face lies on the envelope, which there equals
+    its own sample; the face planes are evaluated only at the other samples.
+    """
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float)
+    evaluate, vertices = _lower_hull_2d(points, values)
+    envelope = values.copy()
+    rest = np.ones(values.shape, dtype=bool)
+    rest[vertices] = False
+    envelope[rest] = np.minimum(evaluate(points[rest]), values[rest])
+    return envelope
 
 
 def simplex_grid(resolution: int, arity: int) -> np.ndarray:

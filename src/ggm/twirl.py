@@ -485,18 +485,19 @@ def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_T
     return _preimage(_moved_r(group, rows), group.order, weights, phases, tol)
 
 
-def _verify_family(group: UnitaryGroup, basis,
-                   weights) -> tuple[InvarianceResult, PreimageResult]:
-    """:func:`verify_mixture_invariance` and :func:`verify_preimage` at their
-    defaults, read from one moved basis and one thin QR.
+def _verify_family(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL,
+                   seed: int = PREIMAGE_SEED) -> tuple[InvarianceResult, PreimageResult]:
+    """:func:`verify_mixture_invariance` and :func:`verify_preimage` at
+    ``tol`` and ``seed`` (their other arguments at the defaults), read from
+    one moved basis and one thin QR.
 
     Both deviations are bit-identical to those of the two separate calls,
     which compute the same R.
     """
     rows, weights = _mixture_rows(group, basis, weights)
     r = _moved_r(group, rows)
-    return (_invariance(r, group.order, weights, GROUP_TOL),
+    return (_invariance(r, group.order, weights, tol),
             _preimage(r, group.order, weights,
                       _sampled_phases(len(rows), PREIMAGE_DRAWS, PREIMAGE_GRID_POINTS,
-                                      PREIMAGE_SEED),
-                      GROUP_TOL))
+                                      seed),
+                      tol))

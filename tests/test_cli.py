@@ -20,6 +20,7 @@ from ggm.cli import (
 )
 
 twirl_module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
+cli_module = importlib.import_module("ggm.cli")
 
 
 def write_json(path, doc):
@@ -171,6 +172,44 @@ class TestVerifyGroupCommand:
     def test_family_invariance_checked(self, tmp_path, rank2_family_spec, capsys):
         spec = write_json(tmp_path / "grp.json", {"kind": "parity", "dims": [2, 2, 2]})
         assert main(["verify-group", spec, "--family", rank2_family_spec]) == EXIT_OK
+
+    @pytest.mark.parametrize("group_kind, code", [("parity", EXIT_OK),
+                                                  ("omega", EXIT_VERIFICATION)])
+    def test_family_checks_move_the_basis_once(self, group_kind, code, tmp_path,
+                                               rank2_family_spec, monkeypatch, capsys):
+        # The family's construction moves its basis once; the invariance and
+        # preimage checks against the spec's group share one more _moved call,
+        # and report what the two public checks report at --tol and --seed.
+        calls, after_parse = [], []
+        moved, parse = twirl_module._moved, cli_module.parse_family_spec
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return moved(*args, **kwargs)
+
+        def parsing(doc):
+            family = parse(doc)
+            after_parse.append(len(calls))
+            return family
+
+        monkeypatch.setattr(twirl_module, "_moved", counting)
+        monkeypatch.setattr(cli_module, "parse_family_spec", parsing)
+        spec = write_json(tmp_path / "grp.json", {"kind": group_kind, "dims": [2, 2, 2]})
+        assert main(["verify-group", spec, "--family", rank2_family_spec,
+                     "--tol", "1e-8", "--seed", "7"]) == code
+        assert after_parse == [1]
+        assert len(calls) == 2
+        group = parse_group_spec({"kind": group_kind, "dims": [2, 2, 2]})
+        family = parse({"family": "rank2_symmetric", "args": {"n_parties": 3}})
+        inv = twirl_module.verify_mixture_invariance(group, family.basis, family.weights,
+                                                     tol=1e-8)
+        pre = twirl_module.verify_preimage(group, family.basis, family.weights,
+                                           tol=1e-8, seed=7)
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
+            f"(max deviation {inv.max_deviation:.3e}, tol 1e-08)",
+            f"preimage property: {'pass' if pre.ok else 'FAIL'} "
+            f"(max deviation {pre.max_deviation:.3e}, tol 1e-08)"]
 
     def test_wrong_group_fails_with_exit_2(self, tmp_path, rank2_family_spec, capsys):
         # the omega(3) twirl does not fix the parity mixture

@@ -85,19 +85,36 @@ def test_report_never_calls_f_within_h_of_the_boundary_2d():
     assert len(calls) == 4 * 9
 
 
+def _last_bits(roots, phases):
+    return 1e-14 * np.sin(1e3 * phases.sum(axis=-1) + 7.0 * roots.sum(axis=-1))
+
+
 def test_flags_survive_a_last_bit_perturbation(monkeypatch):
     # The zeta slice has tied argmins (phases that differ by pi at the same
-    # value). A 1e-14 perturbation of the objective must not send a point's
-    # warm-started stencil onto another branch.
+    # value). A 1e-14 perturbation of the objective, in full evaluations and
+    # in one-phase probes alike, must not send a point's warm-started
+    # stencil onto another branch.
     family = zeta_slice_family()
     exact = ggm_mixed(family, grid_resolution=41)
-    values = _batch.PhaseObjective.values
+    values, pencil = _batch.PhaseObjective.values, _batch.PhaseObjective.pencil
 
     def perturbed(self, roots, phases):
-        return values(self, roots, phases) + 1e-14 * np.sin(
-            1e3 * phases.sum(axis=1) + 7.0 * roots.sum(axis=1))
+        return values(self, roots, phases) + _last_bits(roots, phases)
+
+    def perturbed_pencil(self, roots, phases, coord):
+        probe = pencil(self, roots, phases, coord)
+
+        def shifted(angles):
+            # The probed rows: ``phases`` with each angle at ``coord``.
+            columns = np.reshape(angles, (len(phases), -1))
+            rows = np.repeat(phases[:, None, :], columns.shape[1], axis=1)
+            rows[..., coord] = columns
+            bits = _last_bits(roots[:, None, :], rows)
+            return probe(angles) + bits.reshape(np.shape(angles))
+        return shifted
 
     monkeypatch.setattr(_batch.PhaseObjective, "values", perturbed)
+    monkeypatch.setattr(_batch.PhaseObjective, "pencil", perturbed_pencil)
     shifted = ggm_mixed(family, grid_resolution=41)
     interior = np.isfinite(exact.hessian_min_eig)
     assert np.array_equal(interior, np.isfinite(shifted.hessian_min_eig))

@@ -290,6 +290,69 @@ class TestCoefficientRowBlocking:
             assert bounds[0] == bounds[1], seed
 
 
+class TestPencil:
+    """One-phase probes on the Gram pencil P + cos(theta) S + sin(theta) T."""
+
+    ENTRIES = (1, 1 << 6, 1 << 10, 1 << 16)
+
+    @staticmethod
+    def rows(family, seed, count=41):
+        roots, phases = random_phased_rows(family, count, seed)
+        roots[::3, -1] = 0.0   # zero weights, on the probed coordinate too
+        roots[1::3, 0] = 0.0
+        roots /= np.linalg.norm(roots, axis=1, keepdims=True)
+        angles = np.random.default_rng(seed + 1).uniform(-np.pi, 3.0 * np.pi, (count, 5))
+        return roots, phases, angles
+
+    @staticmethod
+    def full_values(objective, roots, phases, coord, angles):
+        n = phases.shape[1]
+        probed = np.repeat(phases[:, None, :], angles.shape[1], axis=1)
+        probed[..., coord] = angles
+        return objective.values(np.repeat(roots, angles.shape[1], axis=0),
+                                probed.reshape(-1, n)).reshape(angles.shape)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_matches_values_on_every_coordinate(self, name):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases, angles = self.rows(family, seed=len(name))
+        for coord in range(len(family.basis)):
+            probe = objective.pencil(roots, phases, coord)
+            expected = self.full_values(objective, roots, phases, coord, angles)
+            assert np.max(np.abs(probe(angles) - expected)) <= 1e-13
+            assert np.max(np.abs(probe(angles[:, 0]) - expected[:, 0])) <= 1e-13
+            one = objective.pencil(roots[4:5], phases[4:5], coord)
+            assert np.max(np.abs(one(angles[4:5]) - expected[4:5])) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_bit_identical_whatever_the_blocking(self, name, monkeypatch):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases, angles = self.rows(family, seed=len(name) + 2)
+        for coord in range(len(family.basis)):
+            whole = objective.pencil(roots, phases, coord)(angles)
+            for entries in self.ENTRIES:
+                monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+                assert np.array_equal(objective.pencil(roots, phases, coord)(angles), whole)
+                # pencils of 8 rows, the last of one row (41 = 5 * 8 + 1)
+                blocks = [objective.pencil(roots[i:i + 8], phases[i:i + 8], coord)(
+                    angles[i:i + 8]) for i in range(0, len(roots), 8)]
+                assert blocks[-1].shape[0] == 1
+                assert np.array_equal(np.concatenate(blocks), whole)
+            monkeypatch.undo()
+            column = objective.pencil(roots, phases, coord)(np.ascontiguousarray(angles[:, 2]))
+            assert np.array_equal(column, whole[:, 2])
+
+    def test_phase_of_the_probed_coordinate_is_ignored(self):
+        family = rank3_gghz(0.55)
+        roots, phases, angles = self.rows(family, seed=9)
+        moved = phases.copy()
+        moved[:, 1] += 1.3
+        assert np.array_equal(family.objective.pencil(roots, phases, 1)(angles),
+                              family.objective.pencil(roots, moved, 1)(angles))
+
+
 def reference_objective_values(objective, roots, phases):
     """The objective as it was computed before it took coefficient rows:
     D-sized amplitude rows gathered over the orbit cuts, in blocks of

@@ -217,6 +217,27 @@ class TestConvexEnvelope2d:
         assert np.array_equal(evaluate(query[:1]), whole[:1])
         assert np.array_equal(evaluate(query[-1]), whole[-1:])
 
+    @pytest.mark.parametrize("case", ["gghz", "zeta_slice", "random_cloud"])
+    def test_samples_on_the_hull_keep_their_value(self, case):
+        # Vertices of a lower hull face lie on the envelope and keep raw; the
+        # face planes are evaluated only at the other samples.
+        if case == "random_cloud":
+            rng = np.random.default_rng(21)
+            grid = rng.dirichlet(np.ones(3), size=300)[:, :2]
+            raw = rng.random(grid.shape[0]) + grid[:, 0] ** 2
+        else:
+            family = rank3_gghz(0.55) if case == "gghz" else zeta_slice_family()
+            surface = ggm_mixed(family, grid_resolution=61, include_hessian=False)
+            grid, raw = surface.grid, surface.raw
+        lifted = ConvexHull(np.column_stack([grid, raw]))
+        vertices = np.zeros(grid.shape[0], dtype=bool)
+        vertices[lifted.simplices[lifted.equations[:, 2] < -1e-12]] = True
+        assert vertices.any() and not vertices.all()
+        env = convex_envelope_2d(grid, raw)
+        assert np.array_equal(env[vertices], raw[vertices])
+        planes = np.minimum(envelope_evaluator_2d(grid, raw)(grid), raw)
+        assert np.array_equal(env[~vertices], planes[~vertices])
+
     def test_midpoint_convexity_on_lattice(self):
         fam = rank3_gghz(0.55)
         surface = ggm_mixed(fam, grid_resolution=41, include_hessian=False)

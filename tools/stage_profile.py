@@ -1,0 +1,142 @@
+"""Objective rows and seconds per phase-optimizer stage of one reference figure.
+
+    python3 tools/stage_profile.py FIGURE [--grid G] [--repeat R]
+
+Runs ``ggm figure FIGURE`` in process (output discarded) ``R`` times (default
+2) and prints the last run. Functions of ``ggm._batch`` and ``ggm.roof`` are
+wrapped from outside the package; the package itself is not changed. A
+stage holds the time of its outermost call and every objective row
+evaluated inside it (a one-phase probe counts one row per angle):
+
+- ``joint seed``: ``_apply_joint_seeds`` of the cold (raw-surface) start;
+- ``pencil``: ``PhaseObjective.pencil`` builds of the cold start;
+- ``scan``: the grid scan of the cold start (probes of a row of angles, or
+  on a tree without pencils, ``values`` calls on the scan's candidates);
+- ``golden``: ``_golden_refine`` of the cold start;
+- ``cycle-end values``: the other ``values`` calls of the cold start (the
+  starting values and each cycle's end);
+- ``stencil``: the warm-started Hessian stencil, ``roof._hessian_min_eig``;
+- ``envelope``: ``convex_envelope_1d`` and ``convex_envelope_2d``.
+
+``other`` is the rest of the figure command: family construction, the
+optimizer's own bookkeeping and the CSV. It runs on any checkout of the
+package (``--src`` points at its ``src``), so two trees can be compared.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
+
+STAGES = ("joint seed", "pencil", "scan", "golden", "cycle-end values", "stencil",
+          "envelope")
+
+
+class StageProfile:
+    """Wrap the optimizer's stages and count rows and seconds per stage."""
+
+    def __init__(self, batch, roof, cli):
+        self.batch, self.roof, self.cli = batch, roof, cli
+        self.rows = dict.fromkeys(STAGES, 0)
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.active = None
+        self.undo = []
+
+    def _set(self, owner, name, value):
+        self.undo.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
+
+    def _timed(self, stage, fn, *args, **kwargs):
+        if self.active is not None:
+            return fn(*args, **kwargs)
+        self.active = stage
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.seconds[stage] += time.perf_counter() - start
+            self.active = None
+
+    def _stage(self, stage, fn):
+        return lambda *args, **kwargs: self._timed(stage, fn, *args, **kwargs)
+
+    def __enter__(self):
+        batch, roof, cli = self.batch, self.roof, self.cli
+        for name in ("_apply_joint_seeds", "_golden_refine"):
+            stage = "joint seed" if name == "_apply_joint_seeds" else "golden"
+            self._set(batch, name, self._stage(stage, getattr(batch, name)))
+        self._set(roof, "_hessian_min_eig", self._stage("stencil", roof._hessian_min_eig))
+        for name in ("convex_envelope_1d", "convex_envelope_2d"):
+            self._set(roof, name, self._stage("envelope", getattr(roof, name)))
+        # figure 4 calls convex_envelope_1d through its own binding
+        self._set(cli, "convex_envelope_1d", roof.convex_envelope_1d)
+
+        objective = batch.PhaseObjective
+        values = objective.values
+
+        def counted_values(obj, roots, phases):
+            # On a tree without pencils the scan evaluates the candidates
+            # ``cand_phases`` of minimize_phases.
+            scan = sys._getframe(1).f_locals.get("cand_phases") is phases
+            stage = self.active or ("scan" if scan else "cycle-end values")
+            self.rows[stage] += len(roots)
+            return self._timed(stage, values, obj, roots, phases)
+
+        self._set(objective, "values", counted_values)
+        if hasattr(objective, "pencil"):
+            pencil = objective.pencil
+
+            def counted_pencil(obj, roots, phases, coord):
+                probe = self._timed("pencil", pencil, obj, roots, phases, coord)
+
+                def counted_probe(angles):
+                    stage = self.active or "scan"
+                    self.rows[stage] += int(np.size(angles))
+                    return self._timed(stage, probe, angles)
+                return counted_probe
+
+            self._set(objective, "pencil", counted_pencil)
+        return self
+
+    def __exit__(self, *exc):
+        for owner, name, value in reversed(self.undo):
+            setattr(owner, name, value)
+        return False
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("figure", type=int)
+    parser.add_argument("--grid", type=int, default=None)
+    parser.add_argument("--repeat", type=int, default=2)
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from ggm import _batch, cli, roof
+
+    argv = ["figure", str(args.figure), "--out", os.devnull]
+    if args.grid is not None:
+        argv[2:2] = ["--grid", str(args.grid)]
+    for _ in range(args.repeat):
+        with StageProfile(_batch, roof, cli) as profile, contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            if cli.main(argv) != 0:
+                sys.exit(f"ggm {' '.join(argv)} failed")
+            total = time.perf_counter() - start
+    print(f"ggm {' '.join(argv[:-2])}: {total:.3f} s")
+    print(f"{'stage':>18} {'rows':>10} {'seconds':>9}")
+    for stage in STAGES:
+        print(f"{stage:>18} {profile.rows[stage]:>10} {profile.seconds[stage]:>9.3f}")
+    print(f"{'other':>18} {'':>10} {total - sum(profile.seconds.values()):>9.3f}")
+    print(f"{'total':>18} {sum(profile.rows.values()):>10} {total:>9.3f}")
+
+
+if __name__ == "__main__":
+    main()
