@@ -46,10 +46,12 @@ def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
 def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, ...]:
     """The cut table: ``masks`` grouped by matricization shape.
 
-    One ``(shape, columns, index)`` per shape (dim_small, dim_big):
-    ``columns`` are the positions in ``masks`` of the group's cuts and
-    ``index[m, r, c]`` is the flat amplitude index of entry (r, c) of cut
-    m's matricization, rows on its smaller side (side I on a tie).
+    One ``(shape, columns, index)`` per shape (dim_small, dim_big), in
+    increasing order of shape, so small Grams come first (see
+    :func:`_top_squares`): ``columns`` are the positions in ``masks`` of the
+    group's cuts and ``index[m, r, c]`` is the flat amplitude index of entry
+    (r, c) of cut m's matricization, rows on its smaller side (side I on a
+    tie).
     """
     flat = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
@@ -64,7 +66,7 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, 
         columns.append(column)
         index.append(flat.transpose(small + big).reshape(shape))
     table = []
-    for shape, (columns, index) in groups.items():
+    for shape, (columns, index) in sorted(groups.items()):
         # Cached and shared by every caller, so frozen.
         columns, index = np.array(columns), np.stack(index)
         columns.setflags(write=False)
@@ -167,7 +169,30 @@ def _gram(mats: np.ndarray) -> np.ndarray:
     return gram.reshape(mats.shape[:-1] + (rows,))
 
 
-def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices) -> np.ndarray:
+# A Gram of more than 3 rows whose Frobenius norm falls below the row's
+# running maximum by more than this skips the top eigenvalue (see
+# _top_squares). It exceeds pure.TIE_TOL plus the rounding of the bound and
+# of eigvalsh, a few d * eps for a unit-trace Gram of d rows, so no cut
+# within TIE_TOL of the maximum is skipped.
+_PRUNE_SLACK = 1e-8
+
+
+def _bounded_tops(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each PSD Gram of a (rows, cuts, d, d) stack whose
+    Frobenius norm reaches its row's ``floor``; the others hold that norm."""
+    # ||G||_F^2 as one dot product of G's real view with itself
+    flat = gram.view(float).reshape(gram.shape[:-2] + (1, -1))
+    tops = np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+    live = tops >= floor[:, None]
+    if live.all():
+        return _eigmax_herm(gram)
+    if live.any():
+        tops[live] = _eigmax_herm(gram[live])
+    return tops
+
+
+def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices, *,
+                 max_only: bool = False) -> np.ndarray:
     """Top squared Schmidt coefficient per row and per cut, clipped to [0, 1].
 
     ``groups`` holds one ``(shape, columns, operand)`` per matrix shape and
@@ -175,28 +200,51 @@ def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices) -> np.nd
     matrices; output column ``columns[m]`` holds the group's cut m. Rows are
     blocked by ``_BLOCK_ENTRIES`` matrix entries and each is computed on
     its own, so the result does not depend on the blocking.
+
+    With ``max_only`` the caller reads only the row maximum and the cuts
+    within ``pure.TIE_TOL`` of it. The groups come in increasing order of
+    Gram rows, so the closed forms of 2 and 3 rows set a running maximum
+    ``best`` per row first. A Gram G of more than 3 rows is PSD, so its
+    top eigenvalue obeys lambda_max^2 <= sum_i lambda_i^2 = ||G||_F^2; a cut
+    with ||G||_F < best - ``_PRUNE_SLACK`` cannot reach the maximum and
+    skips ``eigvalsh``, its entry holding the bound ||G||_F instead. A cut
+    within ``TIE_TOL`` of the maximum has ||G||_F >= max - TIE_TOL - (a few
+    d * eps of rounding) > best - ``_PRUNE_SLACK``, so it is evaluated as
+    without ``max_only``, by the same per-matrix LAPACK call on a subset of
+    the stack (on the stack itself when nothing is skipped): the maximum
+    and the cuts that attain it keep their bits.
     """
     out = np.empty((rows.shape[0], sum(columns.size for _, columns, _ in groups)))
     row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
     step = max(1, _BLOCK_ENTRIES // row_entries)
+    prune = max_only and groups[-1][0][0] > 3
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
+        best = np.full(block.shape[0], -np.inf)
         for shape, columns, operand in groups:
             mats = matrices(block, operand).reshape((block.shape[0], columns.size) + shape)
-            out[start:start + step, columns] = _eigmax_herm(_gram(mats))
+            if prune and shape[0] > 3:
+                tops = _bounded_tops(_gram(mats), best - _PRUNE_SLACK)
+            else:
+                tops = _eigmax_herm(_gram(mats))
+            out[start:start + step, columns] = tops
+            if prune:
+                best = np.maximum(best, tops.max(axis=1))
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...], *,
+                      max_only: bool = False) -> np.ndarray:
     """Top squared Schmidt coefficient of every row across every cut.
 
     ``amps`` has shape (K, total_dim); returns shape (K, n_cuts), clipped
     to [0, 1], columns in enumeration order. The result does not depend on
-    how rows are blocked.
+    how rows are blocked. With ``max_only``, only the row maximum and the cuts within
+    ``pure.TIE_TOL`` of it are exact; see :func:`_top_squares`.
     """
     dims = tuple(dims)
     return _top_squares(amps, _gram_groups(dims, canonical_cut_masks(dims)),
-                        lambda block, index: block[:, index])
+                        lambda block, index: block[:, index], max_only=max_only)
 
 
 # Singular values of a cut's joint support at or below this are dropped.
@@ -207,7 +255,8 @@ _SUPPORT_TOL = 1e-13
 def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
                     masks: tuple[int, ...]) -> tuple[tuple, ...]:
     """Groups of the (n_basis, cuts * r1 * r2) compressed blocks of
-    ``basis`` on ``masks``, for :func:`_combine`; see SupportKernel."""
+    ``basis`` on ``masks``, for :func:`_combine`, in increasing order of
+    (r1, r2); see SupportKernel."""
     n = basis.shape[0]
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for _, columns, index in _gram_groups(dims, masks):
@@ -225,7 +274,7 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
             members.append(column)
             stacks.append(compressed)
     return tuple((shape, np.array(members), np.stack(stacks, axis=1).reshape(n, -1))
-                 for shape, (members, stacks) in groups.items())
+                 for shape, (members, stacks) in sorted(groups.items()))
 
 
 class SupportKernel:
@@ -334,7 +383,7 @@ class PhaseObjective:
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""
         coeff = roots * np.exp(1j * phases)
-        return 1.0 - _top_squares(coeff, self._groups, _combine).max(axis=1)
+        return 1.0 - _top_squares(coeff, self._groups, _combine, max_only=True).max(axis=1)
 
     def pencil(self, roots: np.ndarray, phases: np.ndarray, coord: int):
         """Probe of the rows' GGM as a function of phase ``coord`` alone.

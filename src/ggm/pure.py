@@ -8,7 +8,9 @@ single-party marginal of dimension d has top eigenvalue at least 1/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -37,13 +39,21 @@ class GgmReport:
         Every cut within ``TIE_TOL`` of the maximum.
     per_cut : mapping
         Read-only map from each canonical Bipartition to its top squared
-        Schmidt coefficient.
+        Schmidt coefficient. It is computed on first access, by one pass of
+        the full kernel over every cut of the state.
     """
 
     value: float
     lambda_sq_max: float
     maximizing_cuts: tuple[Bipartition, ...]
-    per_cut: MappingProxyType
+    _state: PureState = field(repr=False)
+
+    @functools.cached_property
+    def per_cut(self) -> MappingProxyType:
+        squares = _batch.schmidt_sq_matrix(self._state.amplitudes[None, :],
+                                           self._state.shape.dims)
+        return MappingProxyType(dict(zip(enumerate_bipartitions(self._state.shape),
+                                         squares[0].tolist())))
 
 
 def max_schmidt_sq(state: PureState, cut: Bipartition) -> float:
@@ -67,29 +77,32 @@ def ggm_pure(state: PureState) -> GgmReport:
     """Sweep all canonical bipartitions and report the measure.
 
     One call of the batched Schmidt kernel shared with the mixed pipeline
-    covers every cut; no symmetry reduction is attempted, so ``per_cut``
-    is computed, not inferred, for each cut. Returns a :class:`GgmReport`;
-    ``value`` lies in ``[0, 1 - 1/min_i d_i]`` and ties among maximizing
-    cuts are reported in full.
+    covers every cut, skipping the top eigenvalue of each cut that provably
+    cannot reach the maximum (see ``_batch._top_squares``); no symmetry
+    reduction is attempted. ``per_cut`` is computed on first access by the
+    full kernel. Returns a :class:`GgmReport`; ``value`` lies in
+    ``[0, 1 - 1/min_i d_i]`` and ties among maximizing cuts are reported in
+    full.
     """
-    cuts = enumerate_bipartitions(state.shape)
-    squares = _batch.schmidt_sq_matrix(state.amplitudes[None, :], state.shape.dims)
-    row = squares[0].tolist()
-    lambda_sq_max = max(row)
-    maximizing = tuple(c for c, v in zip(cuts, row) if v >= lambda_sq_max - TIE_TOL)
+    row = _batch.schmidt_sq_matrix(state.amplitudes[None, :], state.shape.dims,
+                                   max_only=True)[0]
+    lambda_sq_max = float(row.max())
+    maximizing = tuple(itertools.compress(enumerate_bipartitions(state.shape),
+                                          (row >= lambda_sq_max - TIE_TOL).tolist()))
     return GgmReport(
         value=1.0 - lambda_sq_max,
         lambda_sq_max=lambda_sq_max,
         maximizing_cuts=maximizing,
-        per_cut=MappingProxyType(dict(zip(cuts, row))),
+        _state=state,
     )
 
 
 def ggm_values(amplitude_rows: np.ndarray, shape) -> np.ndarray:
     """Measure values for a batch of amplitude rows on a common shape.
 
-    One call of the batched Schmidt kernel over every canonical cut; rows
-    are assumed normalized.
+    One call of the batched Schmidt kernel over every canonical cut, which
+    skips the top eigenvalue of each cut that cannot reach its row's
+    maximum, as :func:`ggm_pure` does; rows are assumed normalized.
     """
     return 1.0 - _batch.schmidt_sq_matrix(np.asarray(amplitude_rows, dtype=complex),
-                                          shape.dims).max(axis=1)
+                                          shape.dims, max_only=True).max(axis=1)

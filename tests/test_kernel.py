@@ -10,7 +10,7 @@ import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ggm import _batch
+from ggm import _batch, pure
 from ggm.families import (
     FAMILY_BUILDERS,
     qutrit_sector_family,
@@ -99,6 +99,158 @@ class TestRowBlocking:
             [_batch.schmidt_sq_matrix(amps[i:i + 1], dims) for i in range(amps.shape[0])]))
         for other in results[1:]:
             assert np.array_equal(results[0], other)
+
+
+def bell_pairs(n, pairs, extra=None):
+    """Bell pairs (|00> + |11>)/sqrt(2) on ``pairs`` of n qubits; every
+    other qubit in |0>, or in ``extra`` (a one-qubit amplitude vector)."""
+    tensor = np.zeros((2,) * n, dtype=complex)
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        index = [0] * n
+        for (i, j), b in zip(pairs, bits):
+            index[i] = index[j] = b
+        tensor[tuple(index)] = 1.0
+    tensor /= np.linalg.norm(tensor)
+    if extra is not None:
+        paired = {p for pair in pairs for p in pair}
+        for q in range(n):
+            if q not in paired:
+                tensor = np.moveaxis(np.tensordot(np.asarray(extra, dtype=complex),
+                                                  tensor.take(0, axis=q), axes=0), 0, q)
+    return PureState(SystemShape((2,) * n), tensor.reshape(-1))
+
+
+def gram_rows(cut):
+    side = math.prod(cut.shape.dims[p] for p in cut.side_I)
+    return min(side, math.prod(cut.shape.dims) // side)
+
+
+class TestCutPruning:
+    """Max-only kernel callers skip the top eigenvalue of every cut whose
+    Frobenius bound cannot reach the maximum; their results keep the bits
+    of the full per-cut row."""
+
+    @staticmethod
+    def assert_matches_full_row(psi):
+        report = ggm_pure(psi)
+        full = _batch.schmidt_sq_matrix(psi.amplitudes[None], psi.shape.dims)[0].tolist()
+        top = max(full)
+        assert report.lambda_sq_max == top
+        assert report.value == 1.0 - top
+        assert report.maximizing_cuts == tuple(
+            cut for cut, value in zip(enumerate_bipartitions(psi.shape), full)
+            if value >= top - pure.TIE_TOL)
+        return report
+
+    @pytest.mark.parametrize("dims", GENERIC_SHAPES, ids=str)
+    def test_random_states(self, dims):
+        rng = np.random.default_rng(sum(dims) + 100)
+        for _ in range(6):
+            self.assert_matches_full_row(
+                PureState(SystemShape(dims), random_amplitudes(rng, dims)))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_ghz_and_w(self, n):
+        self.assert_matches_full_row(ghz(n))
+        self.assert_matches_full_row(dicke(n, 1))
+
+    def test_maximum_only_on_a_four_row_gram(self):
+        # Bell pairs on (0, 2) and (1, 3): only the cut {0, 2} | {1, 3} is
+        # product, and its Gram has 4 rows, so the bound must not skip it.
+        psi = bell_pairs(4, [(0, 2), (1, 3)])
+        report = self.assert_matches_full_row(psi)
+        assert [cut.side_I for cut in report.maximizing_cuts] == [(0, 2)]
+        assert report.value == 0.0
+
+    def test_tie_between_two_and_four_row_cuts(self):
+        # With a fifth qubit in |+>, the cut {4} (2 rows) and the cuts
+        # {0, 2} and {1, 3} of the other four (4 rows) all tie at 1, while
+        # the 4-row cut {0, 1} | {2, 3, 4} (Gram I/4) is skipped and holds
+        # its bound ||I/4||_F = 1/2.
+        psi = bell_pairs(5, [(0, 2), (1, 3)], extra=[1.0, 1.0] / np.sqrt(2.0))
+        report = self.assert_matches_full_row(psi)
+        assert {cut.side_I for cut in report.maximizing_cuts} == {
+            (0, 1, 2, 3), (0, 2), (0, 2, 4)}
+        assert {gram_rows(cut) for cut in report.maximizing_cuts} == {2, 4}
+        pruned = _batch.schmidt_sq_matrix(psi.amplitudes[None], psi.shape.dims,
+                                          max_only=True)[0]
+        column = [cut.side_I for cut in enumerate_bipartitions(psi.shape)].index((0, 1))
+        assert abs(report.per_cut[enumerate_bipartitions(psi.shape)[column]] - 0.25) < 1e-15
+        assert abs(pruned[column] - 0.5) < 1e-15
+
+    def test_value_sends_no_balanced_gram_to_the_top_eigenvalue(self, monkeypatch):
+        dims = (2,) * 8
+        psi = PureState(SystemShape(dims), random_amplitudes(np.random.default_rng(1), dims))
+        sizes = []
+        original = _batch._eigmax_herm
+
+        def recording(mats):
+            sizes.append(mats.shape[-1])
+            return original(mats)
+
+        monkeypatch.setattr(_batch, "_eigmax_herm", recording)
+        report = ggm_pure(psi)
+        assert 0.0 < report.value
+        assert 2 in sizes and 16 not in sizes
+        assert len(report.per_cut) == 127  # the full kernel, every cut
+        assert 16 in sizes
+
+    def test_per_cut_computed_on_first_access_by_the_full_kernel(self, monkeypatch):
+        dims = (3, 3, 3, 3)
+        psi = PureState(SystemShape(dims), random_amplitudes(np.random.default_rng(2), dims))
+        calls = []
+        original = _batch.schmidt_sq_matrix
+
+        def counting(amps, dims, **kwargs):
+            calls.append(kwargs.get("max_only", False))
+            return original(amps, dims, **kwargs)
+
+        monkeypatch.setattr(_batch, "schmidt_sq_matrix", counting)
+        report = ggm_pure(psi)
+        assert calls == [True]
+        assert "per_cut" not in vars(report)
+        per_cut = report.per_cut
+        assert calls == [True, False]
+        assert report.per_cut is per_cut
+        assert calls == [True, False]
+        full = original(psi.amplitudes[None], dims)[0].tolist()
+        assert list(per_cut) == enumerate_bipartitions(psi.shape)
+        assert list(per_cut.values()) == full
+        with pytest.raises(TypeError):
+            per_cut[enumerate_bipartitions(psi.shape)[0]] = 0.0
+
+    def test_slack_exceeds_the_tie_tolerance(self):
+        assert _batch._PRUNE_SLACK > pure.TIE_TOL
+
+    @pytest.mark.parametrize("dims", [(2,) * 6, (2,) * 8, (3,) * 4, (2, 3, 4, 5)], ids=str)
+    def test_values_bit_identical_whatever_the_blocking(self, dims, monkeypatch):
+        amps = random_amplitudes(np.random.default_rng(9), dims, rows=64)
+        shape = SystemShape(dims)
+        results = []
+        for entries in (1, 1 << 8, 1 << 16):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            results.append(pure.ggm_values(amps, shape))
+        results.append(1.0 - _batch.schmidt_sq_matrix(amps, dims).max(axis=1))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
+
+    @pytest.mark.parametrize("family", [rank3_ghz_dicke(12), rank5_five_qubit(),
+                                        qutrit_sector_family()],
+                             ids=["rank3_ghz_dicke12", "rank5", "qutrit"])
+    def test_objective_values_keep_the_full_maximum(self, family):
+        objective = family.objective
+        roots, phases = random_phased_rows(family, 300, seed=3)
+        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups,
+                                   _batch._combine)
+        assert np.array_equal(objective.values(roots, phases), 1.0 - full.max(axis=1))
+
+    def test_groups_in_increasing_gram_rows(self):
+        for dims in GENERIC_SHAPES:
+            table = _batch._gram_groups(dims, _batch.canonical_cut_masks(dims))
+            assert [shape for shape, _, _ in table] == sorted(shape for shape, _, _ in table)
+        groups = rank3_ghz_dicke(12).objective._groups
+        assert [shape for shape, _, _ in groups] == sorted(shape for shape, _, _ in groups)
+        assert groups[-1][0][0] == 4
 
 
 class TestGram:
@@ -694,6 +846,20 @@ def test_closed_form_top_eigenvalue_on_psd_matrices(rank, seed):
     mats = factors @ factors.conj().swapaxes(-1, -2)
     mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
     assert_top_eigenvalues_match(mats)
+
+
+@given(st.integers(4, 32).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+       seeds)
+def test_frobenius_norm_bounds_the_top_eigenvalue(size_and_rank, seed):
+    # The premise of the kernel's cut pruning: lambda_max(G) <= ||G||_F for
+    # PSD G, here unit-trace Grams as the kernel forms them.
+    d, rank = size_and_rank
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((20, d, rank)) + 1j * rng.standard_normal((20, d, rank))
+    mats = factors @ factors.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    frobenius = np.linalg.norm(mats, axis=(-2, -1))
+    assert np.all(frobenius >= np.linalg.eigvalsh(mats)[:, -1] - 1e-15)
 
 
 @given(shapes, seeds)
