@@ -46,12 +46,14 @@ def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
 def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, ...]:
     """The cut table: ``masks`` grouped by matricization shape.
 
-    One ``(shape, columns, index)`` per shape (dim_small, dim_big), in
+    ``(shape, columns, index)`` entries per shape (dim_small, dim_big), in
     increasing order of shape, so small Grams come first (see
     :func:`_top_squares`): ``columns`` are the positions in ``masks`` of the
-    group's cuts and ``index[m, r, c]`` is the flat amplitude index of entry
+    entry's cuts and ``index[m, r, c]`` is the flat amplitude index of entry
     (r, c) of cut m's matricization, rows on its smaller side (side I on a
-    tie).
+    tie). A shape's cuts are split into chunks of at most ``_BLOCK_ENTRIES``
+    matrix entries, so a block's temporaries stay that small even where one
+    row holds more (a 10-qubit row holds 8 times as many).
     """
     flat = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
@@ -71,24 +73,64 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, 
         columns, index = np.array(columns), np.stack(index)
         columns.setflags(write=False)
         index.setflags(write=False)
-        table.append((shape, columns, index))
+        chunk = max(1, _BLOCK_ENTRIES // math.prod(shape))
+        table.extend((shape, columns[lo:lo + chunk], index[lo:lo + chunk])
+                     for lo in range(0, columns.size, chunk))
     return tuple(table)
 
 
-def _eigmax_herm(mats: np.ndarray) -> np.ndarray:
+def _eigmax_herm(gram: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of a stack of small Hermitian matrices.
 
-    2x2 and 3x3 stacks take closed forms, much faster than LAPACK's
-    per-matrix calls at these sizes; larger ones take ``eigvalsh``.
+    Grams of up to 3 rows come packed (see :func:`_gram`) and take closed
+    forms, much faster than LAPACK's per-matrix calls at these sizes; a
+    1-row Gram is its own eigenvalue. Larger ones come full and take
+    ``eigvalsh``.
     """
-    if mats.shape[-1] == 2:
-        half_tr = 0.5 * (mats[..., 0, 0].real + mats[..., 1, 1].real)
-        half_diff = 0.5 * (mats[..., 0, 0].real - mats[..., 1, 1].real)
-        disc = np.sqrt(half_diff * half_diff + np.abs(mats[..., 0, 1]) ** 2)
-        return half_tr + disc
-    if mats.shape[-1] == 3:
-        return _eigmax_herm3(mats)
-    return np.linalg.eigvalsh(mats)[..., -1]
+    if np.iscomplexobj(gram):
+        return np.linalg.eigvalsh(gram)[..., -1]
+    if gram.shape[-1] == 1:
+        return gram[..., 0]
+    if gram.shape[-1] == 4:
+        # 0.5 (g00 + g11) + sqrt((0.5 (g00 - g11))^2 + |g01|^2), in place
+        top = gram[..., 0] + gram[..., 1]
+        top *= 0.5
+        disc = gram[..., 0] - gram[..., 1]
+        disc *= 0.5
+        disc *= disc
+        off = np.abs(gram[..., 2:].view(complex)[..., 0])
+        off *= off
+        disc += off
+        top += np.sqrt(disc, out=disc)
+        return top
+    return _eigmax_herm3(gram)
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_reals(rows: int) -> np.ndarray:
+    """Where a packed Gram's reals (see :func:`_gram`) sit in the real view
+    of the row-major complex matrix: the diagonal's real parts, then the
+    real and imaginary parts of (0, 1), (1, 2), ..., (0, 2), ..."""
+    index = np.array([2 * i * (rows + 1) for i in range(rows)]
+                     + [2 * (i * rows + i + d) + part for d in range(1, rows)
+                        for i in range(rows - d) for part in (0, 1)])
+    index.setflags(write=False)  # cached, so frozen
+    return index
+
+
+def _pack(full: np.ndarray) -> np.ndarray:
+    """Packed form (see :func:`_gram`) of a stack of full complex matrices."""
+    reals = full.view(float).reshape(full.shape[:-2] + (-1,))
+    # take, not an index: an index on the last axis leaves it non-contiguous
+    return np.take(reals, _packed_reals(full.shape[-1]), axis=-1)
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """Full Hermitian matrices of a stack of packed Grams (see :func:`_gram`)."""
+    rows = math.isqrt(packed.shape[-1])
+    full = np.zeros(packed.shape[:-1] + (rows, rows), dtype=complex)
+    full.view(float).reshape(packed.shape[:-1] + (-1,))[..., _packed_reals(rows)] = packed
+    return full + np.triu(full, 1).conj().swapaxes(-1, -2)
 
 
 # Rows of _eigmax_herm3 with r < -1 + _DOUBLE_TOP_GUARD, where the top two
@@ -101,20 +143,22 @@ def _eigmax_herm(mats: np.ndarray) -> np.ndarray:
 _DOUBLE_TOP_GUARD = 1e-3
 
 
-def _eigmax_herm3(mats: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a stack of 3x3 Hermitian matrices.
+def _eigmax_herm3(packed: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of a stack of packed 3x3 Hermitian matrices.
 
     With q = tr A / 3, p^2 = tr (A - qI)^2 / 6 and r = det(A - qI) / (2p^3),
     the eigenvalues are q + 2p cos((acos r + 2 pi k) / 3), k = 0 the largest
     (Kopp, IJMPC 19 (2008) 523, arXiv:physics/0610206). p^2 is a sum of
     squares, so it has no cancellation; a triple root (p = 0) gives q.
     Every row is computed on its own, element by element or by one LAPACK
-    call per guarded matrix, so no result depends on the stack around it.
+    call per guarded matrix (rebuilt in full), so no result depends on the
+    stack around it.
     """
-    d0, d1, d2 = (mats[..., i, i].real for i in range(3))
+    d0, d1, d2 = (packed[..., i] for i in range(3))
     q = (d0 + d1 + d2) / 3.0
     d0, d1, d2 = d0 - q, d1 - q, d2 - q
-    a01, a02, a12 = mats[..., 0, 1], mats[..., 0, 2], mats[..., 1, 2]
+    off = packed[..., 3:].view(complex)
+    a01, a12, a02 = off[..., 0], off[..., 1], off[..., 2]
     s01, s02, s12 = (a.real * a.real + a.imag * a.imag for a in (a01, a02, a12))
     p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s02 + s12)) / 6.0
     det = (d0 * d1 * d2 - d0 * s12 - d1 * s02 - d2 * s01
@@ -126,7 +170,7 @@ def _eigmax_herm3(mats: np.ndarray) -> np.ndarray:
     top = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
     near = r < _DOUBLE_TOP_GUARD - 1.0
     if near.any():
-        top[near] = np.linalg.eigvalsh(mats[near])[:, -1]
+        top[near] = np.linalg.eigvalsh(_unpack(packed[near]))[:, -1]
     return top
 
 
@@ -146,27 +190,30 @@ def _combine(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def _gram(mats: np.ndarray) -> np.ndarray:
     """Hermitian Gram M M^dag of each matrix M of a stack.
 
-    Up to 3 rows, the Gram is formed one diagonal at a time: diagonal d
-    above the main one is one ``einsum`` of rows i and the conjugates of
-    rows i + d, and diagonal d below is its conjugate. A stacked ``matmul``
-    makes one BLAS call per matrix: on blocks of thousands of such matrices
-    it is 1.5-5x slower. ``einsum`` sums every entry over its columns in
-    order, so no entry depends on the stack around it (a ``sum`` over the
-    last axis does not give that). Larger Grams take ``matmul``.
+    Up to 3 rows, the Gram is formed one diagonal at a time, packed: a real
+    array whose last axis holds the ``rows`` diagonal entries, then the
+    real and imaginary parts of the entries above the diagonal, diagonal by
+    diagonal (see :func:`_packed_reals`), ``rows**2`` reals in all. The
+    lower triangle, the conjugate of the upper one, is not stored. Diagonal
+    d is one ``einsum`` of rows i and the conjugates of rows i + d. A
+    stacked ``matmul`` makes one BLAS call per matrix: on blocks of
+    thousands of such matrices it is 1.5-5x slower. ``einsum`` sums every
+    entry over its columns in order, so no entry depends on the stack
+    around it (a ``sum`` over the last axis does not give that). Larger
+    Grams take ``matmul`` and stay full.
     """
     rows = mats.shape[-2]
     if rows > 3:
         return mats @ mats.conj().swapaxes(-1, -2)
     conj = mats.conj()
-    # Row-major entries: (i, i + d) sit at d + i (rows + 1), (i + d, i) at
-    # d rows + i (rows + 1).
-    gram = np.empty(mats.shape[:-2] + (rows * rows,), dtype=complex)
-    for d in range(rows):
-        upper = np.einsum("...ik,...ik->...i", mats[..., :rows - d, :], conj[..., d:, :])
-        gram[..., d:(rows - d) * rows:rows + 1] = upper
-        if d:
-            gram[..., d * rows::rows + 1] = upper.conj()
-    return gram.reshape(mats.shape[:-1] + (rows,))
+    packed = np.empty(mats.shape[:-2] + (rows * rows,))
+    packed[..., :rows] = np.einsum("...ik,...ik->...i", mats, conj).real
+    at = rows
+    for d in range(1, rows):
+        packed[..., at:at + 2 * (rows - d)].view(complex)[...] = np.einsum(
+            "...ik,...ik->...i", mats[..., :rows - d, :], conj[..., d:, :])
+        at += 2 * (rows - d)
+    return packed
 
 
 # A Gram of more than 3 rows whose Frobenius norm falls below the row's
@@ -178,12 +225,13 @@ _PRUNE_SLACK = 1e-8
 
 
 def _bounded_tops(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each PSD Gram of a (rows, cuts, d, d) stack whose
-    Frobenius norm reaches its row's ``floor``; the others hold that norm."""
+    """Top eigenvalue of each full PSD Gram of a (..., cuts, d, d) stack
+    whose Frobenius norm reaches its row's ``floor`` (...); the others hold
+    that norm."""
     # ||G||_F^2 as one dot product of G's real view with itself
     flat = gram.view(float).reshape(gram.shape[:-2] + (1, -1))
     tops = np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
-    live = tops >= floor[:, None]
+    live = tops >= floor[..., None]
     if live.all():
         return _eigmax_herm(gram)
     if live.any():
@@ -198,8 +246,9 @@ def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices, *,
     ``groups`` holds one ``(shape, columns, operand)`` per matrix shape and
     ``matrices(block, operand)`` turns a row block into that group's
     matrices; output column ``columns[m]`` holds the group's cut m. Rows are
-    blocked by ``_BLOCK_ENTRIES`` matrix entries and each is computed on
-    its own, so the result does not depend on the blocking.
+    blocked by ``_BLOCK_ENTRIES`` matrix entries (one row at least, however
+    many it holds; the cut table's chunks bound each group) and each is
+    computed on its own, so the result does not depend on the blocking.
 
     With ``max_only`` the caller reads only the row maximum and the cuts
     within ``pure.TIE_TOL`` of it. The groups come in increasing order of
@@ -393,14 +442,18 @@ class PhaseObjective:
         each cut's Gram at angle theta is the Hermitian pencil
         G(theta) = P + cos(theta) S + sin(theta) T with P = BB^dag + r^2 AA^dag,
         Q = r AB^dag, S = Q + Q^dag and T = i(Q - Q^dag). They are built once
-        here (the caller bounds the rows: B has ``row_entries`` per row);
-        the returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM
-        at each angle, of the same shape. Every step is elementwise per row
-        or the kernel's own, so no row depends on the rows around it.
+        here (the caller bounds the rows: B has ``row_entries`` per row),
+        packed as :func:`_gram` packs Grams of up to 3 rows, so a probe's
+        scaled adds touch d^2 reals per cut; larger Grams stay full, and as
+        in :meth:`values` a cut whose Frobenius bound cannot reach the
+        probe's maximum so far skips the top eigenvalue. The returned
+        ``probe(angles)``, angles (K,) or (K, m), gives the GGM at each
+        angle, of the same shape. Every step is elementwise per row or the
+        kernel's own, so no row depends on the rows around it.
         """
         coeff = roots * np.exp(1j * phases)
         coeff[:, coord] = 0.0
-        r = roots[:, coord, None, None, None]
+        r = roots[:, coord, None, None]
         pencils = []
         for shape, columns, operand in self._groups:
             b = _combine(coeff, operand).reshape((len(coeff), columns.size) + shape)
@@ -410,12 +463,15 @@ class PhaseObjective:
             q = a[..., :, None, 0] * b_conj[..., None, :, 0]
             for k in range(1, shape[1]):
                 q += a[..., :, None, k] * b_conj[..., None, :, k]
-            q *= r
+            q *= r[..., None]
             q_dag = q.conj().swapaxes(-1, -2)
-            p = _gram(b) + r * r * _gram(a)
-            # Real views: the angle weights multiply real and imaginary parts.
-            pencils.append(tuple(m.view(float)[:, None]
-                                 for m in (p, q + q_dag, 1j * (q - q_dag))))
+            if shape[0] > 3:
+                p = _gram(b) + r[..., None] * r[..., None] * _gram(a)
+                # Real views: the angle weights multiply real and imaginary parts.
+                mats = p.view(float), (q + q_dag).view(float), (1j * (q - q_dag)).view(float)
+            else:
+                mats = _gram(b) + r * r * _gram(a), _pack(q + q_dag), _pack(1j * (q - q_dag))
+            pencils.append((shape[0] > 3,) + tuple(m[:, None] for m in mats))
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)
@@ -423,15 +479,25 @@ class PhaseObjective:
             top = np.empty(flat.shape)
             step = max(1, _BLOCK_ENTRIES // (flat.shape[1] * self.row_entries))
             for start in range(0, flat.shape[0], step):
-                block = flat[start:start + step, :, None, None, None]
+                rows = slice(start, start + step)
+                block = flat[rows, :, None, None]
                 cos, sin = np.cos(block), np.sin(block)
                 best = None
-                for p, s, t in pencils:
-                    gram = p[start:start + step] + cos * s[start:start + step]
-                    gram += sin * t[start:start + step]
-                    tops = _eigmax_herm(gram.view(complex)).max(axis=-1)
+                for full, p, s, t in pencils:
+                    if full:
+                        gram = p[rows] + cos[..., None] * s[rows]
+                        gram += sin[..., None] * t[rows]
+                        gram = gram.view(complex)
+                        tops = (_eigmax_herm(gram) if best is None
+                                else _bounded_tops(gram, best - _PRUNE_SLACK))
+                    else:
+                        gram = cos * s[rows]
+                        gram += p[rows]
+                        gram += sin * t[rows]
+                        tops = _eigmax_herm(gram)
+                    tops = tops[..., 0] if tops.shape[-1] == 1 else tops.max(axis=-1)
                     best = tops if best is None else np.maximum(best, tops)
-                top[start:start + step] = best
+                top[rows] = best
             return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
 
         return probe
@@ -485,11 +551,37 @@ def _first_near_min(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, vals[np.arange(vals.shape[0]), best]
 
 
+def _lattice_values(objective, roots, phases, free, angles):
+    """GGM of each row at every point of the lattice ``angles`` ^ len(free)
+    over the coordinates ``free``, in ``itertools.product`` order: (K, m).
+
+    The last free phase varies fastest, so each row and lattice prefix (the
+    other free phases) is one pencil (see :meth:`PhaseObjective.pencil`)
+    probed at every angle; pencils are built in blocks of
+    ``_BLOCK_ENTRIES // row_entries`` (row, prefix) pairs. Coordinates
+    outside ``free`` keep the rows' phases.
+    """
+    prefixes = np.array(list(itertools.product(angles, repeat=len(free) - 1)))
+    pairs = len(roots) * len(prefixes)
+    out = np.empty((pairs, angles.size))
+    step = max(1, _BLOCK_ENTRIES // objective.row_entries)
+    for start in range(0, pairs, step):
+        row, prefix = np.divmod(np.arange(start, min(start + step, pairs)), len(prefixes))
+        cand = phases[row]
+        cand[:, free[:-1]] = prefixes[prefix]
+        probe = objective.pencil(roots[row], cand, free[-1])
+        out[start:start + row.size] = probe(np.broadcast_to(angles, (row.size, angles.size)))
+    return out.reshape(len(roots), -1)
+
+
 def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
     """Replace each row's starting phases by its best Cartesian seed.
 
     Rows are grouped by their pattern of active (weight > 0) coordinates so
-    that seeds only range over genuinely free phases.
+    that seeds only range over genuinely free phases. Seeds are chosen in
+    chunks of ``_BLOCK_ENTRIES // rows`` lattice points, by the tie rule of
+    :func:`minimize_phases`; the lattice values come from pencil probes
+    (:func:`_lattice_values`), for blocks of rows at a time.
     """
     groups: dict[tuple, list[int]] = {}
     for row in range(active.shape[0]):
@@ -505,20 +597,17 @@ def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
         angles = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
         combos = np.array(list(itertools.product(angles, repeat=len(free))))
         per_call = max(1, _BLOCK_ENTRIES // rows.size)
-        for start in range(0, combos.shape[0], per_call):
-            block = combos[start:start + per_call]
-            cand = np.repeat(phases[rows][:, None, :], block.shape[0], axis=1)
-            cand[:, :, free] = block[None, :, :]
-            cand = cand.reshape(-1, phases.shape[1])
-            vals = objective.values(
-                np.repeat(roots[rows], block.shape[0], axis=0), cand
-            ).reshape(rows.size, block.shape[0])
-            best, best_vals = _first_near_min(vals)
-            improved = best_vals < values[rows] - PHASE_VALUE_TOL
-            hit = rows[improved]
-            values[hit] = best_vals[improved]
-            phases[hit] = cand.reshape(rows.size, block.shape[0], -1)[
-                improved, best[improved]]
+        # Rows choose independently; blocks of rows bound the values held.
+        row_step = max(1, _BLOCK_ENTRIES // combos.shape[0])
+        for first in range(0, rows.size, row_step):
+            block = rows[first:first + row_step]
+            lattice = _lattice_values(objective, roots[block], phases[block], free, angles)
+            for start in range(0, combos.shape[0], per_call):
+                best, best_vals = _first_near_min(lattice[:, start:start + per_call])
+                improved = best_vals < values[block] - PHASE_VALUE_TOL
+                hit = block[improved]
+                values[hit] = best_vals[improved]
+                phases[np.ix_(hit, free)] = combos[start + best[improved]]
 
 
 def minimize_phases(

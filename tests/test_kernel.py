@@ -100,6 +100,27 @@ class TestRowBlocking:
         for other in results[1:]:
             assert np.array_equal(results[0], other)
 
+    @pytest.mark.parametrize("dims", [(2,) * 10, (2,) * 8, (2,) * 6, (3,) * 6], ids=str)
+    def test_cut_table_chunks_change_no_bit(self, dims, monkeypatch):
+        # a 10-qubit row holds 8x _BLOCK_ENTRIES; each shape's cuts are split
+        # into chunks of at most _BLOCK_ENTRIES entries per row
+        amps = random_amplitudes(np.random.default_rng(10), dims, rows=3)
+        masks = _batch.canonical_cut_masks(dims)
+        results = []
+        for entries in (1 << 16, 1 << 9):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            _batch._gram_groups.cache_clear()
+            table = _batch._gram_groups(dims, masks)
+            assert all(columns.size == 1 or columns.size * math.prod(shape) <= entries
+                       for shape, columns, _ in table)
+            assert sorted(np.concatenate([c for _, c, _ in table])) == list(range(len(masks)))
+            results.append([_batch.schmidt_sq_matrix(amps, dims, max_only=only)
+                            for only in (False, True)])
+        _batch._gram_groups.cache_clear()
+        assert len(table) > len({shape for shape, _, _ in table})
+        for chunked, whole in zip(*results):
+            assert np.array_equal(chunked, whole)
+
 
 def bell_pairs(n, pairs, extra=None):
     """Bell pairs (|00> + |11>)/sqrt(2) on ``pairs`` of n qubits; every
@@ -123,6 +144,40 @@ def bell_pairs(n, pairs, extra=None):
 def gram_rows(cut):
     side = math.prod(cut.shape.dims[p] for p in cut.side_I)
     return min(side, math.prod(cut.shape.dims) // side)
+
+
+def packed_positions(rows):
+    """(i, j) of each entry of a packed Gram: the diagonal, then the
+    entries above it diagonal by diagonal."""
+    return [(i, i + d) for d in range(rows) for i in range(rows - d)]
+
+
+def pack(mats):
+    """Packed form of a stack of Hermitian matrices of up to 3 rows: the
+    real diagonal, then real and imaginary parts above the diagonal."""
+    rows = mats.shape[-1]
+    parts = [mats[..., i, i].real for i in range(rows)]
+    for i, j in packed_positions(rows)[rows:]:
+        parts += [mats[..., i, j].real, mats[..., i, j].imag]
+    return np.stack(parts, axis=-1)
+
+
+def unpack(packed):
+    """Full Hermitian matrices of a stack of packed Grams."""
+    rows = math.isqrt(packed.shape[-1])
+    full = np.zeros(packed.shape[:-1] + (rows, rows), dtype=complex)
+    for i in range(rows):
+        full[..., i, i] = packed[..., i]
+    for n, (i, j) in enumerate(packed_positions(rows)[rows:]):
+        entry = packed[..., rows + 2 * n] + 1j * packed[..., rows + 2 * n + 1]
+        full[..., i, j] = entry
+        full[..., j, i] = entry.conj()
+    return full
+
+
+def rows_of(gram):
+    """Rows of each Gram of a stack, packed (real) or full (complex)."""
+    return gram.shape[-1] if np.iscomplexobj(gram) else math.isqrt(gram.shape[-1])
 
 
 class TestCutPruning:
@@ -185,7 +240,7 @@ class TestCutPruning:
         original = _batch._eigmax_herm
 
         def recording(mats):
-            sizes.append(mats.shape[-1])
+            sizes.append(rows_of(mats))
             return original(mats)
 
         monkeypatch.setattr(_batch, "_eigmax_herm", recording)
@@ -254,7 +309,7 @@ class TestCutPruning:
 
 
 class TestGram:
-    """The kernel's Gram of up to 3 rows against the stacked matmul."""
+    """The kernel's packed Gram of up to 3 rows against the stacked matmul."""
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4),
                                       (3, 3, 2, 2)], ids=str)
@@ -270,7 +325,8 @@ class TestGram:
             strided = amps[:, index.swapaxes(-1, -2)].swapaxes(-1, -2)
             assert not strided.flags.c_contiguous
             gram = _batch._gram(mats)
-            assert np.max(np.abs(gram - mats @ mats.conj().swapaxes(-1, -2))) < 1e-12
+            assert gram.dtype == float and gram.shape == mats.shape[:-2] + (shape[0] ** 2,)
+            assert np.max(np.abs(unpack(gram) - mats @ mats.conj().swapaxes(-1, -2))) < 1e-12
             assert np.array_equal(_batch._gram(strided), gram)
             assert np.array_equal(_batch._gram(mats[:1]), gram[:1])
             assert np.array_equal(_batch._gram(mats[:, :1]), gram[:, :1])
@@ -280,6 +336,25 @@ class TestGram:
         mats = random_amplitudes(np.random.default_rng(12), (4, 6), rows=50).reshape(50, 4, 6)
         assert np.array_equal(_batch._gram(mats), mats @ mats.conj().swapaxes(-1, -2))
 
+    def test_one_row_gram_is_its_top_eigenvalue(self):
+        # rank-deficient compressed blocks have one row; LAPACK returns the
+        # same bits for the 1x1 Gram
+        mats = random_amplitudes(np.random.default_rng(13), (1, 7), rows=50).reshape(50, 1, 7)
+        gram = _batch._gram(mats)
+        assert gram.shape == (50, 1)
+        assert np.array_equal(_batch._eigmax_herm(gram), gram[:, 0])
+        assert np.array_equal(_batch._eigmax_herm(gram), np.linalg.eigvalsh(unpack(gram))[:, -1])
+        assert np.max(np.abs(gram[:, 0] - np.sum(np.abs(mats[:, 0]) ** 2, axis=-1))) < 1e-14
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_unpacked_guard_matrices_are_the_gram(self, rows):
+        # the 3x3 guard rebuilds full matrices for LAPACK from the packed
+        # form, and the pencil packs full ones
+        mats = random_amplitudes(np.random.default_rng(rows), (rows, 5), rows=20)
+        gram = _batch._gram(mats.reshape(20, rows, 5))
+        assert np.array_equal(_batch._unpack(gram), unpack(gram))
+        assert np.array_equal(_batch._pack(_batch._unpack(gram)), gram)
+
 
 def rotated_spectra(spectra, seed):
     """U diag(s) U^dag for each row s of ``spectra`` (K, 3), U Haar-random."""
@@ -288,23 +363,25 @@ def rotated_spectra(spectra, seed):
     return (unitaries * spectra[:, None, :]) @ unitaries.conj().swapaxes(-1, -2)
 
 
-def assert_top_eigenvalues_match(mats):
-    """The kernel's top eigenvalues meet LAPACK's within 1e-12, and no
-    floating-point warning is raised on the way."""
+def assert_top_eigenvalues_match(packed):
+    """The kernel's top eigenvalues of packed Grams meet LAPACK's on the
+    full matrices within 1e-12, and no floating-point warning is raised on
+    the way."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        top = _batch._eigmax_herm(mats)
-    assert top.shape == mats.shape[:-2]
-    assert np.max(np.abs(top - np.linalg.eigvalsh(mats)[..., -1])) < 1e-12
+        top = _batch._eigmax_herm(packed)
+    assert top.shape == packed.shape[:-1]
+    assert np.max(np.abs(top - np.linalg.eigvalsh(unpack(packed))[..., -1])) < 1e-12
 
 
 def recorded_grams(evaluate, monkeypatch):
-    """Every 3x3 Gram stack that ``evaluate()`` hands to the top eigenvalue."""
+    """Every packed 3x3 Gram stack that ``evaluate()`` hands to the top
+    eigenvalue."""
     grams = []
     original = _batch._eigmax_herm
 
     def recording(mats):
-        if mats.shape[-1] == 3:
-            grams.append(mats.reshape(-1, 3, 3).copy())
+        if not np.iscomplexobj(mats) and rows_of(mats) == 3:
+            grams.append(mats.reshape(-1, 9).copy())
         return original(mats)
 
     monkeypatch.setattr(_batch, "_eigmax_herm", recording)
@@ -336,15 +413,15 @@ class TestClosedFormTopEigenvalue:
     ], ids=["double_top", "split_2e-10", "split_2e-7", "split_1e-3", "triple",
             "bottom_double", "rank1"])
     def test_rotated_spectra(self, spectrum):
-        assert_top_eigenvalues_match(rotated_spectra(np.tile(spectrum, (2000, 1)), seed=3))
+        assert_top_eigenvalues_match(pack(rotated_spectra(np.tile(spectrum, (2000, 1)), seed=3)))
 
     def test_random_spectra(self):
         spectra = np.random.default_rng(4).dirichlet(np.ones(3), size=2000)
-        assert_top_eigenvalues_match(rotated_spectra(spectra, seed=4))
+        assert_top_eigenvalues_match(pack(rotated_spectra(spectra, seed=4)))
 
     def test_exact_triple_roots_and_zero(self):
         # p = 0 exactly: the closed form must return q without dividing
-        mats = np.stack([np.zeros((3, 3)), np.eye(3) / 3, np.eye(3)]).astype(complex)
+        mats = pack(np.stack([np.zeros((3, 3)), np.eye(3) / 3, np.eye(3)]).astype(complex))
         assert_top_eigenvalues_match(mats)
         assert np.array_equal(_batch._eigmax_herm(mats), [0.0, 1 / 3, 1.0])
 
@@ -352,8 +429,8 @@ class TestClosedFormTopEigenvalue:
         # double-top rows go to LAPACK among closed-form rows; each row's
         # bits are the same as when it is evaluated alone
         spectra = np.repeat([[0.5, 0.5, 0.0], [0.7, 0.2, 0.1]], 50, axis=0)
-        mats = rotated_spectra(np.random.default_rng(7).permutation(spectra), seed=5)
-        mats = mats.reshape(25, 4, 3, 3)
+        mats = pack(rotated_spectra(np.random.default_rng(7).permutation(spectra), seed=5))
+        mats = mats.reshape(25, 4, 9)
         whole = _batch._eigmax_herm(mats)
         alone = np.array([[_batch._eigmax_herm(m[None])[0] for m in row] for row in mats])
         assert np.array_equal(whole, alone)
@@ -476,6 +553,7 @@ class TestPencil:
             assert np.max(np.abs(probe(angles[:, 0]) - expected[:, 0])) <= 1e-13
             one = objective.pencil(roots[4:5], phases[4:5], coord)
             assert np.max(np.abs(one(angles[4:5]) - expected[4:5])) <= 1e-13
+            assert np.max(np.abs(one(angles[4:5, 0]) - expected[4:5, 0])) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_bit_identical_whatever_the_blocking(self, name, monkeypatch):
@@ -496,6 +574,45 @@ class TestPencil:
             column = objective.pencil(roots, phases, coord)(np.ascontiguousarray(angles[:, 2]))
             assert np.array_equal(column, whole[:, 2])
 
+    @pytest.mark.parametrize("name", ["rank3_gghz", "qutrit_sector_family"])
+    def test_one_angle_on_a_full_block_of_rows(self, name):
+        # a golden-section step: one angle for each of 2^16 // row_entries rows
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        count = _batch._BLOCK_ENTRIES // objective.row_entries
+        roots, phases = random_phased_rows(family, count, seed=1)
+        angles = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, count)
+        expected = self.full_values(objective, roots, phases, 1, angles[:, None])[:, 0]
+        probed = objective.pencil(roots, phases, 1)(angles)
+        assert np.max(np.abs(probed - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_pruned_probes_keep_the_bits(self, n, monkeypatch):
+        # rank3_ghz_dicke(n >= 6) has a 4-row group, whose cuts below the
+        # probe's running maximum skip the top eigenvalue
+        family = rank3_ghz_dicke(n)
+        objective = family.objective
+        assert objective._groups[-1][0][0] == (3 if n == 5 else 4)
+        roots, phases, angles = self.rows(family, seed=n)
+        evaluated = []
+        original = _batch._eigmax_herm
+
+        def counting(gram):
+            if np.iscomplexobj(gram):
+                evaluated[-1] += math.prod(gram.shape[:-2])
+            return original(gram)
+
+        monkeypatch.setattr(_batch, "_eigmax_herm", counting)
+        results = []
+        for slack in (_batch._PRUNE_SLACK, np.inf):  # an infinite slack prunes nothing
+            monkeypatch.setattr(_batch, "_PRUNE_SLACK", slack)
+            evaluated.append(0)
+            results.append([objective.pencil(roots, phases, coord)(angles)
+                            for coord in range(len(family.basis))])
+        assert evaluated[0] < evaluated[1] or n == 5
+        for pruned, full in zip(*results):
+            assert np.array_equal(pruned, full)
+
     def test_phase_of_the_probed_coordinate_is_ignored(self):
         family = rank3_gghz(0.55)
         roots, phases, angles = self.rows(family, seed=9)
@@ -503,6 +620,109 @@ class TestPencil:
         moved[:, 1] += 1.3
         assert np.array_equal(family.objective.pencil(roots, phases, 1)(angles),
                               family.objective.pencil(roots, moved, 1)(angles))
+
+
+def reference_joint_seeds(objective, roots, phases, values, active, gauge):
+    """The joint seeds as they were chosen before they were probed on the
+    pencil: every lattice candidate evaluated in full by ``values``, in
+    chunks of 2^16 // rows lattice points, by the same tie rule."""
+    groups = {}
+    for row in range(active.shape[0]):
+        groups.setdefault((active[row].tobytes(), int(gauge[row])), []).append(row)
+    for (active_key, g), members in groups.items():
+        mask = np.frombuffer(active_key, dtype=bool)
+        free = [c for c in range(mask.size) if mask[c] and c != g]
+        size = _batch._joint_seed_size(len(free))
+        if size == 0:
+            continue
+        rows = np.array(members)
+        angles = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+        combos = np.array(list(itertools.product(angles, repeat=len(free))))
+        per_call = max(1, (1 << 16) // rows.size)
+        for start in range(0, combos.shape[0], per_call):
+            block = combos[start:start + per_call]
+            cand = np.repeat(phases[rows][:, None, :], block.shape[0], axis=1)
+            cand[:, :, free] = block[None, :, :]
+            cand = cand.reshape(-1, phases.shape[1])
+            vals = objective.values(np.repeat(roots[rows], block.shape[0], axis=0),
+                                    cand).reshape(rows.size, block.shape[0])
+            best, best_vals = _batch._first_near_min(vals)
+            improved = best_vals < values[rows] - _batch.PHASE_VALUE_TOL
+            hit = rows[improved]
+            values[hit] = best_vals[improved]
+            phases[hit] = cand.reshape(rows.size, block.shape[0], -1)[improved, best[improved]]
+
+
+def seed_rows(family, count, seed):
+    """Weight rows as minimize_phases prepares them, some with zero weights,
+    but from random phases, so that many seeds improve: square roots,
+    phases, values, active mask, gauge."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(family.basis)), size=count)
+    weights[::4, -1] = 0.0
+    weights[1::4, 0] = 0.0
+    roots = np.sqrt(weights)
+    active = weights > 0.0
+    gauge = np.argmax(active, axis=1)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=weights.shape)
+    phases[~active] = 0.0
+    phases[np.arange(count), gauge] = 0.0
+    return roots, phases, family.objective.values(roots, phases), active, gauge
+
+
+class TestJointSeeds:
+    """The seed lattice probed on the Gram pencil, one pencil per row and
+    lattice prefix."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_same_phases_as_the_values_scan(self, name):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases, values, active, gauge = seed_rows(family, 300, seed=len(name))
+        seeded = phases.copy(), values.copy()
+        _batch._apply_joint_seeds(objective, roots, *seeded, active, gauge)
+        reference = phases.copy(), values.copy()
+        reference_joint_seeds(objective, roots, *reference, active, gauge)
+        assert np.array_equal(seeded[0], reference[0])
+        assert np.max(np.abs(seeded[1] - reference[1])) <= 1e-13
+        if len(family.basis) > 2:
+            assert np.any(seeded[1] < values)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_lattice_values_match_full_evaluations(self, name):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        n = len(family.basis)
+        roots, phases = random_phased_rows(family, 20, seed=len(name))
+        free = list(range(1, n))
+        angles = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+        combos = np.array(list(itertools.product(angles, repeat=len(free))))
+        cand = np.repeat(phases[:, None, :], len(combos), axis=1)
+        cand[:, :, free] = combos
+        expected = objective.values(np.repeat(roots, len(combos), axis=0),
+                                    cand.reshape(-1, n)).reshape(20, -1)
+        lattice = _batch._lattice_values(objective, roots, phases, free, angles)
+        assert np.max(np.abs(lattice - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["zeta_slice_family", "rank5_five_qubit",
+                                      "ghz_dicke_mixture"])
+    def test_lattice_values_whatever_the_blocking(self, name, monkeypatch):
+        family = FAMILY_BUILDERS[name]()
+        objective = family.objective
+        roots, phases, _, _, _ = seed_rows(family, 13, seed=3)
+        free = list(range(1, len(family.basis)))
+        angles = np.linspace(0.0, 2.0 * np.pi, _batch._joint_seed_size(len(free)),
+                             endpoint=False)
+        whole = _batch._lattice_values(objective, roots, phases, free, angles)
+        assert whole.shape == (13, angles.size ** len(free))
+        for entries in (1, 1 << 6, 1 << 10):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            assert np.array_equal(_batch._lattice_values(objective, roots, phases, free,
+                                                         angles), whole)
+        monkeypatch.undo()
+        alone = [_batch._lattice_values(objective, roots[i:i + 1], phases[i:i + 1], free,
+                                        angles) for i in range(13)]
+        assert np.array_equal(np.concatenate(alone), whole)
 
 
 def reference_objective_values(objective, roots, phases):
@@ -845,7 +1065,7 @@ def test_closed_form_top_eigenvalue_on_psd_matrices(rank, seed):
     factors = rng.standard_normal((50, 3, rank)) + 1j * rng.standard_normal((50, 3, rank))
     mats = factors @ factors.conj().swapaxes(-1, -2)
     mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
-    assert_top_eigenvalues_match(mats)
+    assert_top_eigenvalues_match(pack(mats))
 
 
 @given(st.integers(4, 32).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),

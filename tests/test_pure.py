@@ -129,7 +129,10 @@ class TestBatchedEigmaxPrecision:
         gauss = rng.standard_normal((5000, 2, 2)) + 1j * rng.standard_normal((5000, 2, 2))
         mats = gauss @ gauss.conj().transpose(0, 2, 1)
         mats[:1000] = np.eye(2)[None] + 1e-14 * mats[:1000]  # near-degenerate
-        analytic = _eigmax_herm(mats)
+        # packed: the real diagonal, then the entry above it
+        packed = np.stack([mats[:, 0, 0].real, mats[:, 1, 1].real,
+                           mats[:, 0, 1].real, mats[:, 0, 1].imag], axis=-1)
+        analytic = _eigmax_herm(packed)
         lapack = np.linalg.eigvalsh(mats)[:, -1]
         rel = np.max(np.abs(analytic - lapack) / np.abs(lapack))
         assert rel < 1e-12

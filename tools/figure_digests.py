@@ -18,8 +18,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ggm.cli import main  # noqa: E402
 
+# Reduced grids, then the default grids of the surface figures (about 5 s on
+# a 2-core host): a tied argmin can switch branch at a default-grid point
+# that no reduced grid samples.
 RUNS = ("1", "4", "2 --grid 41", "3 --grid 61", "5 --grid 31", "6 --grid 21",
-        "7 --grid 41", "8 --grid 41")
+        "7 --grid 41", "8 --grid 41", "2", "3", "5", "6", "7", "8")
 
 with tempfile.TemporaryDirectory() as tmp:
     for run in RUNS:

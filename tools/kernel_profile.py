@@ -78,8 +78,8 @@ class KernelProfile:
         def profiled_eigmax(mats):
             start = time.perf_counter()
             out = eigmax(mats)
-            self._add(top_s=time.perf_counter() - start,
-                      top=math.prod(mats.shape[:-2]))
+            # packed Grams (real, one axis per matrix) or full ones (complex)
+            self._add(top_s=time.perf_counter() - start, top=out.size)
             return out
 
         for name, value in (("_top_squares", profiled_top_squares), ("_gram", profiled_gram),
