@@ -80,18 +80,17 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, 
 
 
 def _eigmax_herm(gram: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a stack of small Hermitian matrices.
+    """Largest eigenvalue of a stack of Grams laid out as :func:`_gram` lays
+    them out, chosen by their length.
 
-    Grams of up to 3 rows come packed (see :func:`_gram`) and take closed
-    forms, much faster than LAPACK's per-matrix calls at these sizes; a
-    1-row Gram is its own eigenvalue. Larger ones come full and take
-    ``eigvalsh``.
+    Grams of up to 3 rows (1, 4 or 9 reals) take closed forms, much faster
+    than LAPACK's per-matrix calls at these sizes; a 1-row Gram is its own
+    eigenvalue. Larger ones take ``eigvalsh`` on their complex view.
     """
-    if np.iscomplexobj(gram):
-        return np.linalg.eigvalsh(gram)[..., -1]
-    if gram.shape[-1] == 1:
+    size = gram.shape[-1]
+    if size == 1:
         return gram[..., 0]
-    if gram.shape[-1] == 4:
+    if size == 4:
         # 0.5 (g00 + g11) + sqrt((0.5 (g00 - g11))^2 + |g01|^2), in place
         top = gram[..., 0] + gram[..., 1]
         top *= 0.5
@@ -103,7 +102,9 @@ def _eigmax_herm(gram: np.ndarray) -> np.ndarray:
         disc += off
         top += np.sqrt(disc, out=disc)
         return top
-    return _eigmax_herm3(gram)
+    if size == 9:
+        return _eigmax_herm3(gram)
+    return np.linalg.eigvalsh(_unpack(gram))[..., -1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,17 +120,25 @@ def _packed_reals(rows: int) -> np.ndarray:
 
 
 def _pack(full: np.ndarray) -> np.ndarray:
-    """Packed form (see :func:`_gram`) of a stack of full complex matrices."""
+    """Gram layout (see :func:`_gram`) of a stack of full complex matrices:
+    of more than 3 rows, their real view."""
     reals = full.view(float).reshape(full.shape[:-2] + (-1,))
+    if full.shape[-1] > 3:
+        return reals
     # take, not an index: an index on the last axis leaves it non-contiguous
     return np.take(reals, _packed_reals(full.shape[-1]), axis=-1)
 
 
-def _unpack(packed: np.ndarray) -> np.ndarray:
-    """Full Hermitian matrices of a stack of packed Grams (see :func:`_gram`)."""
-    rows = math.isqrt(packed.shape[-1])
-    full = np.zeros(packed.shape[:-1] + (rows, rows), dtype=complex)
-    full.view(float).reshape(packed.shape[:-1] + (-1,))[..., _packed_reals(rows)] = packed
+def _unpack(gram: np.ndarray) -> np.ndarray:
+    """Full Hermitian matrices of a stack of Grams (see :func:`_gram`); of
+    more than 3 rows (2d^2 reals, at least 32), their complex view."""
+    size = gram.shape[-1]
+    if size > 9:
+        rows = math.isqrt(size // 2)
+        return gram.view(complex).reshape(gram.shape[:-1] + (rows, rows))
+    rows = math.isqrt(size)
+    full = np.zeros(gram.shape[:-1] + (rows, rows), dtype=complex)
+    full.view(float).reshape(gram.shape[:-1] + (-1,))[..., _packed_reals(rows)] = gram
     return full + np.triu(full, 1).conj().swapaxes(-1, -2)
 
 
@@ -200,11 +209,13 @@ def _gram(mats: np.ndarray) -> np.ndarray:
     thousands of such matrices it is 1.5-5x slower. ``einsum`` sums every
     entry over its columns in order, so no entry depends on the stack
     around it (a ``sum`` over the last axis does not give that). Larger
-    Grams take ``matmul`` and stay full.
+    Grams take ``matmul`` and are kept as the real view of the row-major
+    complex matrix, ``2 * rows**2`` reals (at least 32): every Gram is one
+    real vector, and its length tells its layout.
     """
     rows = mats.shape[-2]
     if rows > 3:
-        return mats @ mats.conj().swapaxes(-1, -2)
+        return _pack(mats @ mats.conj().swapaxes(-1, -2))
     conj = mats.conj()
     packed = np.empty(mats.shape[:-2] + (rows * rows,))
     packed[..., :rows] = np.einsum("...ik,...ik->...i", mats, conj).real
@@ -224,14 +235,18 @@ def _gram(mats: np.ndarray) -> np.ndarray:
 _PRUNE_SLACK = 1e-8
 
 
-def _bounded_tops(gram: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each full PSD Gram of a (..., cuts, d, d) stack
-    whose Frobenius norm reaches its row's ``floor`` (...); the others hold
-    that norm."""
-    # ||G||_F^2 as one dot product of G's real view with itself
-    flat = gram.view(float).reshape(gram.shape[:-2] + (1, -1))
-    tops = np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
-    live = tops >= floor[..., None]
+def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
+    """Top eigenvalue of each Gram of a (..., cuts, reals) stack.
+
+    With a running maximum ``best`` (...), a Gram of more than 3 rows whose
+    Frobenius norm falls below its row's ``best - _PRUNE_SLACK`` skips the
+    top eigenvalue and holds that norm instead.
+    """
+    if best is None or gram.shape[-1] <= 9:
+        return _eigmax_herm(gram)
+    # ||G||_F^2 as one dot product of G's reals with themselves
+    tops = np.sqrt((gram[..., None, :] @ gram[..., :, None])[..., 0, 0])
+    live = tops >= best[..., None] - _PRUNE_SLACK
     if live.all():
         return _eigmax_herm(gram)
     if live.any():
@@ -261,24 +276,21 @@ def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices, *,
     d * eps of rounding) > best - ``_PRUNE_SLACK``, so it is evaluated as
     without ``max_only``, by the same per-matrix LAPACK call on a subset of
     the stack (on the stack itself when nothing is skipped): the maximum
-    and the cuts that attain it keep their bits.
+    and the cuts that attain it keep their bits (see :func:`_tops`).
     """
     out = np.empty((rows.shape[0], sum(columns.size for _, columns, _ in groups)))
     row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
     step = max(1, _BLOCK_ENTRIES // row_entries)
-    prune = max_only and groups[-1][0][0] > 3
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
-        best = np.full(block.shape[0], -np.inf)
+        best = None
         for shape, columns, operand in groups:
             mats = matrices(block, operand).reshape((block.shape[0], columns.size) + shape)
-            if prune and shape[0] > 3:
-                tops = _bounded_tops(_gram(mats), best - _PRUNE_SLACK)
-            else:
-                tops = _eigmax_herm(_gram(mats))
+            tops = _tops(_gram(mats), best)
             out[start:start + step, columns] = tops
-            if prune:
-                best = np.maximum(best, tops.max(axis=1))
+            if max_only:
+                top = tops.max(axis=1)
+                best = top if best is None else np.maximum(best, top)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -297,7 +309,7 @@ def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...], *,
 
 
 # Singular values of a cut's joint support at or below this are dropped.
-# Unit-norm basis rows make them absolute; see SupportKernel for the bound.
+# Unit-norm basis rows make them absolute; see _support_groups for the bound.
 _SUPPORT_TOL = 1e-13
 
 
@@ -305,7 +317,29 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
                     masks: tuple[int, ...]) -> tuple[tuple, ...]:
     """Groups of the (n_basis, cuts * r1 * r2) compressed blocks of
     ``basis`` on ``masks``, for :func:`_combine`, in increasing order of
-    (r1, r2); see SupportKernel."""
+    (r1, r2).
+
+    Rows of :func:`_combine` are coefficient vectors c over the rows |b_k>
+    of ``basis`` (n_basis, D), which should be orthonormal. On every cut the
+    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k. Two SVDs give
+    orthonormal bases U of the joint column span and V of the joint row
+    span of the B_k, and the group stores A_k = U^dag B_k V. Then
+    M(c) = U A(c) V^dag with A(c) = sum_k c_k A_k, which has the singular
+    values of M(c), so a row costs n_basis * r1 * r2 and touches no D-sized
+    array. Where r1 > r2 the plain transpose A_k^T is stored:
+    sum_k c_k A_k^T = A(c)^T keeps the singular values, while the conjugate
+    transpose would conjugate c.
+
+    Directions with singular value at most ``_SUPPORT_TOL`` are dropped.
+    With P the projector onto the dropped column directions,
+    M^dag M = (UU^dag M)^dag (UU^dag M) + (PM)^dag (PM), so dropping them
+    lowers the top square by at most ||PM||^2 <= |c|^2 * sum sigma_dropped^2,
+    and likewise on the row side. For a unit c the result is never above
+    the exact value and falls short by at most the dropped squares of both
+    sides, well inside the 2 * sqrt(sum sigma_dropped^2) that perturbing
+    the singular values gives. Keeping a small direction is exact, so any
+    basis is accepted.
+    """
     n = basis.shape[0]
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for _, columns, index in _gram_groups(dims, masks):
@@ -324,45 +358,6 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
             stacks.append(compressed)
     return tuple((shape, np.array(members), np.stack(stacks, axis=1).reshape(n, -1))
                  for shape, (members, stacks) in sorted(groups.items()))
-
-
-class SupportKernel:
-    """Top squared Schmidt coefficients of superpositions of a fixed basis.
-
-    Rows are coefficient vectors c over the rows |b_k> of ``basis``
-    (n_basis, D), which should be orthonormal. For every canonical cut the
-    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k. Construction
-    takes orthonormal bases U of the joint column span and V of the joint
-    row span of the B_k from two SVDs and stores A_k = U^dag B_k V. Then
-    M(c) = U A(c) V^dag with A(c) = sum_k c_k A_k, which has the singular
-    values of M(c), so a row costs n_basis * r1 * r2 and touches no D-sized
-    array. Where r1 > r2 the
-    plain transpose A_k^T is stored: sum_k c_k A_k^T = A(c)^T keeps the
-    singular values, while the conjugate transpose would conjugate c.
-
-    Directions with singular value at most ``_SUPPORT_TOL`` are dropped.
-    With P the projector onto the dropped column directions,
-    M^dag M = (UU^dag M)^dag (UU^dag M) + (PM)^dag (PM), so dropping them
-    lowers the top square by at most ||PM||^2 <= |c|^2 * sum sigma_dropped^2,
-    and likewise on the row side. For a unit c the result is never above
-    the exact value and falls short by at most the dropped squares of both
-    sides, well inside the 2 * sqrt(sum sigma_dropped^2) that perturbing
-    the singular values gives. Keeping a small direction is exact, so any
-    basis is accepted.
-    """
-
-    def __init__(self, basis: np.ndarray, dims: tuple[int, ...]):
-        dims = tuple(dims)
-        self._groups = _support_groups(np.asarray(basis, dtype=complex), dims,
-                                       canonical_cut_masks(dims))
-
-    def squares(self, coeff: np.ndarray) -> np.ndarray:
-        """Top squared Schmidt coefficient per row of ``coeff`` and per cut.
-
-        ``coeff`` has shape (K, n_basis); returns (K, n_cuts), clipped to
-        [0, 1]. The result does not depend on how rows are blocked.
-        """
-        return _top_squares(coeff, self._groups, _combine)
 
 
 def fixing_transpositions(basis: np.ndarray,
@@ -408,13 +403,14 @@ def orbit_representatives(n_parties: int, masks: tuple[int, ...],
 
 
 class PhaseObjective:
-    """GGM of sum_k sqrt(w_k) e^{i phi_k} |basis_k> as a function of phases.
+    """GGM of superpositions sum_k c_k |basis_k>, by coefficient rows or as
+    a function of phases (c_k = sqrt(w_k) e^{i phi_k}).
 
-    Evaluates batches of (weights, phases) rows on the compressed blocks of
-    :class:`SupportKernel`; one instance serves a whole surface. Only one
-    cut per orbit of the party swaps fixing every basis state is evaluated:
-    such a swap fixes every phased superposition too, so a cut and its
-    image have the same Schmidt spectrum.
+    Evaluates batches of rows on the compressed blocks of
+    :func:`_support_groups`; one instance serves a whole surface or a whole
+    decomposition sampler. Only one cut per orbit of the party swaps fixing
+    every basis state is evaluated: such a swap fixes every superposition
+    too, so a cut and its image have the same Schmidt spectrum.
     """
 
     def __init__(self, basis_matrix: np.ndarray, dims: tuple[int, ...]):
@@ -429,10 +425,16 @@ class PhaseObjective:
         self.row_entries = sum(columns.size * math.prod(shape)
                                for shape, columns, _ in self._groups)
 
+    def measure(self, coeff: np.ndarray) -> np.ndarray:
+        """GGM of each row of unit coefficient rows ``coeff`` (K, n_basis).
+
+        The result does not depend on how rows are blocked.
+        """
+        return 1.0 - _top_squares(coeff, self._groups, _combine, max_only=True).max(axis=1)
+
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""
-        coeff = roots * np.exp(1j * phases)
-        return 1.0 - _top_squares(coeff, self._groups, _combine, max_only=True).max(axis=1)
+        return self.measure(roots * np.exp(1j * phases))
 
     def pencil(self, roots: np.ndarray, phases: np.ndarray, coord: int):
         """Probe of the rows' GGM as a function of phase ``coord`` alone.
@@ -442,14 +444,13 @@ class PhaseObjective:
         each cut's Gram at angle theta is the Hermitian pencil
         G(theta) = P + cos(theta) S + sin(theta) T with P = BB^dag + r^2 AA^dag,
         Q = r AB^dag, S = Q + Q^dag and T = i(Q - Q^dag). They are built once
-        here (the caller bounds the rows: B has ``row_entries`` per row),
-        packed as :func:`_gram` packs Grams of up to 3 rows, so a probe's
-        scaled adds touch d^2 reals per cut; larger Grams stay full, and as
-        in :meth:`values` a cut whose Frobenius bound cannot reach the
-        probe's maximum so far skips the top eigenvalue. The returned
-        ``probe(angles)``, angles (K,) or (K, m), gives the GGM at each
-        angle, of the same shape. Every step is elementwise per row or the
-        kernel's own, so no row depends on the rows around it.
+        here (the caller bounds the rows: B has ``row_entries`` per row), in
+        the layout of :func:`_gram`, so a probe's scaled adds touch the
+        Gram's reals, and as in :meth:`values` a cut whose Frobenius bound
+        cannot reach the probe's maximum so far skips the top eigenvalue.
+        The returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM
+        at each angle, of the same shape. Every step is elementwise per row
+        or the kernel's own, so no row depends on the rows around it.
         """
         coeff = roots * np.exp(1j * phases)
         coeff[:, coord] = 0.0
@@ -465,13 +466,8 @@ class PhaseObjective:
                 q += a[..., :, None, k] * b_conj[..., None, :, k]
             q *= r[..., None]
             q_dag = q.conj().swapaxes(-1, -2)
-            if shape[0] > 3:
-                p = _gram(b) + r[..., None] * r[..., None] * _gram(a)
-                # Real views: the angle weights multiply real and imaginary parts.
-                mats = p.view(float), (q + q_dag).view(float), (1j * (q - q_dag)).view(float)
-            else:
-                mats = _gram(b) + r * r * _gram(a), _pack(q + q_dag), _pack(1j * (q - q_dag))
-            pencils.append((shape[0] > 3,) + tuple(m[:, None] for m in mats))
+            mats = _gram(b) + r * r * _gram(a), _pack(q + q_dag), _pack(1j * (q - q_dag))
+            pencils.append(tuple(m[:, None] for m in mats))
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)
@@ -483,19 +479,11 @@ class PhaseObjective:
                 block = flat[rows, :, None, None]
                 cos, sin = np.cos(block), np.sin(block)
                 best = None
-                for full, p, s, t in pencils:
-                    if full:
-                        gram = p[rows] + cos[..., None] * s[rows]
-                        gram += sin[..., None] * t[rows]
-                        gram = gram.view(complex)
-                        tops = (_eigmax_herm(gram) if best is None
-                                else _bounded_tops(gram, best - _PRUNE_SLACK))
-                    else:
-                        gram = cos * s[rows]
-                        gram += p[rows]
-                        gram += sin * t[rows]
-                        tops = _eigmax_herm(gram)
-                    tops = tops[..., 0] if tops.shape[-1] == 1 else tops.max(axis=-1)
+                for p, s, t in pencils:
+                    gram = cos * s[rows]
+                    gram += p[rows]
+                    gram += sin * t[rows]
+                    tops = _tops(gram, best).max(axis=-1)
                     best = tops if best is None else np.maximum(best, tops)
                 top[rows] = best
             return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
@@ -578,10 +566,11 @@ def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
     """Replace each row's starting phases by its best Cartesian seed.
 
     Rows are grouped by their pattern of active (weight > 0) coordinates so
-    that seeds only range over genuinely free phases. Seeds are chosen in
-    chunks of ``_BLOCK_ENTRIES // rows`` lattice points, by the tie rule of
-    :func:`minimize_phases`; the lattice values come from pencil probes
-    (:func:`_lattice_values`), for blocks of rows at a time.
+    that seeds only range over genuinely free phases. Each row takes one
+    point of the whole lattice, by the tie rule of :func:`minimize_phases`,
+    so its seed does not depend on the rows it is grouped with; the lattice
+    values come from pencil probes (:func:`_lattice_values`), for blocks of
+    rows at a time.
     """
     groups: dict[tuple, list[int]] = {}
     for row in range(active.shape[0]):
@@ -596,18 +585,16 @@ def _apply_joint_seeds(objective, roots, phases, values, active, gauge):
         rows = np.array(members)
         angles = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
         combos = np.array(list(itertools.product(angles, repeat=len(free))))
-        per_call = max(1, _BLOCK_ENTRIES // rows.size)
         # Rows choose independently; blocks of rows bound the values held.
         row_step = max(1, _BLOCK_ENTRIES // combos.shape[0])
         for first in range(0, rows.size, row_step):
             block = rows[first:first + row_step]
             lattice = _lattice_values(objective, roots[block], phases[block], free, angles)
-            for start in range(0, combos.shape[0], per_call):
-                best, best_vals = _first_near_min(lattice[:, start:start + per_call])
-                improved = best_vals < values[block] - PHASE_VALUE_TOL
-                hit = block[improved]
-                values[hit] = best_vals[improved]
-                phases[np.ix_(hit, free)] = combos[start + best[improved]]
+            best, best_vals = _first_near_min(lattice)
+            improved = best_vals < values[block] - PHASE_VALUE_TOL
+            hit = block[improved]
+            values[hit] = best_vals[improved]
+            phases[np.ix_(hit, free)] = combos[best[improved]]
 
 
 def minimize_phases(

@@ -582,9 +582,11 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
     candidate, and results are deterministic for a fixed seed.
 
     Isometries come in blocks, each from one Gaussian draw and one stacked
-    QR. Every member lies in the range of ``rho``, so its Schmidt spectra
-    on all cuts are read from the eigenbasis blocks of one
-    :class:`~ggm._batch.SupportKernel`, with no symmetry assumed.
+    QR. Every member lies in the range of ``rho``, so its measure is read
+    from the compressed eigenbasis blocks of one
+    :class:`~ggm._batch.PhaseObjective`. That evaluates one cut per orbit of
+    the party swaps that leave every eigenbasis vector exactly unchanged, as
+    they fix every member too; no other symmetry is assumed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -595,7 +597,7 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
     if m < rank:
         raise ValueError(f"decomposition size {m} is below the rank {rank}")
 
-    kernel = _batch.SupportKernel(vecs.T, rho.shape.dims)
+    objective = _batch.PhaseObjective(vecs.T, rho.shape.dims)
     sqrt_lam = np.sqrt(lam)
 
     def average_measures(iso):
@@ -604,8 +606,7 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
         p = np.sum(np.abs(coeff) ** 2, axis=-1)
         live = p > 1e-14
         vals = np.zeros(p.shape)
-        vals[live] = 1.0 - kernel.squares(
-            coeff[live] / np.sqrt(p[live])[:, None]).max(axis=1)
+        vals[live] = objective.measure(coeff[live] / np.sqrt(p[live])[:, None])
         return np.sum(p * vals, axis=1)
 
     best = float(average_measures(np.eye(m, rank, dtype=complex)[None])[0])

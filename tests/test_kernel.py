@@ -176,8 +176,19 @@ def unpack(packed):
 
 
 def rows_of(gram):
-    """Rows of each Gram of a stack, packed (real) or full (complex)."""
-    return gram.shape[-1] if np.iscomplexobj(gram) else math.isqrt(gram.shape[-1])
+    """Rows of each Gram of a stack, read from its length: d^2 reals packed
+    up to 3 rows, 2d^2 (the real view of the full matrix) beyond."""
+    size = gram.shape[-1]
+    return math.isqrt(size) if size <= 9 else math.isqrt(size // 2)
+
+
+def support_squares(basis, dims, coeff):
+    """Top squared Schmidt coefficient per coefficient row and per cut, read
+    from the compressed basis blocks of every canonical cut."""
+    dims = tuple(dims)
+    groups = _batch._support_groups(np.asarray(basis, dtype=complex), dims,
+                                    _batch.canonical_cut_masks(dims))
+    return _batch._top_squares(coeff, groups, _batch._combine)
 
 
 class TestCutPruning:
@@ -334,7 +345,9 @@ class TestGram:
 
     def test_larger_grams_take_matmul(self):
         mats = random_amplitudes(np.random.default_rng(12), (4, 6), rows=50).reshape(50, 4, 6)
-        assert np.array_equal(_batch._gram(mats), mats @ mats.conj().swapaxes(-1, -2))
+        gram = _batch._gram(mats)
+        assert gram.dtype == float and gram.shape == (50, 32)
+        assert np.array_equal(_batch._unpack(gram), mats @ mats.conj().swapaxes(-1, -2))
 
     def test_one_row_gram_is_its_top_eigenvalue(self):
         # rank-deficient compressed blocks have one row; LAPACK returns the
@@ -345,6 +358,19 @@ class TestGram:
         assert np.array_equal(_batch._eigmax_herm(gram), gram[:, 0])
         assert np.array_equal(_batch._eigmax_herm(gram), np.linalg.eigvalsh(unpack(gram))[:, -1])
         assert np.max(np.abs(gram[:, 0] - np.sum(np.abs(mats[:, 0]) ** 2, axis=-1))) < 1e-14
+
+    @pytest.mark.parametrize("rows", range(1, 7))
+    def test_unpack_inverts_pack(self, rows):
+        # every layout, packed up to 3 rows and the full real view beyond;
+        # A + A^dag is Hermitian to the bit, as the packed form assumes
+        raw = random_amplitudes(np.random.default_rng(rows), (rows, rows), rows=20)
+        raw = raw.reshape(20, rows, rows)
+        mats = raw + raw.conj().swapaxes(-1, -2)
+        packed = _batch._pack(mats)
+        assert packed.dtype == float
+        assert packed.shape == (20, rows * rows * (1 if rows <= 3 else 2))
+        assert rows_of(packed) == rows
+        assert np.array_equal(_batch._unpack(packed), mats)
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_unpacked_guard_matrices_are_the_gram(self, rows):
@@ -380,7 +406,7 @@ def recorded_grams(evaluate, monkeypatch):
     original = _batch._eigmax_herm
 
     def recording(mats):
-        if not np.iscomplexobj(mats) and rows_of(mats) == 3:
+        if rows_of(mats) == 3:
             grams.append(mats.reshape(-1, 9).copy())
         return original(mats)
 
@@ -456,10 +482,9 @@ class TestClosedFormTopEigenvalue:
         # compressed to 3x3 Grams as the decomposition sampler forms them
         family = builder()
         basis, dims = family.objective.basis, family.objective.dims
-        kernel = _batch.SupportKernel(basis, dims)
         rows = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
             np.random.default_rng(9), (basis.shape[0],), rows=200)])
-        grams = recorded_grams(lambda: kernel.squares(rows), monkeypatch)
+        grams = recorded_grams(lambda: support_squares(basis, dims, rows), monkeypatch)
         assert len(grams) >= len(rows)
         assert_top_eigenvalues_match(grams)
 
@@ -494,8 +519,7 @@ class TestCoefficientRowBlocking:
         rows = np.stack([roots, phases], axis=1)
         self.assert_blocking_free(lambda r: objective.values(r[:, 0], r[:, 1]),
                                   rows, monkeypatch)
-        kernel = _batch.SupportKernel(objective.basis, objective.dims)
-        self.assert_blocking_free(kernel.squares, roots * np.exp(1j * phases), monkeypatch)
+        self.assert_blocking_free(objective.measure, roots * np.exp(1j * phases), monkeypatch)
 
     @pytest.mark.parametrize("builder, params", [
         (rank5_five_qubit, [0.3, 0.25]),
@@ -505,8 +529,8 @@ class TestCoefficientRowBlocking:
         family = builder()
         basis = eigenbasis(family.target_at(family.params_to_weights(params)))
         coeff = random_amplitudes(np.random.default_rng(5), (basis.shape[0],), 200)
-        kernel = _batch.SupportKernel(basis, family.shape.dims)
-        self.assert_blocking_free(kernel.squares, coeff, monkeypatch)
+        objective = _batch.PhaseObjective(basis, family.shape.dims)
+        self.assert_blocking_free(objective.measure, coeff, monkeypatch)
 
     def test_bound_independent_of_blocking_for_every_seed(self, monkeypatch):
         family = rank5_five_qubit()
@@ -598,8 +622,8 @@ class TestPencil:
         original = _batch._eigmax_herm
 
         def counting(gram):
-            if np.iscomplexobj(gram):
-                evaluated[-1] += math.prod(gram.shape[:-2])
+            if rows_of(gram) > 3:
+                evaluated[-1] += math.prod(gram.shape[:-1])
             return original(gram)
 
         monkeypatch.setattr(_batch, "_eigmax_herm", counting)
@@ -624,8 +648,8 @@ class TestPencil:
 
 def reference_joint_seeds(objective, roots, phases, values, active, gauge):
     """The joint seeds as they were chosen before they were probed on the
-    pencil: every lattice candidate evaluated in full by ``values``, in
-    chunks of 2^16 // rows lattice points, by the same tie rule."""
+    pencil: every lattice candidate evaluated in full by ``values``, one
+    choice per row over the whole lattice, by the same tie rule."""
     groups = {}
     for row in range(active.shape[0]):
         groups.setdefault((active[row].tobytes(), int(gauge[row])), []).append(row)
@@ -638,19 +662,15 @@ def reference_joint_seeds(objective, roots, phases, values, active, gauge):
         rows = np.array(members)
         angles = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
         combos = np.array(list(itertools.product(angles, repeat=len(free))))
-        per_call = max(1, (1 << 16) // rows.size)
-        for start in range(0, combos.shape[0], per_call):
-            block = combos[start:start + per_call]
-            cand = np.repeat(phases[rows][:, None, :], block.shape[0], axis=1)
-            cand[:, :, free] = block[None, :, :]
-            cand = cand.reshape(-1, phases.shape[1])
-            vals = objective.values(np.repeat(roots[rows], block.shape[0], axis=0),
-                                    cand).reshape(rows.size, block.shape[0])
-            best, best_vals = _batch._first_near_min(vals)
-            improved = best_vals < values[rows] - _batch.PHASE_VALUE_TOL
-            hit = rows[improved]
-            values[hit] = best_vals[improved]
-            phases[hit] = cand.reshape(rows.size, block.shape[0], -1)[improved, best[improved]]
+        cand = np.repeat(phases[rows][:, None, :], combos.shape[0], axis=1)
+        cand[:, :, free] = combos[None, :, :]
+        vals = objective.values(np.repeat(roots[rows], combos.shape[0], axis=0),
+                                cand.reshape(-1, phases.shape[1])).reshape(rows.size, -1)
+        best, best_vals = _batch._first_near_min(vals)
+        improved = best_vals < values[rows] - _batch.PHASE_VALUE_TOL
+        hit = rows[improved]
+        values[hit] = best_vals[improved]
+        phases[hit] = cand[improved, best[improved]]
 
 
 def seed_rows(family, count, seed):
@@ -883,12 +903,12 @@ def support_ranks(basis, dims, mask):
 
 
 class TestSupportKernel:
-    """The support-compressed kernel against the gather kernel, same cuts."""
+    """The support-compressed blocks against the gather kernel, same cuts."""
 
     @staticmethod
     def assert_matches_gather(basis, dims, rows=300, seed=0):
         coeff = random_amplitudes(np.random.default_rng(seed), (basis.shape[0],), rows)
-        compressed = _batch.SupportKernel(basis, dims).squares(coeff)
+        compressed = support_squares(basis, dims, coeff)
         gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims)
         assert compressed.shape == gathered.shape
         assert np.max(np.abs(compressed - gathered)) < 1e-12
@@ -951,12 +971,11 @@ class TestSupportKernel:
     def test_bit_identical_whatever_the_blocking(self, monkeypatch):
         dims = (2, 3, 4)
         basis = random_amplitudes(np.random.default_rng(5), dims, rows=4)
-        kernel = _batch.SupportKernel(basis, dims)
         coeff = random_amplitudes(np.random.default_rng(6), (4,), rows=700)
         results = []
         for entries in (1 << 10, 1 << 16):
             monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-            results.append(kernel.squares(coeff))
+            results.append(support_squares(basis, dims, coeff))
         assert np.array_equal(results[0], results[1])
 
 
@@ -1058,14 +1077,24 @@ def test_zero_on_product_states(dims, seed):
     assert len(report.maximizing_cuts) == len(report.per_cut)
 
 
-@given(st.integers(1, 3), seeds)
-def test_closed_form_top_eigenvalue_on_psd_matrices(rank, seed):
-    # unit-trace 3x3 PSD matrices of the given rank, as Grams of unit rows are
-    rng = np.random.default_rng(seed)
-    factors = rng.standard_normal((50, 3, rank)) + 1j * rng.standard_normal((50, 3, rank))
+def unit_trace_psd(rng, d, rank, count=50):
+    """Unit-trace d x d PSD matrices of the given rank, as Grams of unit rows are."""
+    factors = rng.standard_normal((count, d, rank)) + 1j * rng.standard_normal((count, d, rank))
     mats = factors @ factors.conj().swapaxes(-1, -2)
-    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
-    assert_top_eigenvalues_match(pack(mats))
+    return mats / np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@given(st.integers(1, 3),
+       st.integers(4, 6).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))), seeds)
+def test_closed_form_top_eigenvalue_on_psd_matrices(rank, larger, seed):
+    # 3x3 Grams take the closed form; larger ones, in their layout (the
+    # real view of the full matrix), take eigvalsh
+    rng = np.random.default_rng(seed)
+    assert_top_eigenvalues_match(pack(unit_trace_psd(rng, 3, rank)))
+    mats = unit_trace_psd(rng, *larger)
+    top = _batch._eigmax_herm(_batch._pack(mats))
+    assert top.shape == (50,)
+    assert np.max(np.abs(top - np.linalg.eigvalsh(mats)[:, -1])) < 1e-12
 
 
 @given(st.integers(4, 32).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),

@@ -11,6 +11,7 @@ from ggm.families import (
     qutrit_sector_family,
     rank2_symmetric,
     rank3_gghz,
+    rank3_ghz_dicke,
     rank3_ghz_w,
     rank5_five_qubit,
     zeta_slice_family,
@@ -108,6 +109,21 @@ class TestMinPhaseGgm:
         for row, p in zip(values, params):
             single, _ = min_phase_ggm(fam, fam.params_to_weights(p))
             assert abs(row - single) < 1e-9
+
+    def test_joint_seed_independent_of_the_rows_around_it(self):
+        # At figure 7's default grid the edge points (0.96, 0.04) and
+        # (0.97, 0.03) keep a last weight of about 3e-17, so they share
+        # their active pattern, and their seed lattice, with the 4,860
+        # interior points; their seed must still be the one they take alone.
+        fam = zeta_slice_family()
+        grid = simplex_grid(101, 2)
+        values, phases = min_phase_ggm_many(fam, grid)
+        for point in ([0.96, 0.04], [0.97, 0.03]):
+            row = np.flatnonzero(np.all(np.abs(grid - point) < 1e-12, axis=1))[0]
+            assert 0.0 < fam.params_to_weights(grid[row])[-1] < 1e-16
+            single, single_phases = min_phase_ggm(fam, fam.params_to_weights(grid[row]))
+            assert values[row] == single
+            assert np.array_equal(phases[row], single_phases)
 
 
 class TestHessianReport:
@@ -422,6 +438,9 @@ class TestSamplerAgainstReference:
         "rank5": lambda: _family_target(rank5_five_qubit(), [0.3, 0.25]),
         "qutrit": lambda: _family_target(qutrit_sector_family(), [0.2, 0.45]),
         "rank2_symmetric": lambda: rank2_symmetric(3).target_at([0.3, 0.7]),
+        # an eigenbasis fixed by party swaps (test_swap_symmetric_eigenbasis),
+        # so the sampler evaluates one cut per orbit
+        "rank3_ghz_dicke5": lambda: _family_target(rank3_ghz_dicke(5), [0.3, 0.3]),
         "separable": _separable_rho,
         "dicke31": lambda: dicke(3, 1).projector(),
     }
@@ -433,6 +452,13 @@ class TestSamplerAgainstReference:
         m = rho.rank() + 2
         bound = hjw_upper_bound(rho, m, 400, seed)
         assert abs(bound - reference_hjw_upper_bound(rho, m, 400, seed)) < 1e-12
+
+    def test_swap_symmetric_eigenbasis(self):
+        rho = self.TARGETS["rank3_ghz_dicke5"]()
+        eigvals, eigvecs = np.linalg.eigh(rho.entries)
+        basis = eigvecs[:, eigvals > 1e-12].T
+        assert _batch.fixing_transpositions(basis, rho.shape.dims)
+        assert len(_batch.PhaseObjective(basis, rho.shape.dims).masks) < 15
 
     @pytest.mark.parametrize("m, rank", [(7, 5), (3, 3), (4, 1)])
     def test_isometries_bit_identical_to_per_sample_draws(self, m, rank):

@@ -18,6 +18,12 @@ the clip and the report. Functions of ``ggm._batch`` are wrapped from
 outside the package, which is not changed, so it runs on any checkout of
 the package (``--src`` points at its ``src``) and two trees can be
 compared.
+
+The wrappers time every chunk of the cut table on its own, and their
+overhead grows with the number of chunks, so the seconds (``total``
+included) are not the kernel's unwrapped time. Across trees only the
+``formed`` and ``top`` counts compare; time whole ``ggm_pure`` calls
+without the wrappers, or run the benchmark, to compare speed.
 """
 
 import argparse
@@ -78,7 +84,7 @@ class KernelProfile:
         def profiled_eigmax(mats):
             start = time.perf_counter()
             out = eigmax(mats)
-            # packed Grams (real, one axis per matrix) or full ones (complex)
+            # every Gram is one real vector, so one entry per matrix
             self._add(top_s=time.perf_counter() - start, top=out.size)
             return out
 
