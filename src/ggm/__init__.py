@@ -32,13 +32,11 @@ from .hilbert import (
 from .pure import GgmReport, ggm_pure, ggm_values, max_schmidt_sq
 from .roof import (
     GgmSurface,
-    HessianReport,
     TwirledFamily,
     closed_form,
     convex_envelope_1d,
     convex_envelope_2d,
     ggm_mixed,
-    hessian_report,
     hjw_upper_bound,
     lower_hull_contacts,
     min_phase_ggm,
@@ -61,9 +59,7 @@ from .twirl import (
     LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
-    apply_local_unitary,
     builtin_group,
-    twirl,
     verify_invariance,
     verify_mixture_invariance,
     verify_preimage,
@@ -78,7 +74,6 @@ __all__ = [
     "FAMILY_BUILDERS",
     "GgmReport",
     "GgmSurface",
-    "HessianReport",
     "LocalUnitaryElement",
     "PureState",
     "SectorSpec",
@@ -86,7 +81,6 @@ __all__ = [
     "TwirledFamily",
     "UnitaryGroup",
     "VerificationError",
-    "apply_local_unitary",
     "builtin_group",
     "closed_form",
     "convex_envelope_1d",
@@ -101,7 +95,6 @@ __all__ = [
     "ggm_mixed",
     "ggm_pure",
     "ggm_values",
-    "hessian_report",
     "hjw_upper_bound",
     "lower_hull_contacts",
     "matricize",
@@ -117,7 +110,6 @@ __all__ = [
     "sector_state",
     "simplex_grid",
     "superpose",
-    "twirl",
     "uniform_sector_state",
     "unmatricize",
     "verify_invariance",

@@ -27,10 +27,8 @@ from .twirl import UnitaryGroup, VerificationError, _verify_family
 __all__ = [
     "TwirledFamily",
     "GgmSurface",
-    "HessianReport",
     "min_phase_ggm",
     "min_phase_ggm_many",
-    "hessian_report",
     "convex_envelope_1d",
     "convex_envelope_2d",
     "lower_hull_contacts",
@@ -173,25 +171,6 @@ def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarra
     return float(values[0]), phases[0]
 
 
-@dataclass(frozen=True, eq=False)
-class HessianReport:
-    """Minimum Hessian eigenvalue per evaluated point.
-
-    Points closer than ``2 h`` to the simplex boundary are skipped and keep
-    a NaN eigenvalue; ``flagged`` marks evaluated points whose minimum
-    eigenvalue falls below the nonconvexity threshold.
-    """
-
-    points: np.ndarray
-    min_eigenvalues: np.ndarray
-    skipped: np.ndarray
-    flagged: np.ndarray
-
-    @property
-    def any_flagged(self) -> bool:
-        return bool(self.flagged.any())
-
-
 def _interior(points: np.ndarray, h: float) -> np.ndarray:
     """Points at least ``2 h`` inside the simplex, where the stencil fits."""
     return np.minimum(points.min(axis=1), 1.0 - points.sum(axis=1)) >= 2.0 * h
@@ -244,28 +223,6 @@ def _hessian_min_eig(points: np.ndarray, h: float,
             hess[:, i, j] = hess[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     min_eig[rows] = np.linalg.eigvalsh(hess)[:, 0]
     return min_eig
-
-
-def hessian_report(f: Callable, points, h: float = HESSIAN_STEP) -> HessianReport:
-    """Central-difference Hessian diagnostics on simplex points.
-
-    ``f`` maps a vector of free simplex coordinates (the last weight
-    eliminated) to a value; ``points`` is an (K, arity) array. Points closer
-    than ``2 h`` to the simplex boundary are skipped, and ``f`` is called
-    neither at them nor at their stencils. A point is flagged nonconvex
-    when the minimum eigenvalue of its symmetrized Hessian falls below
-    ``-NONCONVEX_TOL``.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def apply(pts):
-        return np.array([f(p) for p in pts], dtype=float)
-
-    min_eig = _hessian_min_eig(points, h, lambda rows: apply(points[rows]),
-                               lambda stencil, _owners: apply(stencil))
-    skipped = ~_interior(points, h)
-    flagged = ~skipped & (min_eig < -NONCONVEX_TOL)
-    return HessianReport(points, min_eig, skipped, flagged)
 
 
 def lower_hull_contacts(t: np.ndarray, values: np.ndarray) -> np.ndarray:

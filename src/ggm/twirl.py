@@ -11,26 +11,21 @@ every element.
 Construction-time checks work on the per-party factors and never form a
 D x D matrix: group axioms compare factor by factor, and twirl residuals of
 mixtures are Frobenius norms taken through a thin QR of the moved vectors.
-Full matrices are built on demand for the dense ``twirl`` and
-``verify_invariance`` on an arbitrary density matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import NORM_TOL, DensityMatrix, PureState, SystemShape
+from .hilbert import NORM_TOL, DensityMatrix, SystemShape
 
 __all__ = [
     "LocalUnitaryElement",
     "UnitaryGroup",
-    "apply_local_unitary",
-    "twirl",
     "builtin_group",
     "verify_invariance",
     "verify_mixture_invariance",
@@ -86,12 +81,6 @@ class LocalUnitaryElement:
             frozen.append(mat)
         object.__setattr__(self, "factors", tuple(frozen))
 
-    def full_matrix(self) -> np.ndarray:
-        out = np.ones((1, 1), dtype=complex)
-        for factor in self.factors:
-            out = np.kron(out, factor)
-        return out
-
 
 def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = GROUP_TOL) -> bool:
     """Full-matrix equality up to a global phase: the reference that
@@ -143,8 +132,7 @@ class UnitaryGroup:
 
     ``stacks`` holds one (|G|, d, d) array of factors per party. The axioms
     are checked on it by :func:`_factors_equal_up_to_phase` and the group
-    acts through it, so no D x D matrix is formed; the full matrices are
-    built on first use of :meth:`full_matrices`.
+    acts through it, so no D x D matrix is formed.
     """
 
     shape: SystemShape
@@ -191,58 +179,6 @@ class UnitaryGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @functools.cached_property
-    def _full(self) -> tuple[np.ndarray, ...]:
-        return tuple(el.full_matrix() for el in self.elements)
-
-    def full_matrices(self) -> tuple[np.ndarray, ...]:
-        return self._full
-
-
-def apply_local_unitary(element: LocalUnitaryElement, target):
-    """Act with a tensor-product unitary on a PureState or DensityMatrix."""
-    if target.shape != element.shape:
-        raise ValueError("shape mismatch between unitary and target")
-    full = element.full_matrix()
-    if isinstance(target, PureState):
-        return PureState(target.shape, full @ target.amplitudes)
-    if isinstance(target, DensityMatrix):
-        return DensityMatrix(target.shape, full @ target.entries @ full.conj().T)
-    raise TypeError(f"cannot apply a local unitary to {type(target).__name__}")
-
-
-def twirl(group: UnitaryGroup, operator):
-    """Uniform group average (1/|G|) sum_g g A g^dagger.
-
-    Accepts a DensityMatrix or PureState (returned as a DensityMatrix) or a
-    raw matrix such as a cross term, returned as a plain array.
-    """
-    if isinstance(operator, PureState):
-        if operator.shape != group.shape:
-            raise ValueError("shape mismatch between group and state")
-        return DensityMatrix(group.shape, _twirl_vector(group, operator.amplitudes))
-    if isinstance(operator, DensityMatrix):
-        if operator.shape != group.shape:
-            raise ValueError("shape mismatch between group and operator")
-        return DensityMatrix(group.shape, _twirl_matrix(group, operator.entries))
-    mat = np.asarray(operator, dtype=complex)
-    expected = (group.shape.total_dim,) * 2
-    if mat.shape != expected:
-        raise ValueError(f"operator shape {mat.shape} does not match {expected}")
-    return _twirl_matrix(group, mat)
-
-
-def _twirl_vector(group, amplitudes):
-    vecs = np.stack([m @ amplitudes for m in group.full_matrices()])
-    return vecs.T @ vecs.conj() / group.order
-
-
-def _twirl_matrix(group, mat):
-    acc = np.zeros_like(mat)
-    for m in group.full_matrices():
-        acc += m @ mat @ m.conj().T
-    return acc / group.order
 
 
 def _phase_group(shape: SystemShape, order: int) -> UnitaryGroup:
@@ -320,13 +256,18 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
                       tol: float = GROUP_TOL) -> InvarianceResult:
     """Check that the twirl fixes ``rho`` to within ``tol`` (max-entry norm).
 
-    Works on full matrices, for an arbitrary density matrix; a mixture of an
-    orthonormal basis is checked in factored form by
-    :func:`verify_mixture_invariance`.
+    Works for an arbitrary density matrix, on the doubled system: the
+    row-major vec(g rho g^dagger) is (g (x) conj(g)) vec(rho), so the twirl
+    is the mean of the one D^2-long row vec(rho) moved by the stacks of g
+    and of conj(g) on dims + dims, and no D x D matrix is formed per
+    element. A mixture of an orthonormal basis is checked in factored form
+    by :func:`verify_mixture_invariance`.
     """
     if rho.shape != group.shape:
         raise ValueError("shape mismatch between group and state")
-    dev = float(np.max(np.abs(_twirl_matrix(group, rho.entries) - rho.entries)))
+    doubled = group.stacks + tuple(stack.conj() for stack in group.stacks)
+    twirled = _moved(doubled, rho.entries.reshape(1, -1)).mean(axis=0)
+    dev = float(np.max(np.abs(twirled.reshape(rho.entries.shape) - rho.entries)))
     return InvarianceResult(dev <= tol, dev)
 
 
@@ -359,17 +300,20 @@ def _mixture_rows(group: UnitaryGroup, basis, weights) -> tuple[np.ndarray, np.n
     return rows, weights
 
 
-def _moved(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
+def _moved(stacks: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
     """g|v> for every element g and row v: shape (|G|, len(rows), D).
 
-    Per block of elements, each party's stack acts on its own tensor axis,
-    moved last: one batched product per party, and no D x D matrix.
+    ``stacks`` holds one (|G|, d, d) stack of factors per party, as
+    :attr:`UnitaryGroup.stacks` does. Per block of elements, each party's
+    stack acts on its own tensor axis, moved last: one batched product per
+    party, and no D x D matrix.
     """
-    out = np.empty((group.order,) + rows.shape, dtype=complex)
+    dims = tuple(stack.shape[-1] for stack in stacks)
+    out = np.empty((len(stacks[0]),) + rows.shape, dtype=complex)
     step = max(1, _CLOSURE_BLOCK // rows.size)
-    for lo in range(0, group.order, step):
-        vec = rows.reshape((1, len(rows)) + group.shape.dims)
-        for axis, stack in enumerate(group.stacks, start=2):
+    for lo in range(0, len(out), step):
+        vec = rows.reshape((1, len(rows)) + dims)
+        for axis, stack in enumerate(stacks, start=2):
             last = np.moveaxis(vec, axis, -1)
             factors = stack[lo:lo + step].swapaxes(-1, -2)
             moved = last.reshape(len(last), -1, last.shape[-1]) @ factors
@@ -386,7 +330,7 @@ def _moved_r(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
     these rows is read from R by :func:`_twirl_residuals`.
     """
     n_moved = group.order * len(rows)
-    stacked = np.concatenate([_moved(group, rows).reshape(n_moved, -1), rows])
+    stacked = np.concatenate([_moved(group.stacks, rows).reshape(n_moved, -1), rows])
     return np.linalg.qr(stacked.T, mode="r")
 
 

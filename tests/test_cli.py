@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -9,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ggm.cli as cli_module
+import ggm.twirl as twirl_module
 from ggm.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -19,8 +20,6 @@ from ggm.cli import (
     parse_state_spec,
 )
 
-twirl_module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
-cli_module = importlib.import_module("ggm.cli")
 
 
 def write_json(path, doc):

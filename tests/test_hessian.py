@@ -1,11 +1,14 @@
-"""The batched central-difference Hessian shared by ggm_mixed and hessian_report."""
+"""The batched central-difference Hessian, ``roof._hessian_min_eig``: as
+``ggm_mixed`` drives it on a surface, and on plain functions of simplex
+points through the test-side ``helpers.hessian_report``."""
 
 import numpy as np
 import pytest
 
-from ggm import _batch, closed_form, ggm_mixed, hessian_report, rank2_symmetric
+from ggm import _batch, closed_form, ggm_mixed, rank2_symmetric
 from ggm.families import zeta_slice_family
 from ggm.roof import NONCONVEX_TOL
+from helpers import hessian_report
 
 H = 1e-3
 
@@ -39,7 +42,7 @@ def test_report_matches_rank2_second_derivative(rank2_surface):
     assert np.array_equal(evaluated, np.isfinite(rank2_surface.hessian_min_eig))
     x = grid[evaluated, 0]
     assert _median_relative_error(x, report.min_eigenvalues[evaluated]) <= 1e-5
-    assert not report.any_flagged
+    assert not report.flagged.any()
 
 
 def _recording(f, too_close):

@@ -25,7 +25,6 @@ from ggm.roof import (
     convex_envelope_2d,
     envelope_evaluator_2d,
     ggm_mixed,
-    hessian_report,
     hjw_upper_bound,
     lower_hull_contacts,
     min_phase_ggm,
@@ -34,6 +33,7 @@ from ggm.roof import (
 )
 from ggm.states import dicke, ghz
 from ggm.twirl import LocalUnitaryElement, UnitaryGroup, VerificationError, builtin_group
+from helpers import hessian_report
 
 
 def rank2_closed(x):
@@ -135,14 +135,14 @@ class TestHessianReport:
         report = hessian_report(f, pts)
         assert not report.skipped.any()
         assert np.allclose(report.min_eigenvalues, 2.0, atol=1e-4)
-        assert not report.any_flagged
+        assert not report.flagged.any()
 
     def test_saddle_flagged(self):
         def f(x):
             return float(x[0] ** 2 - x[1] ** 2)
 
         report = hessian_report(f, np.array([[0.3, 0.3]]))
-        assert report.any_flagged
+        assert report.flagged.any()
         assert report.min_eigenvalues[0] < -1.0
 
     def test_boundary_points_skipped(self):

@@ -1,11 +1,12 @@
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ggm.twirl
 from ggm import FAMILY_BUILDERS, hilbert, rank3_ghz_dicke
 from ggm.families import ghz_mixture
 from ggm.hilbert import DensityMatrix, PureState, SystemShape
@@ -21,15 +22,13 @@ from ggm.twirl import (
     _moved,
     _moved_r,
     _twirl_residuals,
-    _twirl_vector,
     _verify_family,
-    apply_local_unitary,
     builtin_group,
-    twirl,
     verify_invariance,
     verify_mixture_invariance,
     verify_preimage,
 )
+from helpers import dense_twirl, kron_all
 
 QUBITS3 = SystemShape((2, 2, 2))
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -39,6 +38,23 @@ def sector_projector_cross_term(shape, modulus, q, r):
     a = uniform_sector_state(shape, modulus, q)
     b = uniform_sector_state(shape, modulus, r)
     return np.outer(a.amplitudes, b.amplitudes.conj())
+
+
+def element_stacks(element):
+    """One single-element stack per party, in the layout of ``_moved``."""
+    return tuple(f[None] for f in element.factors)
+
+
+def act(element, state):
+    """g|psi> through ``_moved``."""
+    return _moved(element_stacks(element), state.amplitudes[None])[0, 0]
+
+
+def act_on_matrix(element, rho):
+    """g rho g^dagger through ``_moved`` on the doubled system."""
+    stacks = element_stacks(element)
+    doubled = stacks + tuple(f.conj() for f in stacks)
+    return _moved(doubled, rho.entries.reshape(1, -1))[0, 0].reshape(rho.entries.shape)
 
 
 class TestLocalUnitaryElement:
@@ -52,39 +68,33 @@ class TestLocalUnitaryElement:
 
     def test_full_matrix_order(self):
         el = LocalUnitaryElement(QUBITS3, (SIGMA_Z, np.eye(2), np.eye(2)))
-        full = el.full_matrix()
+        full = kron_all(el.factors)
         # party 0 is most significant: sign flips on indices >= 4
         assert np.allclose(np.diagonal(full), [1, 1, 1, 1, -1, -1, -1, -1])
+        # _moved acts in the same order: g on the identity rows gives g^T
+        assert np.array_equal(_moved(element_stacks(el), np.eye(8))[0], full.T)
 
 
 class TestApply:
     def test_identity(self):
         ident = LocalUnitaryElement(QUBITS3, (np.eye(2),) * 3)
         psi = dicke(3, 1)
-        assert np.allclose(apply_local_unitary(ident, psi).amplitudes, psi.amplitudes)
+        assert np.allclose(act(ident, psi), psi.amplitudes)
 
     def test_sigma_z_on_w(self):
         el = LocalUnitaryElement(QUBITS3, (SIGMA_Z,) * 3)
-        out = apply_local_unitary(el, dicke(3, 1))
-        assert np.allclose(out.amplitudes, -dicke(3, 1).amplitudes)
+        assert np.allclose(act(el, dicke(3, 1)), -dicke(3, 1).amplitudes)
 
     def test_phase_on_dicke2(self):
         # each weight-2 term picks up the phase twice
         w = np.exp(2j * np.pi / 3)
         el = LocalUnitaryElement(QUBITS3, (np.diag([1.0, w]),) * 3)
-        out = apply_local_unitary(el, dicke(3, 2))
-        assert np.allclose(out.amplitudes, w**2 * dicke(3, 2).amplitudes)
+        assert np.allclose(act(el, dicke(3, 2)), w**2 * dicke(3, 2).amplitudes)
 
     def test_density_matrix_action(self):
         el = LocalUnitaryElement(QUBITS3, (SIGMA_Z,) * 3)
         rho = dicke(3, 1).projector()
-        out = apply_local_unitary(el, rho)
-        assert np.allclose(out.entries, rho.entries)  # phases cancel in rho
-
-    def test_shape_mismatch(self):
-        el = LocalUnitaryElement(SystemShape((2, 2)), (np.eye(2),) * 2)
-        with pytest.raises(ValueError):
-            apply_local_unitary(el, dicke(3, 1))
+        assert np.allclose(act_on_matrix(el, rho), rho.entries)  # phases cancel in rho
 
 
 class TestBuiltinGroups:
@@ -158,7 +168,7 @@ class TestTwirl:
         shape = SystemShape((2, 2))
         group = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 2),))
         rho = DensityMatrix(shape, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-        assert np.allclose(twirl(group, rho).entries, rho.entries)
+        assert np.allclose(dense_twirl(group, rho.entries), rho.entries)
 
     def test_parity_cancels_cross_terms(self):
         n = 4
@@ -170,8 +180,8 @@ class TestTwirl:
         member = superpose([even, odd], [x, 1 - x], [0.0, 0.8])
         expected = x * np.outer(even.amplitudes, even.amplitudes.conj()) \
             + (1 - x) * np.outer(odd.amplitudes, odd.amplitudes.conj())
-        out = twirl(group, member)
-        assert np.max(np.abs(out.entries - expected)) < 1e-12
+        out = dense_twirl(group, member.projector().entries)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_omega_annihilates_dicke_cross_terms(self):
         n = 5
@@ -179,14 +189,14 @@ class TestTwirl:
         group = builtin_group("omega", shape)
         for q, r in [(1, 2), (0, 3), (2, 4)]:
             cross = np.outer(dicke(n, q).amplitudes, dicke(n, r).amplitudes.conj())
-            out = twirl(group, cross)
+            out = dense_twirl(group, cross)
             assert np.max(np.abs(out)) < 1e-12
 
     def test_qudit_annihilates_sector_cross_terms(self):
         shape = SystemShape((3, 3, 3))
         group = builtin_group("qudit", shape)
         for q, r in [(0, 1), (1, 2), (0, 2)]:
-            out = twirl(group, sector_projector_cross_term(shape, 3, q, r))
+            out = dense_twirl(group, sector_projector_cross_term(shape, 3, q, r))
             assert np.max(np.abs(out)) < 1e-12
 
     @pytest.mark.parametrize("kind,dims", [
@@ -204,12 +214,14 @@ class TestTwirl:
         herm = gauss + gauss.conj().T
         rho_mat = herm @ herm.conj().T
         rho = DensityMatrix(shape, rho_mat / rho_mat.trace())
-        once = twirl(group, rho)
-        twice = twirl(group, once)
-        assert np.max(np.abs(twice.entries - once.entries)) < 1e-9
-        for full in group.full_matrices():
-            comm = full @ once.entries - once.entries @ full
+        once = dense_twirl(group, rho.entries)
+        twice = dense_twirl(group, once)
+        assert np.max(np.abs(twice - once)) < 1e-9
+        for el in group.elements:
+            full = kron_all(el.factors)
+            comm = full @ once - once @ full
             assert np.max(np.abs(comm)) < 1e-9
+        assert verify_invariance(group, DensityMatrix(shape, once)).ok
 
 
 class TestVerifyInvariance:
@@ -280,6 +292,10 @@ class TestGroupKindsExported:
     def test_all_four_kinds(self):
         assert set(GROUP_KINDS) == {"parity", "omega", "zeta", "qudit"}
 
+    def test_twirl_is_the_submodule(self):
+        assert isinstance(ggm.twirl, types.ModuleType)
+        assert ggm.twirl.verify_preimage is ggm.verify_preimage
+
 
 # ---------------------------------------------------------------------------
 # Factored verification against the dense full-matrix reference
@@ -293,13 +309,6 @@ AXIOM_GROUPS = [
     builtin_group("qudit", SystemShape((2, 3))),
     ghz_mixture(3).group,
 ]
-
-
-def kron_all(factors):
-    out = np.ones((1, 1), dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 def factored_match(a, b):
@@ -321,8 +330,8 @@ def near_unitary(d, eps, seed):
 class TestFactoredAxioms:
     @pytest.mark.parametrize("group", AXIOM_GROUPS, ids=lambda g: str(g.shape.dims))
     def test_decisions_equal_reference_on_builtin_groups(self, group):
-        full = group.full_matrices()
         factors = [el.factors for el in group.elements]
+        full = [kron_all(fi) for fi in factors]
         eye = tuple(np.eye(d) for d in group.shape.dims)
         for fi, mi in zip(factors, full):
             assert factored_match(fi, eye) == _equal_up_to_phase(mi, np.eye(len(mi)))
@@ -389,7 +398,8 @@ class TestFactoredAxioms:
 def dense_residual(group, rows, coeff, weights):
     """Dense ||twirl(|psi><psi|) - sum_k w_k |b_k><b_k|||, Frobenius and max-entry."""
     target = (rows.T * weights) @ rows.conj()
-    diff = _twirl_vector(group, coeff @ rows) - target
+    psi = coeff @ rows
+    diff = dense_twirl(group, np.outer(psi, psi.conj())) - target
     return np.linalg.norm(diff), np.max(np.abs(diff))
 
 
@@ -432,7 +442,7 @@ class TestFactoredResidual:
     def test_mixture_invariance_matches_dense(self, name, group, rows, weights):
         basis = [PureState(group.shape, r) for r in rows]
         rho = DensityMatrix.mixture(basis, weights)
-        diff = twirl(group, rho).entries - rho.entries
+        diff = dense_twirl(group, rho.entries) - rho.entries
         result = verify_mixture_invariance(group, basis, weights)
         assert abs(result.max_deviation - np.linalg.norm(diff)) <= 1e-12
         assert result.max_deviation >= verify_invariance(group, rho).max_deviation - 1e-15
@@ -441,8 +451,27 @@ class TestFactoredResidual:
     @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
                              ids=[c[0] for c in family_cases()])
     def test_moved_rows_match_full_matrices(self, name, group, rows, weights):
-        dense = np.stack([rows @ m.T for m in group.full_matrices()])
-        assert np.max(np.abs(_moved(group, rows) - dense)) <= 1e-14
+        dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
+        assert np.max(np.abs(_moved(group.stacks, rows) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+                             ids=[c[0] for c in family_cases()])
+    def test_verify_invariance_matches_dense(self, name, group, rows, weights):
+        # the family target at seeded weights, then a random projector, which
+        # no group but the trivial one fixes
+        rng = np.random.default_rng(31)
+        basis = [PureState(group.shape, r) for r in rows]
+        targets = [DensityMatrix.mixture(basis, w)
+                   for w in rng.dirichlet(np.ones(len(weights)), size=5)]
+        amps = rng.standard_normal(rows.shape[1]) + 1j * rng.standard_normal(rows.shape[1])
+        projector = PureState(group.shape, amps / np.linalg.norm(amps)).projector()
+        for rho in targets + [projector]:
+            dense = np.max(np.abs(dense_twirl(group, rho.entries) - rho.entries))
+            result = verify_invariance(group, rho)
+            assert abs(result.max_deviation - dense) <= 1e-15
+            assert result.ok == (rho is not projector or name == "broken")
+        if name != "broken":
+            assert result.max_deviation > 1e-3
 
     def test_moved_rows_on_mixed_dimensions(self, monkeypatch):
         # powers of a non-diagonal generator of order 6 on a 2 x 3 x 4 system
@@ -453,14 +482,13 @@ class TestFactoredResidual:
             for k in range(6)))
         rng = np.random.default_rng(29)
         rows = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
-        dense = np.stack([rows @ m.T for m in group.full_matrices()])
-        whole = _moved(group, rows)
+        dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
+        whole = _moved(group.stacks, rows)
         assert np.max(np.abs(whole - dense)) <= 1e-14
         # element blocks of 4 and 2, then one element at a time
-        module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
         for entries in (4 * rows.size, 1):
-            monkeypatch.setattr(module, "_CLOSURE_BLOCK", entries)
-            assert np.array_equal(_moved(group, rows), whole)
+            monkeypatch.setattr(ggm.twirl, "_CLOSURE_BLOCK", entries)
+            assert np.array_equal(_moved(group.stacks, rows), whole)
 
     def test_invariance_failure_matches_dense(self):
         group = builtin_group("parity", QUBITS3)
@@ -487,15 +515,14 @@ class TestFactoredResidual:
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_construction_moves_the_basis_once(self, name, monkeypatch):
-        module = importlib.import_module("ggm.twirl")  # ggm.twirl is the function
         calls = []
-        original = module._moved
+        original = ggm.twirl._moved
 
-        def counting(group, rows):
+        def counting(*args):
             calls.append(1)
-            return original(group, rows)
+            return original(*args)
 
-        monkeypatch.setattr(module, "_moved", counting)
+        monkeypatch.setattr(ggm.twirl, "_moved", counting)
         family = FAMILY_BUILDERS[name]()
         assert len(calls) == 1
         # the shared R gives the deviations of the two separate checks, bit for bit
@@ -513,8 +540,5 @@ class TestFactoredResidual:
             original(self)
 
         monkeypatch.setattr(hilbert.DensityMatrix, "__post_init__", counting)
-        fam = rank3_ghz_dicke(10)
-        assert "_full" not in vars(fam.group)
+        rank3_ghz_dicke(10)
         assert built == []
-        fam.group.full_matrices()
-        assert "_full" in vars(fam.group)

@@ -1,8 +1,10 @@
 """Print the sha256 of each reference figure's CSV, one ``sha256  argv`` line a run,
-then of decomposition-sampler bounds and pure-state values.
+then of ``ggm verify-group`` reports, decomposition-sampler bounds and
+pure-state values.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change keeps
-every figure, every sampler bound and every pure value byte-identical:
+every figure, every group verification, every sampler bound and every pure
+value byte-identical:
 
     python3 tools/figure_digests.py > digests.txt
 """
@@ -10,6 +12,7 @@ every figure, every sampler bound and every pure value byte-identical:
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -27,6 +30,19 @@ from ggm.cli import main  # noqa: E402
 # that no reduced grid samples.
 RUNS = ("1", "4", "2 --grid 41", "3 --grid 61", "5 --grid 31", "6 --grid 21",
         "7 --grid 41", "8 --grid 41", "2", "3", "5", "6", "7", "8")
+
+# verify-group runs: each built-in group kind against a family it fixes.
+VERIFY_RUNS = {
+    "parity rank2_symmetric": ({"kind": "parity", "dims": [2] * 3},
+                               {"family": "rank2_symmetric"}),
+    **{f"omega rank3_ghz_dicke({n})": ({"kind": "omega", "dims": [2] * n},
+                                       {"family": "rank3_ghz_dicke",
+                                        "args": {"n_parties": n}})
+       for n in (5, 6, 7)},
+    "zeta zeta_family": ({"kind": "zeta", "dims": [2] * 3}, {"family": "zeta_family"}),
+    "qudit qutrit_sector_family": ({"kind": "qudit", "dims": [3] * 3},
+                                   {"family": "qutrit_sector_family"}),
+}
 
 # hjw_upper_bound targets: the benchmark's two, whose eigenbases have no
 # party swaps, and rank3_ghz_dicke(5), whose eigenbases often have some, so
@@ -52,6 +68,16 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"figure {run} failed")
         sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
         print(f"{sha}  figure {run}", flush=True)
+
+    for name, docs in VERIFY_RUNS.items():
+        group, family, out = (os.path.join(tmp, f) for f in ("group.json", "family.json",
+                                                              "verify.txt"))
+        for path, doc in zip((group, family), docs):
+            Path(path).write_text(json.dumps(doc))
+        if main(["verify-group", group, "--family", family, "--out", out]) != 0:
+            sys.exit(f"verify-group {name} failed")
+        sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        print(f"{sha}  verify-group {name}", flush=True)
 
 for seed, (name, build) in enumerate(BOUND_TARGETS.items()):
     family = build()
