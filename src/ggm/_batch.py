@@ -44,16 +44,13 @@ def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The cut table: ``masks`` grouped by matricization shape.
+    """``masks`` grouped by matricization shape, for :func:`_support_groups`.
 
-    ``(shape, columns, index)`` entries per shape (dim_small, dim_big), in
-    increasing order of shape, so small Grams come first (see
-    :func:`_top_squares`): ``columns`` are the positions in ``masks`` of the
-    entry's cuts and ``index[m, r, c]`` is the flat amplitude index of entry
-    (r, c) of cut m's matricization, rows on its smaller side (side I on a
-    tie). A shape's cuts are split into chunks of at most ``_BLOCK_ENTRIES``
-    matrix entries, so a block's temporaries stay that small even where one
-    row holds more (a 10-qubit row holds 8 times as many).
+    ``(shape, columns, index)`` per shape (dim_small, dim_big), in
+    increasing order of shape: ``columns`` are the positions in ``masks`` of
+    the shape's cuts and ``index[m, r, c]`` is the flat amplitude index of
+    entry (r, c) of cut m's matricization, rows on its smaller side (side I
+    on a tie).
     """
     flat = np.arange(math.prod(dims)).reshape(dims)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
@@ -67,16 +64,101 @@ def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, 
         columns, index = groups.setdefault(shape, ([], []))
         columns.append(column)
         index.append(flat.transpose(small + big).reshape(shape))
-    table = []
-    for shape, (columns, index) in sorted(groups.items()):
-        # Cached and shared by every caller, so frozen.
-        columns, index = np.array(columns), np.stack(index)
-        columns.setflags(write=False)
-        index.setflags(write=False)
-        chunk = max(1, _BLOCK_ENTRIES // math.prod(shape))
-        table.extend((shape, columns[lo:lo + chunk], index[lo:lo + chunk])
-                     for lo in range(0, columns.size, chunk))
-    return tuple(table)
+    return tuple((shape, _frozen(np.array(columns)), _frozen(np.stack(index)))
+                 for shape, (columns, index) in sorted(groups.items()))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, read-only: cached tables are shared by every caller."""
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_plan(dims: tuple[int, ...]) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """How :func:`schmidt_sq_matrix` forms the Gram of every canonical cut.
+
+    A cut's Gram on its smaller side S (side I on a tie) is the reduced
+    state rho_S of the row, and rho_S = Tr_p rho_{S + p} for every party p
+    outside S. Sides are planned from the largest dimension down: a side
+    with a planned one-party superset is traced from it, over the party of
+    smallest dimension (the lowest one on a tie), and any other side is a
+    root, gathered from the amplitudes.
+
+    Returns ``(groups, order)``. A group is ``(rows, columns, parent,
+    index)``: its cuts sit at ``columns`` of :func:`canonical_cut_masks`
+    and their Grams have ``rows`` rows, in the layout of :func:`_gram`. A
+    root group (``parent`` None) holds its sides' matricizations,
+    ``index[m, r, c]`` being the flat amplitude index of entry (r, c) of
+    cut m's, rows on S. A traced group takes its Grams from the group at
+    position ``parent``, whose Grams all have ``rows * d_p`` rows (more
+    than 3, so they are the real views of full complex matrices): the
+    Grams are the sum over the traced party's values a of the gathers
+    ``index[a]`` (see :func:`_trace_index`). Parents precede their
+    children, and ``order`` lists the groups in increasing Gram rows.
+    """
+    n, total = len(dims), math.prod(dims)
+
+    def size(side):
+        return math.prod(dims[p] for p in range(n) if side >> p & 1)
+
+    sides = [mask if size(mask) ** 2 <= total else mask ^ ((1 << n) - 1)
+             for mask in canonical_cut_masks(dims)]
+    columns = {side: column for column, side in enumerate(sides)}
+    flat = np.arange(total).reshape(dims)
+    keys: dict[tuple, int] = {}
+    groups: list[tuple[int, list, int | None, list]] = []
+    placed: dict[int, tuple[int, int]] = {}  # side -> (group, position in it)
+    # sorted is stable: sides of one size keep the enumeration order
+    for side in sorted(sides, key=size, reverse=True):
+        rows = size(side)
+        outside = [p for p in range(n) if not side >> p & 1]
+        traced = [(dims[p], p) for p in outside if side | 1 << p in placed]
+        if traced:
+            d_p, party = min(traced)
+            parent, position = placed[side | 1 << party]
+            key = (parent, rows, d_p)
+            entry = _trace_index(dims, side, party, position)
+        else:
+            key = (None, rows, None)
+            inside = [p for p in range(n) if side >> p & 1]
+            entry = flat.transpose(inside + outside).reshape(rows, -1)
+        if key not in keys:
+            keys[key] = len(groups)
+            groups.append((rows, [], key[0], []))
+        group = groups[keys[key]]
+        placed[side] = (keys[key], len(group[1]))
+        group[1].append(columns[side])
+        group[3].append(entry)
+    plan = tuple((rows, _frozen(np.array(members)), parent,
+                  _frozen(np.stack(entries, axis=0 if parent is None else 1)))
+                 for rows, members, parent, entries in groups)
+    return plan, tuple(sorted(range(len(plan)), key=lambda g: plan[g][0]))
+
+
+def _trace_index(dims: tuple[int, ...], side: int, party: int,
+                 position: int) -> np.ndarray:
+    """Gather index of the Gram of ``side`` from the one of ``side`` plus
+    ``party``, at ``position`` in a stack of such Grams: shape (d_party,
+    entries), row a for ``party`` at value a.
+
+    A Gram of more than 3 rows is gathered as complex entries from the
+    stack's complex view, row-major (the real view of the result is its
+    layout, and a complex gather is about twice as fast as gathering its
+    reals); a packed one as its reals (see :func:`_packed_reals`) from the
+    stack's real view.
+    """
+    parties = [p for p in range(len(dims)) if (side | 1 << party) >> p & 1]
+    rows_t = math.prod(dims[p] for p in parties)
+    parent_rows = np.arange(rows_t).reshape([dims[p] for p in parties])
+    index = []
+    for a in range(dims[party]):
+        t = parent_rows.take(a, axis=parties.index(party)).reshape(-1)
+        entry = (position * rows_t * rows_t + t[:, None] * rows_t + t).reshape(-1)
+        if t.size <= 3:
+            entry = (2 * entry[:, None] + np.arange(2)).reshape(-1)[_packed_reals(t.size)]
+        index.append(entry)
+    return np.stack(index)
 
 
 def _eigmax_herm(gram: np.ndarray) -> np.ndarray:
@@ -115,8 +197,7 @@ def _packed_reals(rows: int) -> np.ndarray:
     index = np.array([2 * i * (rows + 1) for i in range(rows)]
                      + [2 * (i * rows + i + d) + part for d in range(1, rows)
                         for i in range(rows - d) for part in (0, 1)])
-    index.setflags(write=False)  # cached, so frozen
-    return index
+    return _frozen(index)
 
 
 def _pack(full: np.ndarray) -> np.ndarray:
@@ -229,7 +310,7 @@ def _gram(mats: np.ndarray) -> np.ndarray:
 
 # A Gram of more than 3 rows whose Frobenius norm falls below the row's
 # running maximum by more than this skips the top eigenvalue (see
-# _top_squares). It exceeds pure.TIE_TOL plus the rounding of the bound and
+# _store_tops). It exceeds pure.TIE_TOL plus the rounding of the bound and
 # of eigvalsh, a few d * eps for a unit-trace Gram of d rows, so no cut
 # within TIE_TOL of the maximum is skipped.
 _PRUNE_SLACK = 1e-8
@@ -240,7 +321,14 @@ def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
 
     With a running maximum ``best`` (...), a Gram of more than 3 rows whose
     Frobenius norm falls below its row's ``best - _PRUNE_SLACK`` skips the
-    top eigenvalue and holds that norm instead.
+    top eigenvalue and holds that norm instead. Only there is the norm one
+    dot product of the Gram's reals, the real view of the full matrix; a
+    packed Gram holds one triangle, so the same dot would fall short of
+    ||G||_F and skip cuts that reach the maximum. A correct bound for 2 or
+    3 rows would let about 70% of the rank-5 sampler's 3x3 closed forms be
+    skipped, but the norm and the subset cost as much as the closed form
+    (55.1 against 55.2 ms per sampler bound), so those sizes are never
+    skipped.
     """
     if best is None or gram.shape[-1] <= 9:
         return _eigmax_herm(gram)
@@ -254,22 +342,15 @@ def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
     return tops
 
 
-def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices, *,
-                 max_only: bool = False) -> np.ndarray:
-    """Top squared Schmidt coefficient per row and per cut, clipped to [0, 1].
-
-    ``groups`` holds one ``(shape, columns, operand)`` per matrix shape and
-    ``matrices(block, operand)`` turns a row block into that group's
-    matrices; output column ``columns[m]`` holds the group's cut m. Rows are
-    blocked by ``_BLOCK_ENTRIES`` matrix entries (one row at least, however
-    many it holds; the cut table's chunks bound each group) and each is
-    computed on its own, so the result does not depend on the blocking.
+def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
+    """Write the top eigenvalue of each ``(columns, gram)`` of ``grams``, in
+    order, into ``out[:, columns]``.
 
     With ``max_only`` the caller reads only the row maximum and the cuts
-    within ``pure.TIE_TOL`` of it. The groups come in increasing order of
-    Gram rows, so the closed forms of 2 and 3 rows set a running maximum
-    ``best`` per row first. A Gram G of more than 3 rows is PSD, so its
-    top eigenvalue obeys lambda_max^2 <= sum_i lambda_i^2 = ||G||_F^2; a cut
+    within ``pure.TIE_TOL`` of it. The Grams come in increasing order of
+    rows, so the closed forms of 2 and 3 rows set a running maximum
+    ``best`` per row first. A Gram G of more than 3 rows is PSD, so its top
+    eigenvalue obeys lambda_max^2 <= sum_i lambda_i^2 = ||G||_F^2; a cut
     with ||G||_F < best - ``_PRUNE_SLACK`` cannot reach the maximum and
     skips ``eigvalsh``, its entry holding the bound ||G||_F instead. A cut
     within ``TIE_TOL`` of the maximum has ||G||_F >= max - TIE_TOL - (a few
@@ -278,20 +359,73 @@ def _top_squares(rows: np.ndarray, groups: tuple[tuple, ...], matrices, *,
     the stack (on the stack itself when nothing is skipped): the maximum
     and the cuts that attain it keep their bits (see :func:`_tops`).
     """
-    out = np.empty((rows.shape[0], sum(columns.size for _, columns, _ in groups)))
+    best = None
+    for columns, gram in grams:
+        tops = _tops(gram, best)
+        out[:, columns] = tops
+        if max_only:
+            top = tops.max(axis=1)
+            best = top if best is None else np.maximum(best, top)
+
+
+def _top_squares(coeff: np.ndarray, groups: tuple[tuple, ...], *,
+                 max_only: bool = False) -> np.ndarray:
+    """Top squared Schmidt coefficient per coefficient row and per cut,
+    clipped to [0, 1].
+
+    ``groups`` holds the ``(shape, columns, operand)`` of
+    :func:`_support_groups`, in increasing order of shape: a row block's
+    matrices of a group are ``_combine(block, operand)``, and output column
+    ``columns[m]`` holds the group's cut m. Rows are blocked by
+    ``_BLOCK_ENTRIES`` matrix entries (one row at least) and each is
+    computed on its own, so the result does not depend on the blocking.
+    ``max_only`` is that of :func:`_store_tops`.
+    """
+    out = np.empty((coeff.shape[0], sum(columns.size for _, columns, _ in groups)))
     row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
     step = max(1, _BLOCK_ENTRIES // row_entries)
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
-        best = None
-        for shape, columns, operand in groups:
-            mats = matrices(block, operand).reshape((block.shape[0], columns.size) + shape)
-            tops = _tops(_gram(mats), best)
-            out[start:start + step, columns] = tops
-            if max_only:
-                top = tops.max(axis=1)
-                best = top if best is None else np.maximum(best, top)
+    for start in range(0, coeff.shape[0], step):
+        block = coeff[start:start + step]
+        _store_tops(out[start:start + step], (
+            (columns, _gram(_combine(block, operand).reshape(
+                (block.shape[0], columns.size) + shape)))
+            for shape, columns, operand in groups), max_only)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _root_grams(block: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Grams of a root group (see :func:`_reduced_plan`) of the amplitude
+    rows ``block``.
+
+    The matricizations are gathered in chunks of about ``_BLOCK_ENTRIES /
+    4`` entries (one cut at least), so the temporaries stay small even where
+    one row holds more (a 10-qubit row gathers 129,024 amplitudes), and
+    their Grams are written into one array. On the benchmark's 10-qubit
+    states, chunks of ``_BLOCK_ENTRIES``, or chunk Grams concatenated at the
+    end, made many calls page-fault about 900 times each, as the heap grew
+    and was trimmed again, and such calls took up to twice as long.
+    """
+    step = max(1, (_BLOCK_ENTRIES >> 2) // (block.shape[0] * index[0].size))
+    rows = index.shape[1]
+    out = np.empty((block.shape[0], len(index), rows * rows * (1 if rows <= 3 else 2)))
+    for lo in range(0, len(index), step):
+        # np.take, about twice as fast as an index on the second axis
+        out[:, lo:lo + step] = _gram(np.take(block, index[lo:lo + step], axis=1))
+    return out
+
+
+def _traced_grams(parent: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """Grams of ``rows`` rows of a traced group (see :func:`_reduced_plan`)
+    from its parent group's Grams ``parent`` (rows, cuts, reals): one
+    gather per value of the traced party, summed in order by explicit adds
+    (a ``sum`` over a short axis is many times slower)."""
+    source = parent.reshape(parent.shape[0], -1)
+    if rows > 3:
+        source = source.view(complex)
+    gram = np.take(source, index[0], axis=1)
+    for part in index[1:]:
+        gram += np.take(source, part, axis=1)
+    return gram.view(float)
 
 
 def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...], *,
@@ -299,13 +433,29 @@ def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...], *,
     """Top squared Schmidt coefficient of every row across every cut.
 
     ``amps`` has shape (K, total_dim); returns shape (K, n_cuts), clipped
-    to [0, 1], columns in enumeration order. The result does not depend on
-    how rows are blocked. With ``max_only``, only the row maximum and the cuts within
-    ``pure.TIE_TOL`` of it are exact; see :func:`_top_squares`.
+    to [0, 1], columns in enumeration order. A cut's Gram on its smaller
+    side is the row's reduced state there, so only the root sides of
+    :func:`_reduced_plan` are gathered from the amplitudes
+    (:func:`_root_grams`); every other side is a partial trace of a larger
+    side's Gram (:func:`_traced_grams`). Rows are blocked by
+    ``_BLOCK_ENTRIES`` gathered amplitudes (one row at least), and every
+    step is per row, so the result does not depend on the blocking. With
+    ``max_only``, only the row maximum and the cuts within ``pure.TIE_TOL``
+    of it are exact; see :func:`_store_tops`.
     """
-    dims = tuple(dims)
-    return _top_squares(amps, _gram_groups(dims, canonical_cut_masks(dims)),
-                        lambda block, index: block[:, index], max_only=max_only)
+    groups, order = _reduced_plan(tuple(dims))
+    out = np.empty((amps.shape[0], sum(columns.size for _, columns, _, _ in groups)))
+    gathered = sum(index.size for _, _, parent, index in groups if parent is None)
+    step = max(1, _BLOCK_ENTRIES // gathered)
+    for start in range(0, amps.shape[0], step):
+        block = amps[start:start + step]
+        grams = []
+        for rows, _, parent, index in groups:
+            grams.append(_root_grams(block, index) if parent is None
+                         else _traced_grams(grams[parent], index, rows))
+        _store_tops(out[start:start + step], ((groups[g][1], grams[g]) for g in order),
+                    max_only)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # Singular values of a cut's joint support at or below this are dropped.
@@ -430,7 +580,7 @@ class PhaseObjective:
 
         The result does not depend on how rows are blocked.
         """
-        return 1.0 - _top_squares(coeff, self._groups, _combine, max_only=True).max(axis=1)
+        return 1.0 - _top_squares(coeff, self._groups, max_only=True).max(axis=1)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""

@@ -76,11 +76,12 @@ def max_schmidt_sq(state: PureState, cut: Bipartition) -> float:
 def ggm_pure(state: PureState) -> GgmReport:
     """Sweep all canonical bipartitions and report the measure.
 
-    One call of the batched Schmidt kernel shared with the mixed pipeline
-    covers every cut, skipping the top eigenvalue of each cut that provably
-    cannot reach the maximum (see ``_batch._top_squares``); no symmetry
-    reduction is attempted. ``per_cut`` is computed on first access by the
-    full kernel. Returns a :class:`GgmReport`; ``value`` lies in
+    One call of the batched Schmidt kernel covers every cut: it gathers
+    only the largest reduced states and traces the others from them (see
+    ``_batch.schmidt_sq_matrix``), and skips the top eigenvalue of each cut
+    that provably cannot reach the maximum (see ``_batch._store_tops``); no
+    symmetry reduction is attempted. ``per_cut`` is computed on first
+    access by the full kernel. Returns a :class:`GgmReport`; ``value`` lies in
     ``[0, 1 - 1/min_i d_i]`` and ties among maximizing cuts are reported in
     full.
     """

@@ -260,14 +260,20 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
     row-major vec(g rho g^dagger) is (g (x) conj(g)) vec(rho), so the twirl
     is the mean of the one D^2-long row vec(rho) moved by the stacks of g
     and of conj(g) on dims + dims, and no D x D matrix is formed per
-    element. A mixture of an orthonormal basis is checked in factored form
-    by :func:`verify_mixture_invariance`.
+    element. The moved rows are summed block by block of elements, so a
+    few copies of rho are held at once, not one per element. A mixture of
+    an orthonormal basis is checked in factored form by
+    :func:`verify_mixture_invariance`.
     """
     if rho.shape != group.shape:
         raise ValueError("shape mismatch between group and state")
     doubled = group.stacks + tuple(stack.conj() for stack in group.stacks)
-    twirled = _moved(doubled, rho.entries.reshape(1, -1)).mean(axis=0)
-    dev = float(np.max(np.abs(twirled.reshape(rho.entries.shape) - rho.entries)))
+    row = rho.entries.reshape(1, -1)
+    total = np.zeros_like(row)
+    for elements in _element_blocks(group.order, row):
+        total += _moved_block(doubled, row, elements).sum(axis=0)
+    total /= group.order
+    dev = float(np.max(np.abs(total.reshape(rho.entries.shape) - rho.entries)))
     return InvarianceResult(dev <= tol, dev)
 
 
@@ -300,25 +306,39 @@ def _mixture_rows(group: UnitaryGroup, basis, weights) -> tuple[np.ndarray, np.n
     return rows, weights
 
 
-def _moved(stacks: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """g|v> for every element g and row v: shape (|G|, len(rows), D).
+def _element_blocks(order: int, rows: np.ndarray) -> list[slice]:
+    """Blocks of the elements of a group of ``order`` that move ``rows`` in
+    about ``_CLOSURE_BLOCK`` entries, one element at least."""
+    step = max(1, _CLOSURE_BLOCK // rows.size)
+    return [slice(lo, lo + step) for lo in range(0, order, step)]
+
+
+def _moved_block(stacks: tuple[np.ndarray, ...], rows: np.ndarray,
+                 elements: slice) -> np.ndarray:
+    """g|v> for the ``elements`` g of ``stacks`` and every row v: shape
+    (elements, len(rows), D).
 
     ``stacks`` holds one (|G|, d, d) stack of factors per party, as
-    :attr:`UnitaryGroup.stacks` does. Per block of elements, each party's
-    stack acts on its own tensor axis, moved last: one batched product per
-    party, and no D x D matrix.
+    :attr:`UnitaryGroup.stacks` does. Each party's stack acts on its own
+    tensor axis, moved last: one batched product per party, and no D x D
+    matrix.
     """
     dims = tuple(stack.shape[-1] for stack in stacks)
+    vec = rows.reshape((1, len(rows)) + dims)
+    for axis, stack in enumerate(stacks, start=2):
+        last = np.moveaxis(vec, axis, -1)
+        factors = stack[elements].swapaxes(-1, -2)
+        moved = last.reshape(len(last), -1, last.shape[-1]) @ factors
+        vec = np.moveaxis(moved.reshape((len(moved),) + last.shape[1:]), -1, axis)
+    return vec.reshape((len(vec),) + rows.shape)
+
+
+def _moved(stacks: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """g|v> for every element g and row v: shape (|G|, len(rows), D), by
+    blocks of elements (:func:`_moved_block`)."""
     out = np.empty((len(stacks[0]),) + rows.shape, dtype=complex)
-    step = max(1, _CLOSURE_BLOCK // rows.size)
-    for lo in range(0, len(out), step):
-        vec = rows.reshape((1, len(rows)) + dims)
-        for axis, stack in enumerate(stacks, start=2):
-            last = np.moveaxis(vec, axis, -1)
-            factors = stack[lo:lo + step].swapaxes(-1, -2)
-            moved = last.reshape(len(last), -1, last.shape[-1]) @ factors
-            vec = np.moveaxis(moved.reshape((len(moved),) + last.shape[1:]), -1, axis)
-        out[lo:lo + step] = vec.reshape((len(vec),) + rows.shape)
+    for elements in _element_blocks(len(out), rows):
+        out[elements] = _moved_block(stacks, rows, elements)
     return out
 
 

@@ -67,6 +67,20 @@ class TestKernelAgainstPerCutReference:
         for cut, value in ggm_pure(psi).per_cut.items():
             assert abs(value - max_schmidt_sq(psi, cut)) < 1e-12
 
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 2, 3), (4, 2, 2), (5, 2, 2), (2, 3, 4, 5),
+                                      (3,) * 4, (3,) * 6] + [(2,) * n for n in range(3, 11)],
+                             ids=str)
+    def test_reduced_states_on_unequal_and_tied_sides(self, dims):
+        # roots and traced sides of every size, traced parties of unequal
+        # dimension, and sides that tie with their complement
+        shape = SystemShape(dims)
+        amps = random_amplitudes(np.random.default_rng([len(dims), *dims]), dims, rows=2)
+        matrix = _batch.schmidt_sq_matrix(amps, dims)
+        for row in range(2):
+            psi = PureState(shape, amps[row])
+            reference = [max_schmidt_sq(psi, cut) for cut in enumerate_bipartitions(shape)]
+            assert np.max(np.abs(matrix[row] - reference)) < 1e-13
+
     def test_matrix_columns_follow_enumeration_order(self):
         rng = np.random.default_rng(4)
         dims = (2, 3, 2, 2)
@@ -88,7 +102,8 @@ class TestKernelAgainstPerCutReference:
 
 
 class TestRowBlocking:
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4)], ids=str)
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5, (3, 3, 3), (2, 3, 4), (2,) * 8,
+                                      (2, 3, 4, 5), (5, 2, 2)], ids=str)
     def test_bit_identical_whatever_the_blocking(self, dims, monkeypatch):
         amps = random_amplitudes(np.random.default_rng(8), dims, rows=700)
         results = []
@@ -102,24 +117,68 @@ class TestRowBlocking:
 
     @pytest.mark.parametrize("dims", [(2,) * 10, (2,) * 8, (2,) * 6, (3,) * 6], ids=str)
     def test_cut_table_chunks_change_no_bit(self, dims, monkeypatch):
-        # a 10-qubit row holds 8x _BLOCK_ENTRIES; each shape's cuts are split
-        # into chunks of at most _BLOCK_ENTRIES entries per row
+        # The cut table of the compressed blocks holds one entry per
+        # matricization shape. The pure kernel gathers its root
+        # matricizations in chunks of about _BLOCK_ENTRIES / 4 entries per
+        # row block (a 10-qubit row gathers about 2x 2^16), so at 2^6 every
+        # root is gathered alone.
         amps = random_amplitudes(np.random.default_rng(10), dims, rows=3)
         masks = _batch.canonical_cut_masks(dims)
-        results = []
-        for entries in (1 << 16, 1 << 9):
+        table = _batch._gram_groups(dims, masks)
+        assert len(table) == len({shape for shape, _, _ in table})
+        assert sorted(np.concatenate([c for _, c, _ in table])) == list(range(len(masks)))
+        groups, _ = _batch._reduced_plan(dims)
+        roots = [index for _, _, parent, index in groups if parent is None]
+        original = _batch._gram
+        results, grams = [], []
+        for entries in (1 << 16, 1 << 6):
             monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-            _batch._gram_groups.cache_clear()
-            table = _batch._gram_groups(dims, masks)
-            assert all(columns.size == 1 or columns.size * math.prod(shape) <= entries
-                       for shape, columns, _ in table)
-            assert sorted(np.concatenate([c for _, c, _ in table])) == list(range(len(masks)))
+            calls = []
+            monkeypatch.setattr(_batch, "_gram", lambda mats: calls.append(1) or original(mats))
             results.append([_batch.schmidt_sq_matrix(amps, dims, max_only=only)
                             for only in (False, True)])
-        _batch._gram_groups.cache_clear()
-        assert len(table) > len({shape for shape, _, _ in table})
+            grams.append(len(calls))
+        # 2^6 / 4 entries hold less than one root matricization of these shapes
+        assert all(index[0].size > (1 << 6) >> 2 for index in roots)
+        assert grams[1] == 2 * 3 * sum(len(index) for index in roots) > grams[0]
         for chunked, whole in zip(*results):
             assert np.array_equal(chunked, whole)
+
+
+class TestReducedPlan:
+    """Which sides the pure kernel gathers and which it traces."""
+
+    @pytest.mark.parametrize("dims, roots, traced", [
+        ((2,) * 8, 35, 92), ((2,) * 10, 126, 385), ((3,) * 6, 10, 21), ((2, 3, 4, 5), 3, 4),
+        ((2,) * 6, 10, 21), ((3,) * 4, 3, 4), ((5, 2, 2), 1, 2), ((2, 2, 3), 3, 0),
+    ], ids=str)
+    def test_roots_and_traced_sides(self, dims, roots, traced):
+        groups, order = _batch._reduced_plan(dims)
+        sizes = [(parent is None, columns.size) for _, columns, parent, _ in groups]
+        assert sum(n for root, n in sizes if root) == roots
+        assert sum(n for root, n in sizes if not root) == traced
+        columns = np.concatenate([columns for _, columns, _, _ in groups])
+        assert sorted(columns) == list(range(len(_batch.canonical_cut_masks(dims))))
+        for g, (rows, _, parent, index) in enumerate(groups):
+            if parent is None:
+                assert index.shape[1:] == (rows, math.prod(dims) // rows)
+            else:
+                assert parent < g and groups[parent][0] == rows * index.shape[0]
+        assert [groups[g][0] for g in order] == sorted(rows for rows, _, _, _ in groups)
+
+    def test_gathered_amplitudes(self):
+        # every root gathers the whole row: 35 x 256 and 126 x 1024
+        for dims, gathered in (((2,) * 8, 8960), ((2,) * 10, 129024)):
+            groups, _ = _batch._reduced_plan(dims)
+            assert sum(index.size for _, _, parent, index in groups if parent is None) == gathered
+
+    def test_traced_over_the_smallest_party(self):
+        # on 2 x 3 x 4 x 5 the side {0} has the planned supersets {0, 1},
+        # {0, 2} and {0, 3}, and is traced from {0, 1} over party 1 (d = 3)
+        groups, _ = _batch._reduced_plan((2, 3, 4, 5))
+        (child,) = [g for g in groups if 0 in g[1]]
+        assert child[0] == 2 and child[3].shape[0] == 3
+        assert 1 in groups[child[2]][1]
 
 
 def bell_pairs(n, pairs, extra=None):
@@ -188,7 +247,7 @@ def support_squares(basis, dims, coeff):
     dims = tuple(dims)
     groups = _batch._support_groups(np.asarray(basis, dtype=complex), dims,
                                     _batch.canonical_cut_masks(dims))
-    return _batch._top_squares(coeff, groups, _batch._combine)
+    return _batch._top_squares(coeff, groups)
 
 
 class TestCutPruning:
@@ -219,6 +278,34 @@ class TestCutPruning:
     def test_ghz_and_w(self, n):
         self.assert_matches_full_row(ghz(n))
         self.assert_matches_full_row(dicke(n, 1))
+
+    @pytest.mark.parametrize("psi", [
+        ghz(4), ghz(7), ghz(10), ghz(3, d=3), ghz(4, d=3),
+        bell_pairs(6, [(0, 3), (1, 4), (2, 5)]), bell_pairs(8, [(0, 1), (2, 5), (3, 7), (4, 6)]),
+        bell_pairs(7, [(0, 6), (1, 2)], extra=[0.6, 0.8]),
+    ], ids=lambda psi: str(psi.shape.dims))
+    def test_tied_cuts(self, psi):
+        # many cuts tie at the maximum, so the bound skips none of them
+        report = self.assert_matches_full_row(psi)
+        assert len(report.maximizing_cuts) > 1
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (5, 2, 2), (2,) * 8, (3,) * 4], ids=str)
+    def test_product_states(self, dims):
+        # every cut ties at 1
+        rng = np.random.default_rng(sum(dims))
+        amps = np.ones(1)
+        for d in dims:
+            amps = np.kron(amps, random_amplitudes(rng, (d,)))
+        report = self.assert_matches_full_row(PureState(SystemShape(dims), amps))
+        assert len(report.maximizing_cuts) == 2 ** (len(dims) - 1) - 1
+        assert abs(report.value) < 1e-14
+
+    @pytest.mark.parametrize("dims", [(5, 2, 2), (2, 2, 3), (4, 2, 2), (2,) * 9], ids=str)
+    def test_random_states_of_more_shapes(self, dims):
+        rng = np.random.default_rng(sum(dims) + 200)
+        for _ in range(6):
+            self.assert_matches_full_row(
+                PureState(SystemShape(dims), random_amplitudes(rng, dims)))
 
     def test_maximum_only_on_a_four_row_gram(self):
         # Bell pairs on (0, 2) and (1, 3): only the cut {0, 2} | {1, 3} is
@@ -285,6 +372,35 @@ class TestCutPruning:
         with pytest.raises(TypeError):
             per_cut[enumerate_bipartitions(psi.shape)[0]] = 0.0
 
+    @pytest.mark.parametrize("rows", range(4, 33))
+    def test_skipped_cuts_hold_an_upper_bound(self, rows):
+        # whatever _tops stores in place of a skipped top eigenvalue is at
+        # least that eigenvalue, on random unit-trace PSD Grams of every rank
+        rng = np.random.default_rng(rows)
+        grams = []
+        for rank in range(1, rows + 1, max(1, rows // 6)):
+            mats = random_amplitudes(rng, (rows, rank), rows=8).reshape(8, rows, rank)
+            grams.append(mats @ mats.conj().swapaxes(-1, -2))
+        full = np.concatenate(grams)
+        gram = _batch._pack(full / np.trace(full, axis1=1, axis2=2).real[:, None, None])
+        exact = _batch._eigmax_herm(gram)
+        skipped = 0
+        for best in (0.05, 0.3, 0.6, 1.0):
+            tops = _batch._tops(gram[None], np.array([best]))[0]
+            kept = tops == exact
+            skipped += np.count_nonzero(~kept)
+            assert np.all(tops[~kept] >= exact[~kept])
+        assert skipped > 0
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_packed_grams_are_never_skipped(self, rows):
+        # a packed Gram holds one triangle, so the dot of its reals is no
+        # bound on its Frobenius norm; _tops takes their top eigenvalue
+        mats = random_amplitudes(np.random.default_rng(rows), (rows, 4), rows=50)
+        gram = _batch._gram(mats.reshape(50, rows, 4))
+        assert np.array_equal(_batch._tops(gram[None], np.array([1.0]))[0],
+                              _batch._eigmax_herm(gram))
+
     def test_slack_exceeds_the_tie_tolerance(self):
         assert _batch._PRUNE_SLACK > pure.TIE_TOL
 
@@ -306,8 +422,7 @@ class TestCutPruning:
     def test_objective_values_keep_the_full_maximum(self, family):
         objective = family.objective
         roots, phases = random_phased_rows(family, 300, seed=3)
-        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups,
-                                   _batch._combine)
+        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups)
         assert np.array_equal(objective.values(roots, phases), 1.0 - full.max(axis=1))
 
     def test_groups_in_increasing_gram_rows(self):

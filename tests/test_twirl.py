@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -241,6 +242,20 @@ class TestVerifyInvariance:
         rho = DensityMatrix.mixture(
             [ghz(3), dicke(3, 1), dicke(3, 2)], [0.5, 0.3, 0.2])
         assert verify_invariance(group, rho).ok
+
+    def test_holds_a_few_copies_of_rho(self):
+        # the moved rows are summed block by block of elements, so a 1 MB rho
+        # at N = 8 costs about 4 copies, not one per element of the group
+        family = rank3_ghz_dicke(8)
+        rho = DensityMatrix.mixture(list(family.basis), [0.5, 0.3, 0.2])
+        tracemalloc.start()
+        try:
+            result = verify_invariance(family.group, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok and family.group.order == 8
+        assert peak <= 4.5 * rho.entries.nbytes
 
     def test_pure_superposition_not_invariant(self):
         n = 3

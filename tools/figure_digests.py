@@ -51,8 +51,11 @@ BOUND_TARGETS = {"rank5": ggm.rank5_five_qubit, "qutrit": ggm.qutrit_sector_fami
                  "rank3_ghz_dicke5": lambda: ggm.rank3_ghz_dicke(5)}
 BOUND_POINTS, BOUND_SAMPLES = 10, 300
 
-# ggm_pure shapes: Grams of more than 3 rows, mostly skipped by the bound.
-PURE_SHAPES = {"8 qubits": (2,) * 8, "6 qutrits": (3,) * 6}
+# ggm_pure shapes: Grams of more than 3 rows, mostly skipped by the bound;
+# 2x3x4x5 traces a side over the party of smallest dimension among several,
+# and 10 qubits traces the longest chain (5 party sides down to 1).
+PURE_SHAPES = {"8 qubits": (2,) * 8, "6 qutrits": (3,) * 6, "2x3x4x5": (2, 3, 4, 5),
+               "10 qubits": (2,) * 10}
 PURE_STATES = 40
 
 

@@ -1,29 +1,32 @@
-"""Matrices and seconds per cut shape of the Schmidt kernel on generic states.
+"""Counts and seconds per Gram size of the pure-state Schmidt kernel on generic states.
 
     python3 tools/kernel_profile.py [--seed S] [--repeat R] [--src SRC]
 
 Reads ``ggm_pure(state).value`` for every random state of the benchmark's
 ``generic_states`` workload at seed ``S`` (default 1; the same shapes,
 counts and draws), ``R`` times (default 2), and prints the last pass. For
-each state shape and each matricization shape (rows x columns, so the
-Gram has ``rows`` rows) it prints
+each state shape and each Gram size (``rows``, the dimension of a cut's
+smaller side) it prints
 
-- ``formed``: matrices whose Gram was formed;
-- ``top``: matrices sent to the top-eigenvalue step (``_eigmax_herm``);
-- ``gather``, ``gram``, ``top_s``: seconds in gathering the
-  matricizations, in ``_gram`` and in ``_eigmax_herm``.
+- ``roots``: sides gathered from the amplitudes (``_root_grams``);
+- ``traced``: sides traced from a larger side's Gram (``_traced_grams``);
+- ``top``: Grams sent to the top-eigenvalue step (``_eigmax_herm``), the
+  rest being skipped by the Frobenius bound;
+- ``gather``, ``gram``, ``trace``, ``top_s``: seconds in gathering the
+  roots' matricizations, in forming their Grams (``_gram``), in the
+  partial traces and in the top eigenvalues.
 
-``other`` is the rest of the ``ggm_pure`` calls: the kernel's own loop,
-the clip and the report. Functions of ``ggm._batch`` are wrapped from
-outside the package, which is not changed, so it runs on any checkout of
-the package (``--src`` points at its ``src``) and two trees can be
-compared.
+``other`` is the rest of the ``ggm_pure`` calls: the plan lookup, the
+bound, the clip and the report. Functions of ``ggm._batch`` are wrapped
+from outside the package, which is not changed; ``--src`` points at the
+``src`` of the checkout to profile, which must have the reduced-state
+kernel (``_batch._reduced_plan``).
 
-The wrappers time every chunk of the cut table on its own, and their
-overhead grows with the number of chunks, so the seconds (``total``
+The wrappers time every root chunk and every group on its own, and their
+overhead grows with the number of calls, so the seconds (``total``
 included) are not the kernel's unwrapped time. Across trees only the
-``formed`` and ``top`` counts compare; time whole ``ggm_pure`` calls
-without the wrappers, or run the benchmark, to compare speed.
+counts compare; time whole ``ggm_pure`` calls without the wrappers, or run
+the benchmark, to compare speed.
 """
 
 import argparse
@@ -40,55 +43,67 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
 # The benchmark's generic_states shapes and counts, drawn in this order.
 GENERIC_SHAPES = {(2,) * 6: 40, (2,) * 8: 120, (2,) * 10: 8, (3,) * 4: 40, (3,) * 6: 40,
                   (2, 3, 4, 5): 40}
+FIELDS = ("roots", "traced", "top", "gather", "gram", "trace", "top_s")
+
+
+def gram_rows(gram):
+    """Rows of each Gram of a stack, from its length (see ``_batch._gram``)."""
+    size = gram.shape[-1]
+    return math.isqrt(size) if size <= 9 else math.isqrt(size // 2)
 
 
 class KernelProfile:
-    """Wrap the kernel's gather, Gram and top eigenvalue; count per cut shape."""
+    """Wrap the kernel's root Grams, traces and top eigenvalue; count per Gram size."""
 
     def __init__(self, batch):
         self.batch = batch
-        self.dims = self.shape = None
+        self.dims = None
         self.stats = {}
         self.undo = []
 
-    def _add(self, **counts):
-        entry = self.stats.setdefault((self.dims, self.shape),
-                                      dict.fromkeys(("formed", "top", "gather", "gram",
-                                                     "top_s"), 0))
+    def _add(self, rows, **counts):
+        entry = self.stats.setdefault((self.dims, rows), dict.fromkeys(FIELDS, 0))
         for name, value in counts.items():
             entry[name] += value
 
     def __enter__(self):
         batch = self.batch
-        top_squares, gram, eigmax = batch._top_squares, batch._gram, batch._eigmax_herm
+        root_grams, gram, traced_grams, eigmax = (
+            batch._root_grams, batch._gram, batch._traced_grams, batch._eigmax_herm)
 
-        def timed_gather(matrices):
-            def gather(block, index):
-                self.shape = index.shape[1:]
-                start = time.perf_counter()
-                mats = matrices(block, index)
-                self._add(gather=time.perf_counter() - start)
-                return mats
-            return gather
-
-        def profiled_top_squares(rows, groups, matrices, **kwargs):
-            return top_squares(rows, groups, timed_gather(matrices), **kwargs)
+        def profiled_root_grams(block, index):
+            rows = index.shape[1]
+            before = self.stats.get((self.dims, rows), {}).get("gram", 0.0)
+            start = time.perf_counter()
+            out = root_grams(block, index)
+            # _gram's own time, added by its wrapper in the meantime, is not gather
+            formed = self.stats[(self.dims, rows)]["gram"] - before
+            self._add(rows, gather=time.perf_counter() - start - formed,
+                      roots=block.shape[0] * index.shape[0])
+            return out
 
         def profiled_gram(mats):
             start = time.perf_counter()
             out = gram(mats)
-            self._add(gram=time.perf_counter() - start,
-                      formed=math.prod(mats.shape[:-2]))
+            self._add(mats.shape[-2], gram=time.perf_counter() - start)
             return out
 
-        def profiled_eigmax(mats):
+        def profiled_traced_grams(parent, index, rows):
             start = time.perf_counter()
-            out = eigmax(mats)
-            # every Gram is one real vector, so one entry per matrix
-            self._add(top_s=time.perf_counter() - start, top=out.size)
+            out = traced_grams(parent, index, rows)
+            self._add(rows, trace=time.perf_counter() - start,
+                      traced=parent.shape[0] * index.shape[1])
             return out
 
-        for name, value in (("_top_squares", profiled_top_squares), ("_gram", profiled_gram),
+        def profiled_eigmax(grams):
+            start = time.perf_counter()
+            out = eigmax(grams)
+            # every Gram is one real vector, so one entry per matrix
+            self._add(gram_rows(grams), top_s=time.perf_counter() - start, top=out.size)
+            return out
+
+        for name, value in (("_root_grams", profiled_root_grams), ("_gram", profiled_gram),
+                            ("_traced_grams", profiled_traced_grams),
                             ("_eigmax_herm", profiled_eigmax)):
             self.undo.append((name, getattr(batch, name)))
             setattr(batch, name, value)
@@ -130,20 +145,19 @@ def main():
                     ggm.ggm_pure(state).value
                 totals[dims] = time.perf_counter() - start
 
-    print(f"{'state':>14} {'cut':>8} {'formed':>8} {'top':>8} {'gather':>8} {'gram':>8} "
-          f"{'top_s':>8}")
+    print(f"{'state':>14} {'rows':>5} " + " ".join(f"{name:>8}" for name in FIELDS))
     for dims, total in totals.items():
         name = f"{len(dims)}x{dims[0]}" if len(set(dims)) == 1 else "x".join(map(str, dims))
         kernel = 0.0
-        for (key, shape), entry in profile.stats.items():
+        for (key, rows), entry in sorted(profile.stats.items(), key=lambda item: item[0][1]):
             if key != dims:
                 continue
-            kernel += entry["gather"] + entry["gram"] + entry["top_s"]
-            print(f"{name:>14} {'x'.join(map(str, shape)):>8} {entry['formed']:>8} "
-                  f"{entry['top']:>8} {entry['gather']:>8.4f} {entry['gram']:>8.4f} "
-                  f"{entry['top_s']:>8.4f}")
-        print(f"{name:>14} {'other':>8} {'':>8} {'':>8} {total - kernel:>8.4f}")
-        print(f"{name:>14} {'total':>8} {'':>8} {'':>8} {total:>8.4f}")
+            kernel += sum(entry[field] for field in FIELDS[3:])
+            print(f"{name:>14} {rows:>5} "
+                  + " ".join(f"{entry[field]:>8}" for field in FIELDS[:3]) + " "
+                  + " ".join(f"{entry[field]:>8.4f}" for field in FIELDS[3:]))
+        print(f"{name:>14} {'other':>5} {'':>26} {total - kernel:>8.4f}")
+        print(f"{name:>14} {'total':>5} {'':>26} {total:>8.4f}")
 
 
 if __name__ == "__main__":
