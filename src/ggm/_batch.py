@@ -325,10 +325,12 @@ def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
     dot product of the Gram's reals, the real view of the full matrix; a
     packed Gram holds one triangle, so the same dot would fall short of
     ||G||_F and skip cuts that reach the maximum. A correct bound for 2 or
-    3 rows would let about 70% of the rank-5 sampler's 3x3 closed forms be
-    skipped, but the norm and the subset cost as much as the closed form
-    (55.1 against 55.2 ms per sampler bound), so those sizes are never
-    skipped.
+    3 rows (one product of the squared reals with the weights 1 on the
+    diagonal, 2 off it) would skip 51% of the sampler's 3x3 closed forms,
+    but with Grams from the tables of :func:`_gram_tables` the norm and the
+    subset cost more than the closed forms they save: 48.5 against 45.5 ms
+    per rank-5 sampler bound of 2,000 samples, 16.2 against 16.1 ms per
+    qutrit one. So those sizes are never skipped.
     """
     if best is None or gram.shape[-1] <= 9:
         return _eigmax_herm(gram)
@@ -368,29 +370,117 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
             best = top if best is None else np.maximum(best, top)
 
 
-def _top_squares(coeff: np.ndarray, groups: tuple[tuple, ...], *,
+def _top_squares(coeff: np.ndarray, groups: tuple[tuple, ...],
+                 tables: tuple[np.ndarray, ...] | None = None, *,
                  max_only: bool = False) -> np.ndarray:
     """Top squared Schmidt coefficient per coefficient row and per cut,
     clipped to [0, 1].
 
     ``groups`` holds the ``(shape, columns, operand)`` of
-    :func:`_support_groups`, in increasing order of shape: a row block's
-    matrices of a group are ``_combine(block, operand)``, and output column
-    ``columns[m]`` holds the group's cut m. Rows are blocked by
-    ``_BLOCK_ENTRIES`` matrix entries (one row at least) and each is
-    computed on its own, so the result does not depend on the blocking.
-    ``max_only`` is that of :func:`_store_tops`.
+    :func:`_support_groups`, in increasing order of shape, and output
+    column ``columns[m]`` holds a group's cut m. Without ``tables`` a row
+    block's matrices of a group are ``_combine(block, operand)`` and their
+    Grams come from :func:`_gram`; with the group's table of
+    :func:`_gram_tables` its Grams are one ``_combine`` of the block's
+    outer-product reals (:func:`_outer_reals`) with the table. Rows are
+    blocked by ``_BLOCK_ENTRIES`` entries of those products (one row at
+    least) and each is computed on its own, so the result does not depend
+    on the blocking. ``max_only`` is that of :func:`_store_tops`.
     """
     out = np.empty((coeff.shape[0], sum(columns.size for _, columns, _ in groups)))
-    row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
+    if tables is None:
+        row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
+    else:
+        row_entries = sum(table.shape[1] for table in tables)
     step = max(1, _BLOCK_ENTRIES // row_entries)
     for start in range(0, coeff.shape[0], step):
         block = coeff[start:start + step]
-        _store_tops(out[start:start + step], (
-            (columns, _gram(_combine(block, operand).reshape(
-                (block.shape[0], columns.size) + shape)))
-            for shape, columns, operand in groups), max_only)
+        if tables is None:
+            grams = (_gram(_combine(block, operand).reshape(
+                (block.shape[0], columns.size) + shape)) for shape, columns, operand in groups)
+        else:
+            reals = _outer_reals(block)
+            grams = (_combine(reals, table).reshape(block.shape[0], columns.size, -1)
+                     for (_, columns, _), table in zip(groups, tables))
+        _store_tops(out[start:start + step],
+                    zip((columns for _, columns, _ in groups), grams), max_only)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+# Bases of at most this many states form their Grams from the tables of
+# _gram_tables, larger ones from their blocks. Timing max-only
+# _top_squares alone on 10,000 random unit rows over random orthonormal
+# bases of n states (median of 5, BLAS on one thread), the table path took
+# this share of the block path's time:
+#
+#   dims   n=3   5     8     12    16
+#   2^4    0.17  0.24  0.57  1.11  1.35
+#   2^5    0.15  0.25  0.34  0.44  0.80
+#   3^3    0.30  0.40  0.67  2.13  3.27
+#   2^6    0.21  0.27  0.40  0.72  1.12
+#
+# A table has n^2 rows, so it loses on large bases: a full-rank 6-qubit
+# eigenbasis would need 4096 x 1784 reals (58 MB). Every built-in family
+# has n <= 5.
+_TABLE_MAX_BASIS = 8
+
+
+def _outer_reals(coeff: np.ndarray) -> np.ndarray:
+    """The n^2 reals of each row's outer product c c^dag, in the row order
+    of :func:`_gram_tables`: |c_k|^2 for every k, then the real and
+    imaginary parts of c_k conj(c_l) for each pair k < l in
+    ``np.triu_indices`` order."""
+    n = coeff.shape[1]
+    first, second = np.triu_indices(n, 1)
+    reals = np.empty((coeff.shape[0], n * n))
+    reals[:, :n] = np.square(coeff.real) + np.square(coeff.imag)
+    reals[:, n:].view(complex)[...] = coeff[:, first] * coeff[:, second].conj()
+    return reals
+
+
+@functools.lru_cache(maxsize=None)
+def _outer_weights(n: int) -> np.ndarray:
+    """The (n^2, n^2) complex W that takes the products M_kl, rows in
+    row-major (k, l) order, to the rows of a table of :func:`_gram_tables`:
+    M_kk, then for each pair k < l (in ``np.triu_indices`` order) M_kl + M_lk
+    and i (M_kl - M_lk). Each row of W holds one or two entries 1 or +-i, so
+    every table entry is an exact sum of at most two products' entries."""
+    first, second = np.triu_indices(n, 1)
+    real_rows = n + 2 * np.arange(first.size)
+    weights = np.zeros((n * n, n, n), dtype=complex)
+    weights[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    weights[real_rows, first, second] = weights[real_rows, second, first] = 1.0
+    weights[real_rows + 1, first, second] = 1j
+    weights[real_rows + 1, second, first] = -1j
+    return _frozen(weights.reshape(n * n, n * n))
+
+
+def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
+    """Per group of :func:`_support_groups`, the real (n^2, cuts * reals)
+    table H with ``_outer_reals(c) @ H`` the group's Grams of the row c,
+    laid out as :func:`_gram` lays them out.
+
+    A row's Gram on a cut is G(c) = sum_kl c_k conj(c_l) M_kl with
+    M_kl = A_k A_l^dag, the A_k the cut's compressed blocks. The table's
+    rows follow :func:`_outer_reals`: H_kk = M_kk, then for each pair k < l
+    M_kl + M_kl^dag and i (M_kl - M_kl^dag), the multipliers of Re and Im
+    of c_k conj(c_l) (M_lk = M_kl^dag). All M_kl of a cut are the blocks of
+    one Gram of the A_k stacked, and one product with
+    :func:`_outer_weights` makes the rows, which are then symmetrized so
+    that each is Hermitian to the bit. Each row is packed by :func:`_pack`,
+    so the product is the packed Gram up to 3 rows and the real view of the
+    full matrix beyond, Hermitian to the bit as every H is.
+    """
+    tables = []
+    for (r1, r2), columns, operand in groups:
+        n, cuts = operand.shape[0], columns.size
+        stacked = operand.reshape(n, cuts, r1, r2).swapaxes(0, 1).reshape(cuts, n * r1, r2)
+        products = (stacked @ stacked.conj().swapaxes(-1, -2)).reshape(
+            cuts, n, r1, n, r1).transpose(1, 3, 0, 2, 4).reshape(n * n, -1)
+        rows = (_outer_weights(n) @ products).reshape(n * n, cuts, r1, r1)
+        rows = 0.5 * (rows + rows.conj().swapaxes(-1, -2))
+        tables.append(_frozen(_pack(rows).reshape(n * n, -1)))
+    return tuple(tables)
 
 
 def _root_grams(block: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -556,11 +646,13 @@ class PhaseObjective:
     """GGM of superpositions sum_k c_k |basis_k>, by coefficient rows or as
     a function of phases (c_k = sqrt(w_k) e^{i phi_k}).
 
-    Evaluates batches of rows on the compressed blocks of
-    :func:`_support_groups`; one instance serves a whole surface or a whole
-    decomposition sampler. Only one cut per orbit of the party swaps fixing
-    every basis state is evaluated: such a swap fixes every superposition
-    too, so a cut and its image have the same Schmidt spectrum.
+    Holds the compressed blocks of :func:`_support_groups` and, for a basis
+    of at most ``_TABLE_MAX_BASIS`` states, their Gram tables
+    (:func:`_gram_tables`), both built once here; one instance serves a
+    whole surface or a whole decomposition sampler. Only one cut per orbit
+    of the party swaps fixing every basis state is evaluated: such a swap
+    fixes every superposition too, so a cut and its image have the same
+    Schmidt spectrum.
     """
 
     def __init__(self, basis_matrix: np.ndarray, dims: tuple[int, ...]):
@@ -570,6 +662,8 @@ class PhaseObjective:
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
         self._groups = _support_groups(self.basis, self.dims, self.masks)
+        self._tables = (_gram_tables(self._groups)
+                        if len(self.basis) <= _TABLE_MAX_BASIS else None)
         # Compressed block entries per row: a pencil of ``_BLOCK_ENTRIES //
         # row_entries`` rows keeps B, P, S and T within that many entries.
         self.row_entries = sum(columns.size * math.prod(shape)
@@ -578,9 +672,13 @@ class PhaseObjective:
     def measure(self, coeff: np.ndarray) -> np.ndarray:
         """GGM of each row of unit coefficient rows ``coeff`` (K, n_basis).
 
+        Every Gram of a row block is one product of the block's outer-product
+        reals with the Gram tables where the objective holds them, and is
+        formed from the combined blocks otherwise (see :func:`_top_squares`).
         The result does not depend on how rows are blocked.
         """
-        return 1.0 - _top_squares(coeff, self._groups, max_only=True).max(axis=1)
+        return 1.0 - _top_squares(coeff, self._groups, self._tables,
+                                  max_only=True).max(axis=1)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""

@@ -540,10 +540,13 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
 
     Isometries come in blocks, each from one Gaussian draw and one stacked
     QR. Every member lies in the range of ``rho``, so its measure is read
-    from the compressed eigenbasis blocks of one
-    :class:`~ggm._batch.PhaseObjective`. That evaluates one cut per orbit of
-    the party swaps that leave every eigenbasis vector exactly unchanged, as
-    they fix every member too; no other symmetry is assumed.
+    from its coefficients over the eigenbasis by one
+    :class:`~ggm._batch.PhaseObjective`: up to rank 8 each cut's Gram is one
+    product of the member's outer-product reals with a table built from the
+    compressed eigenbasis blocks, and above it the Gram of the combined
+    blocks. The objective evaluates one cut per orbit of the party swaps
+    that leave every eigenbasis vector exactly unchanged, as they fix every
+    member too; no other symmetry is assumed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -1,6 +1,7 @@
 """The batched Schmidt kernel shared by the pure and mixed pipelines, its
 symmetry reduction for twirled families, and the kernel invariants."""
 
+import functools
 import itertools
 import math
 
@@ -241,13 +242,29 @@ def rows_of(gram):
     return math.isqrt(size) if size <= 9 else math.isqrt(size // 2)
 
 
-def support_squares(basis, dims, coeff):
+def support_squares(basis, dims, coeff, *, tables=False):
     """Top squared Schmidt coefficient per coefficient row and per cut, read
-    from the compressed basis blocks of every canonical cut."""
+    from the compressed basis blocks of every canonical cut, or with
+    ``tables`` from their Gram tables."""
     dims = tuple(dims)
     groups = _batch._support_groups(np.asarray(basis, dtype=complex), dims,
                                     _batch.canonical_cut_masks(dims))
-    return _batch._top_squares(coeff, groups)
+    return _batch._top_squares(coeff, groups, _batch._gram_tables(groups) if tables else None)
+
+
+def random_orthonormal_basis(rng, dims, n_basis):
+    """``n_basis`` orthonormal complex rows on ``dims``."""
+    return np.linalg.qr(random_amplitudes(rng, dims, rows=n_basis).T)[0].T
+
+
+def objective_case(kind):
+    """A ``PhaseObjective`` on the Gram tables or, above the cutoff, on the
+    blocks, and unit coefficient rows for it."""
+    rng = np.random.default_rng(21)
+    n_basis = {"table objective": 5, "block objective": 12}[kind]
+    objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis), (2,) * 4)
+    assert (objective._tables is None) == (kind == "block objective")
+    return objective, random_amplitudes(rng, (n_basis,), rows=64)
 
 
 class TestCutPruning:
@@ -404,15 +421,24 @@ class TestCutPruning:
     def test_slack_exceeds_the_tie_tolerance(self):
         assert _batch._PRUNE_SLACK > pure.TIE_TOL
 
-    @pytest.mark.parametrize("dims", [(2,) * 6, (2,) * 8, (3,) * 4, (2, 3, 4, 5)], ids=str)
-    def test_values_bit_identical_whatever_the_blocking(self, dims, monkeypatch):
-        amps = random_amplitudes(np.random.default_rng(9), dims, rows=64)
-        shape = SystemShape(dims)
+    @pytest.mark.parametrize("case", [(2,) * 6, (2,) * 8, (3,) * 4, (2, 3, 4, 5),
+                                      "table objective", "block objective"], ids=str)
+    def test_values_bit_identical_whatever_the_blocking(self, case, monkeypatch):
+        # pure states by dims, and coefficient rows of a PhaseObjective of
+        # each kind; pruned values against the full kernel's row maximum
+        if isinstance(case, str):
+            objective, rows = objective_case(case)
+            pruned = objective.measure
+            full = _batch._top_squares(rows, objective._groups, objective._tables)
+        else:
+            rows = random_amplitudes(np.random.default_rng(9), case, rows=64)
+            pruned = functools.partial(pure.ggm_values, shape=SystemShape(case))
+            full = _batch.schmidt_sq_matrix(rows, case)
         results = []
         for entries in (1, 1 << 8, 1 << 16):
             monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-            results.append(pure.ggm_values(amps, shape))
-        results.append(1.0 - _batch.schmidt_sq_matrix(amps, dims).max(axis=1))
+            results.append(pruned(rows))
+        results.append(1.0 - full.max(axis=1))
         for other in results[1:]:
             assert np.array_equal(results[0], other)
 
@@ -420,9 +446,13 @@ class TestCutPruning:
                                         qutrit_sector_family()],
                              ids=["rank3_ghz_dicke12", "rank5", "qutrit"])
     def test_objective_values_keep_the_full_maximum(self, family):
+        # values prunes Grams formed from the tables: its maximum keeps the
+        # bits of the same table path over every cut
         objective = family.objective
+        assert objective._tables is not None
         roots, phases = random_phased_rows(family, 300, seed=3)
-        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups)
+        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups,
+                                   objective._tables)
         assert np.array_equal(objective.values(roots, phases), 1.0 - full.max(axis=1))
 
     def test_groups_in_increasing_gram_rows(self):
@@ -599,9 +629,11 @@ class TestClosedFormTopEigenvalue:
         basis, dims = family.objective.basis, family.objective.dims
         rows = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
             np.random.default_rng(9), (basis.shape[0],), rows=200)])
-        grams = recorded_grams(lambda: support_squares(basis, dims, rows), monkeypatch)
-        assert len(grams) >= len(rows)
-        assert_top_eigenvalues_match(grams)
+        for tables in (False, True):
+            grams = recorded_grams(lambda: support_squares(basis, dims, rows, tables=tables),
+                                   monkeypatch)
+            assert len(grams) >= len(rows)
+            assert_top_eigenvalues_match(grams)
 
 
 def eigenbasis(rho):
@@ -1023,10 +1055,11 @@ class TestSupportKernel:
     @staticmethod
     def assert_matches_gather(basis, dims, rows=300, seed=0):
         coeff = random_amplitudes(np.random.default_rng(seed), (basis.shape[0],), rows)
-        compressed = support_squares(basis, dims, coeff)
         gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims)
-        assert compressed.shape == gathered.shape
-        assert np.max(np.abs(compressed - gathered)) < 1e-12
+        for tables in (False, True):
+            compressed = support_squares(basis, dims, coeff, tables=tables)
+            assert compressed.shape == gathered.shape
+            assert np.max(np.abs(compressed - gathered)) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_family_bases(self, name):
@@ -1092,6 +1125,79 @@ class TestSupportKernel:
             monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
             results.append(support_squares(basis, dims, coeff))
         assert np.array_equal(results[0], results[1])
+
+
+SAMPLER_TARGETS = {"rank5": (rank5_five_qubit, [0.3, 0.25]),
+                   "qutrit": (qutrit_sector_family, [0.2, 0.45])}
+
+
+def sampler_eigenbasis(name):
+    """The eigenbasis of a benchmark sampler target, and its dims."""
+    builder, params = SAMPLER_TARGETS[name]
+    family = builder()
+    return eigenbasis(family.target_at(family.params_to_weights(params))), family.shape.dims
+
+
+class TestGramTables:
+    """Grams of coefficient rows as one product of their outer-product reals
+    with the tables of ``_gram_tables``, against the Grams of the combined
+    compressed blocks, and the objectives that take them."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS) + sorted(SAMPLER_TARGETS))
+    def test_squares_match_the_blocks(self, name):
+        if name in SAMPLER_TARGETS:
+            basis, dims = sampler_eigenbasis(name)
+        else:
+            objective = FAMILY_BUILDERS[name]().objective
+            basis, dims = objective.basis, objective.dims
+        coeff = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
+            np.random.default_rng(len(name)), (basis.shape[0],), rows=300)])
+        mapped = support_squares(basis, dims, coeff, tables=True)
+        assert np.max(np.abs(mapped - support_squares(basis, dims, coeff))) < 1e-13
+
+    @pytest.mark.parametrize("dims, n_basis", [((2, 3, 4), 1), ((2, 3, 4), 2), ((2,) * 5, 3),
+                                               ((2,) * 5, 5), ((2, 2, 3, 3), 8)], ids=str)
+    def test_grams_in_the_layout_of_gram(self, dims, n_basis):
+        # every Gram entry, packed up to 3 rows and the real view of the full
+        # matrix beyond, which the table makes Hermitian to the bit
+        rng = np.random.default_rng(n_basis)
+        basis = random_orthonormal_basis(rng, dims, n_basis)
+        coeff = random_amplitudes(rng, (n_basis,), rows=50)
+        groups = _batch._support_groups(basis, dims, _batch.canonical_cut_masks(dims))
+        tables = _batch._gram_tables(groups)
+        reals = _batch._outer_reals(coeff)
+        assert reals.shape == (50, n_basis ** 2)
+        for (shape, columns, operand), table in zip(groups, tables):
+            assert table.shape[0] == n_basis ** 2 and not table.flags.writeable
+            mapped = (reals @ table).reshape(50, columns.size, -1)
+            blocks = _batch._gram((coeff @ operand).reshape((50, columns.size) + shape))
+            assert mapped.shape == blocks.shape
+            assert np.max(np.abs(mapped - blocks)) < 1e-14
+            full = _batch._unpack(mapped)
+            assert np.array_equal(full, full.conj().swapaxes(-1, -2))
+        assert {shape[0] > 3 for shape, _, _ in groups} == {False, True}
+
+    def test_path_chosen_by_the_basis_size(self):
+        # the tables for every built-in family and both benchmark sampler
+        # targets, the blocks above _TABLE_MAX_BASIS states
+        for name, builder in FAMILY_BUILDERS.items():
+            objective = builder().objective
+            assert len(objective._tables) == len(objective._groups), name
+        for name in SAMPLER_TARGETS:
+            assert _batch.PhaseObjective(*sampler_eigenbasis(name))._tables is not None
+        rng = np.random.default_rng(4)
+        for n_basis in (8, 9, 12):
+            objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis),
+                                              (2,) * 4)
+            assert (objective._tables is None) == (n_basis > _batch._TABLE_MAX_BASIS)
+        assert _batch._TABLE_MAX_BASIS == 8
+
+    @pytest.mark.parametrize("kind", ["table objective", "block objective"])
+    def test_one_and_no_rows(self, kind):
+        # hjw_upper_bound measures the live members of a sample, which can be none
+        objective, rows = objective_case(kind)
+        assert objective.measure(rows[:0]).shape == (0,)
+        assert np.array_equal(objective.measure(rows[:1]), objective.measure(rows[:2])[:1])
 
 
 class TestFamilyObjective:

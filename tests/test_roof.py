@@ -433,6 +433,16 @@ def _family_target(family, params):
     return family.target_at(family.params_to_weights(params))
 
 
+def _random_rank_state(dims, rank, seed):
+    """G G^dag / tr(G G^dag) for a complex Gaussian (D, rank) matrix G."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((math.prod(dims), rank)) \
+        + 1j * rng.standard_normal((math.prod(dims), rank))
+    rho = gauss @ gauss.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityMatrix(SystemShape(dims), rho / np.trace(rho).real)
+
+
 class TestSamplerAgainstReference:
     TARGETS = {
         "rank5": lambda: _family_target(rank5_five_qubit(), [0.3, 0.25]),
@@ -443,6 +453,8 @@ class TestSamplerAgainstReference:
         "rank3_ghz_dicke5": lambda: _family_target(rank3_ghz_dicke(5), [0.3, 0.3]),
         "separable": _separable_rho,
         "dicke31": lambda: dicke(3, 1).projector(),
+        # rank above _batch._TABLE_MAX_BASIS: Grams from the combined blocks
+        "rank12_4qubit": lambda: _random_rank_state((2,) * 4, 12, seed=12),
     }
 
     @pytest.mark.parametrize("seed", [7, 2024])
@@ -452,6 +464,10 @@ class TestSamplerAgainstReference:
         m = rho.rank() + 2
         bound = hjw_upper_bound(rho, m, 400, seed)
         assert abs(bound - reference_hjw_upper_bound(rho, m, 400, seed)) < 1e-12
+
+    def test_rank_above_the_table_cutoff(self):
+        rho = self.TARGETS["rank12_4qubit"]()
+        assert rho.rank() == 12 > _batch._TABLE_MAX_BASIS
 
     def test_swap_symmetric_eigenbasis(self):
         rho = self.TARGETS["rank3_ghz_dicke5"]()

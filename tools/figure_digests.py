@@ -18,9 +18,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
+# as the benchmark runs BLAS; OpenBLAS reads it when numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import ggm  # noqa: E402
 from ggm.cli import main  # noqa: E402
@@ -44,12 +44,42 @@ VERIFY_RUNS = {
                                    {"family": "qutrit_sector_family"}),
 }
 
-# hjw_upper_bound targets: the benchmark's two, whose eigenbases have no
-# party swaps, and rank3_ghz_dicke(5), whose eigenbases often have some, so
-# the sampler evaluates one cut per orbit there.
-BOUND_TARGETS = {"rank5": ggm.rank5_five_qubit, "qutrit": ggm.qutrit_sector_family,
-                 "rank3_ghz_dicke5": lambda: ggm.rank3_ghz_dicke(5)}
 BOUND_POINTS, BOUND_SAMPLES = 10, 300
+
+
+def family_targets(build):
+    """``BOUND_POINTS`` targets of ``build()``'s family at random simplex points."""
+    def draw(rng):
+        family = build()
+        return [family.target_at(family.params_to_weights(params))
+                for params in rng.dirichlet(np.ones(3), size=BOUND_POINTS)[:, :2]]
+    return draw
+
+
+def random_rank_targets(dims, rank):
+    """``BOUND_POINTS`` states G G^dag / tr(G G^dag) on ``dims``, each G a
+    complex Gaussian (D, ``rank``) matrix."""
+    def draw(rng):
+        dim = int(np.prod(dims))
+        targets = []
+        for _ in range(BOUND_POINTS):
+            gauss = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = gauss @ gauss.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+            targets.append(ggm.DensityMatrix(ggm.SystemShape(dims), rho / np.trace(rho).real))
+        return targets
+    return draw
+
+
+# hjw_upper_bound targets: the benchmark's two, whose eigenbases have no
+# party swaps; rank3_ghz_dicke(5), whose eigenbases often have some, so the
+# sampler evaluates one cut per orbit there; and rank-12 states, above
+# _batch._TABLE_MAX_BASIS, so the sampler forms their Grams from the
+# combined blocks rather than the Gram tables.
+BOUND_TARGETS = {"rank5": family_targets(ggm.rank5_five_qubit),
+                 "qutrit": family_targets(ggm.qutrit_sector_family),
+                 "rank3_ghz_dicke5": family_targets(lambda: ggm.rank3_ghz_dicke(5)),
+                 "rank12_4qubit": random_rank_targets((2,) * 4, 12)}
 
 # ggm_pure shapes: Grams of more than 3 rows, mostly skipped by the bound;
 # 2x3x4x5 traces a side over the party of smallest dimension among several,
@@ -82,14 +112,10 @@ with tempfile.TemporaryDirectory() as tmp:
         sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
         print(f"{sha}  verify-group {name}", flush=True)
 
-for seed, (name, build) in enumerate(BOUND_TARGETS.items()):
-    family = build()
+for seed, (name, draw) in enumerate(BOUND_TARGETS.items()):
     rng = np.random.default_rng([seed, 15])
-    bounds = []
-    for params in rng.dirichlet(np.ones(3), size=BOUND_POINTS)[:, :2]:
-        rho = family.target_at(family.params_to_weights(params))
-        bounds.append(ggm.hjw_upper_bound(rho, rho.rank() + 2, BOUND_SAMPLES,
-                                          int(rng.integers(1 << 31))))
+    bounds = [ggm.hjw_upper_bound(rho, rho.rank() + 2, BOUND_SAMPLES, int(rng.integers(1 << 31)))
+              for rho in draw(rng)]
     print(f"{digest(bounds)}  hjw_upper_bound {name}", flush=True)
 
 for seed, (name, dims) in enumerate(PURE_SHAPES.items()):

@@ -1,6 +1,6 @@
-"""Counts and seconds per Gram size of the pure-state Schmidt kernel on generic states.
+"""Counts and seconds per Gram size of the Schmidt kernel on generic states.
 
-    python3 tools/kernel_profile.py [--seed S] [--repeat R] [--src SRC]
+    python3 tools/kernel_profile.py [--seed S] [--repeat R] [--src SRC] [--sampler]
 
 Reads ``ggm_pure(state).value`` for every random state of the benchmark's
 ``generic_states`` workload at seed ``S`` (default 1; the same shapes,
@@ -22,6 +22,19 @@ from outside the package, which is not changed; ``--src`` points at the
 ``src`` of the checkout to profile, which must have the reduced-state
 kernel (``_batch._reduced_plan``).
 
+With ``--sampler`` it profiles the workload's two ``hjw_upper_bound``
+targets instead (rank-5 five-qubit and qutrit, at the points and seeds
+the workload draws at seed ``S``, 2,000 samples each). Per target it
+prints ``rows``, the coefficient rows measured, and the seconds spent
+forming their Grams: ``outer`` (the outer-product reals of the Gram-table
+path, ``_outer_reals``), ``combine`` (the products of ``_combine``: rows
+with the Gram tables, or rows with the compressed blocks) and ``gram``
+(``_gram`` on the combined blocks), with ``form`` their sum. Then per
+Gram size it prints ``top`` and ``top_s``, the Grams sent to the top
+eigenvalue and the seconds there, and ``other`` and ``total`` for the rest
+of the bound and its whole time. A tree without the Gram tables shows
+``outer`` 0, so the two paths compare layer by layer.
+
 The wrappers time every root chunk and every group on its own, and their
 overhead grows with the number of calls, so the seconds (``total``
 included) are not the kernel's unwrapped time. Across trees only the
@@ -36,14 +49,18 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
+# as the benchmark runs BLAS; OpenBLAS reads it when numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 # The benchmark's generic_states shapes and counts, drawn in this order.
 GENERIC_SHAPES = {(2,) * 6: 40, (2,) * 8: 120, (2,) * 10: 8, (3,) * 4: 40, (3,) * 6: 40,
                   (2, 3, 4, 5): 40}
 FIELDS = ("roots", "traced", "top", "gather", "gram", "trace", "top_s")
+# The workload's sampler targets, drawn after the states, and its sample count.
+SAMPLER_TARGETS = ("rank5_5qubit", "qutrit")
+HJW_SAMPLES = 2000
+FORM_FIELDS = ("outer", "combine", "gram")
 
 
 def gram_rows(gram):
@@ -115,11 +132,99 @@ class KernelProfile:
         return False
 
 
+class SamplerProfile:
+    """Wrap the coefficient-row kernel's Gram forming and top eigenvalue."""
+
+    def __init__(self, batch):
+        self.batch = batch
+        self.rows = 0
+        self.form = dict.fromkeys(FORM_FIELDS, 0.0)
+        self.tops = {}
+        self.undo = []
+
+    def __enter__(self):
+        batch = self.batch
+
+        def timed(name, function):
+            def wrapper(*args, **kwargs):
+                start = time.perf_counter()
+                out = function(*args, **kwargs)
+                self.form[name] += time.perf_counter() - start
+                return out
+            return wrapper
+
+        def profiled_top_squares(coeff, *args, **kwargs):
+            self.rows += coeff.shape[0]
+            return top_squares(coeff, *args, **kwargs)
+
+        def profiled_eigmax(grams):
+            start = time.perf_counter()
+            out = eigmax(grams)
+            entry = self.tops.setdefault(gram_rows(grams), [0, 0.0])
+            entry[0] += out.size
+            entry[1] += time.perf_counter() - start
+            return out
+
+        top_squares, eigmax = batch._top_squares, batch._eigmax_herm
+        wrappers = {"_top_squares": profiled_top_squares, "_eigmax_herm": profiled_eigmax,
+                    "_combine": timed("combine", batch._combine),
+                    "_gram": timed("gram", batch._gram)}
+        if hasattr(batch, "_outer_reals"):  # trees without Gram tables lack it
+            wrappers["_outer_reals"] = timed("outer", batch._outer_reals)
+        for name, value in wrappers.items():
+            self.undo.append((name, getattr(batch, name)))
+            setattr(batch, name, value)
+        return self
+
+    def __exit__(self, *exc):
+        for name, value in reversed(self.undo):
+            setattr(self.batch, name, value)
+        return False
+
+
+def profile_sampler(ggm, batch, rng, repeat):
+    """Print the Gram-forming and top-eigenvalue layers of the workload's
+    sampler bounds, drawn from ``rng`` as the workload draws them."""
+    def interior_point():
+        while True:
+            w = rng.dirichlet(np.ones(3))
+            if w.min() >= 0.05:
+                return w
+
+    bounds = {}
+    for family, name in zip((ggm.rank5_five_qubit(), ggm.qutrit_sector_family()),
+                            SAMPLER_TARGETS):
+        params = interior_point()[:2]
+        rho = family.target_at(family.params_to_weights(params))
+        bounds[name] = (rho, rho.rank() + 2, int(rng.integers(1 << 31)))
+
+    print(f"{'target':>14} {'rows':>6} " + " ".join(f"{f:>8}" for f in FORM_FIELDS + ("form",)))
+    lines = []
+    for name, (rho, m, seed) in bounds.items():
+        for _ in range(repeat):
+            with SamplerProfile(batch) as profile:
+                start = time.perf_counter()
+                ggm.hjw_upper_bound(rho, m, HJW_SAMPLES, seed)
+                total = time.perf_counter() - start
+        form = sum(profile.form.values())
+        print(f"{name:>14} {profile.rows:>6} "
+              + " ".join(f"{profile.form[f]:>8.4f}" for f in FORM_FIELDS) + f" {form:>8.4f}")
+        top_s = sum(entry[1] for entry in profile.tops.values())
+        lines += [(name, rows, str(count), seconds)
+                  for rows, (count, seconds) in sorted(profile.tops.items())]
+        lines += [(name, "other", "", total - form - top_s), (name, "total", "", total)]
+    print(f"{'target':>14} {'rows':>6} {'top':>8} {'top_s':>8}")
+    for name, rows, count, seconds in lines:
+        print(f"{name:>14} {rows:>6} {count:>8} {seconds:>8.4f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=2)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--sampler", action="store_true",
+                        help="profile the workload's hjw_upper_bound targets instead")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import ggm
@@ -134,6 +239,9 @@ def main():
             amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             rows.append(ggm.PureState(ggm.SystemShape(dims), amps / np.linalg.norm(amps)))
         states[dims] = rows
+    if args.sampler:
+        profile_sampler(ggm, _batch, rng, args.repeat)
+        return
 
     for _ in range(args.repeat):
         totals = {}
