@@ -2,7 +2,8 @@
 
 Everything here operates on raw complex arrays; validation and the public
 contracts live in the calling modules. Batches are processed in fixed row
-blocks so memory stays bounded and results are independent of blocking.
+blocks so memory stays bounded. Results are independent of blocking, but
+for the last bits of the Gram-table product (see :func:`_combine`).
 
 Cuts are bitmasks of their canonical side I (bit i set when party i is on
 side I, so bit 0 is always set), in the order of
@@ -40,32 +41,6 @@ def canonical_cut_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     others = [1 << p for p in range(1, len(dims))]
     return tuple(1 | sum(combo) for k in range(len(dims) - 1)
                  for combo in itertools.combinations(others, k))
-
-
-@functools.lru_cache(maxsize=None)
-def _gram_groups(dims: tuple[int, ...], masks: tuple[int, ...]) -> tuple[tuple, ...]:
-    """``masks`` grouped by matricization shape, for :func:`_support_groups`.
-
-    ``(shape, columns, index)`` per shape (dim_small, dim_big), in
-    increasing order of shape: ``columns`` are the positions in ``masks`` of
-    the shape's cuts and ``index[m, r, c]`` is the flat amplitude index of
-    entry (r, c) of cut m's matricization, rows on its smaller side (side I
-    on a tie).
-    """
-    flat = np.arange(math.prod(dims)).reshape(dims)
-    groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for column, mask in enumerate(masks):
-        side_i = tuple(p for p in range(len(dims)) if mask >> p & 1)
-        side_l = tuple(p for p in range(len(dims)) if not mask >> p & 1)
-        d_i = math.prod(dims[p] for p in side_i)
-        d_l = math.prod(dims[p] for p in side_l)
-        small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
-        shape = (min(d_i, d_l), max(d_i, d_l))
-        columns, index = groups.setdefault(shape, ([], []))
-        columns.append(column)
-        index.append(flat.transpose(small + big).reshape(shape))
-    return tuple((shape, _frozen(np.array(columns)), _frozen(np.stack(index)))
-                 for shape, (columns, index) in sorted(groups.items()))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -270,7 +245,10 @@ def _combine(block: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
     BLAS's matrix-vector product, which numpy takes for a one-row block,
     rounds differently from its matrix-matrix product, so such a block is
-    given a second row to keep every row's bits independent of the blocking.
+    given a second row. The matrix-matrix product can still round a row by
+    the block's row count: on real Gram tables (a 16 x 9 one, say) a row
+    can differ in its last bit between blocks of 1-3 rows and one of 13.
+    ``einsum`` keeps each row's bits but is 2-14x slower on the table shapes.
     """
     if block.shape[0] == 1:
         return (np.repeat(block, 2, axis=0) @ flat)[:1]
@@ -370,48 +348,11 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
             best = top if best is None else np.maximum(best, top)
 
 
-def _top_squares(coeff: np.ndarray, groups: tuple[tuple, ...],
-                 tables: tuple[np.ndarray, ...] | None = None, *,
-                 max_only: bool = False) -> np.ndarray:
-    """Top squared Schmidt coefficient per coefficient row and per cut,
-    clipped to [0, 1].
-
-    ``groups`` holds the ``(shape, columns, operand)`` of
-    :func:`_support_groups`, in increasing order of shape, and output
-    column ``columns[m]`` holds a group's cut m. Without ``tables`` a row
-    block's matrices of a group are ``_combine(block, operand)`` and their
-    Grams come from :func:`_gram`; with the group's table of
-    :func:`_gram_tables` its Grams are one ``_combine`` of the block's
-    outer-product reals (:func:`_outer_reals`) with the table. Rows are
-    blocked by ``_BLOCK_ENTRIES`` entries of those products (one row at
-    least) and each is computed on its own, so the result does not depend
-    on the blocking. ``max_only`` is that of :func:`_store_tops`.
-    """
-    out = np.empty((coeff.shape[0], sum(columns.size for _, columns, _ in groups)))
-    if tables is None:
-        row_entries = sum(columns.size * math.prod(shape) for shape, columns, _ in groups)
-    else:
-        row_entries = sum(table.shape[1] for table in tables)
-    step = max(1, _BLOCK_ENTRIES // row_entries)
-    for start in range(0, coeff.shape[0], step):
-        block = coeff[start:start + step]
-        if tables is None:
-            grams = (_gram(_combine(block, operand).reshape(
-                (block.shape[0], columns.size) + shape)) for shape, columns, operand in groups)
-        else:
-            reals = _outer_reals(block)
-            grams = (_combine(reals, table).reshape(block.shape[0], columns.size, -1)
-                     for (_, columns, _), table in zip(groups, tables))
-        _store_tops(out[start:start + step],
-                    zip((columns for _, columns, _ in groups), grams), max_only)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
 # Bases of at most this many states form their Grams from the tables of
-# _gram_tables, larger ones from their blocks. Timing max-only
-# _top_squares alone on 10,000 random unit rows over random orthonormal
-# bases of n states (median of 5, BLAS on one thread), the table path took
-# this share of the block path's time:
+# _gram_tables, larger ones from their blocks. Timing PhaseObjective.measure
+# alone on 10,000 random unit rows over random orthonormal bases of n
+# states (median of 5, BLAS on one thread), the table path took this share
+# of the block path's time:
 #
 #   dims   n=3   5     8     12    16
 #   2^4    0.17  0.24  0.57  1.11  1.35
@@ -429,30 +370,20 @@ def _outer_reals(coeff: np.ndarray) -> np.ndarray:
     """The n^2 reals of each row's outer product c c^dag, in the row order
     of :func:`_gram_tables`: |c_k|^2 for every k, then the real and
     imaginary parts of c_k conj(c_l) for each pair k < l in
-    ``np.triu_indices`` order."""
+    ``np.triu_indices`` order.
+
+    Real products and sums only: numpy's complex product rounds some
+    elements of a long block differently from the same elements alone, so
+    it would tie a row's bits to its block."""
     n = coeff.shape[1]
     first, second = np.triu_indices(n, 1)
+    re, im = coeff.real, coeff.imag
+    re_k, im_k, re_l, im_l = re[:, first], im[:, first], re[:, second], im[:, second]
     reals = np.empty((coeff.shape[0], n * n))
-    reals[:, :n] = np.square(coeff.real) + np.square(coeff.imag)
-    reals[:, n:].view(complex)[...] = coeff[:, first] * coeff[:, second].conj()
+    reals[:, :n] = np.square(re) + np.square(im)
+    reals[:, n::2] = re_k * re_l + im_k * im_l
+    reals[:, n + 1::2] = im_k * re_l - re_k * im_l
     return reals
-
-
-@functools.lru_cache(maxsize=None)
-def _outer_weights(n: int) -> np.ndarray:
-    """The (n^2, n^2) complex W that takes the products M_kl, rows in
-    row-major (k, l) order, to the rows of a table of :func:`_gram_tables`:
-    M_kk, then for each pair k < l (in ``np.triu_indices`` order) M_kl + M_lk
-    and i (M_kl - M_lk). Each row of W holds one or two entries 1 or +-i, so
-    every table entry is an exact sum of at most two products' entries."""
-    first, second = np.triu_indices(n, 1)
-    real_rows = n + 2 * np.arange(first.size)
-    weights = np.zeros((n * n, n, n), dtype=complex)
-    weights[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    weights[real_rows, first, second] = weights[real_rows, second, first] = 1.0
-    weights[real_rows + 1, first, second] = 1j
-    weights[real_rows + 1, second, first] = -1j
-    return _frozen(weights.reshape(n * n, n * n))
 
 
 def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
@@ -463,21 +394,26 @@ def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
     A row's Gram on a cut is G(c) = sum_kl c_k conj(c_l) M_kl with
     M_kl = A_k A_l^dag, the A_k the cut's compressed blocks. The table's
     rows follow :func:`_outer_reals`: H_kk = M_kk, then for each pair k < l
-    M_kl + M_kl^dag and i (M_kl - M_kl^dag), the multipliers of Re and Im
-    of c_k conj(c_l) (M_lk = M_kl^dag). All M_kl of a cut are the blocks of
-    one Gram of the A_k stacked, and one product with
-    :func:`_outer_weights` makes the rows, which are then symmetrized so
-    that each is Hermitian to the bit. Each row is packed by :func:`_pack`,
-    so the product is the packed Gram up to 3 rows and the real view of the
-    full matrix beyond, Hermitian to the bit as every H is.
+    (in ``np.triu_indices`` order) M_kl + M_lk and i (M_kl - M_lk), the
+    multipliers of Re and Im of c_k conj(c_l) (M_lk = M_kl^dag). All M_kl of
+    a cut are the blocks of one Gram of the A_k stacked; the rows, indexed
+    from them, are symmetrized so that each is Hermitian to the bit. Each
+    row is packed by :func:`_pack`, so the product is the packed Gram up to
+    3 rows and the real view of the full matrix beyond, Hermitian to the
+    bit as every H is.
     """
     tables = []
     for (r1, r2), columns, operand in groups:
         n, cuts = operand.shape[0], columns.size
         stacked = operand.reshape(n, cuts, r1, r2).swapaxes(0, 1).reshape(cuts, n * r1, r2)
         products = (stacked @ stacked.conj().swapaxes(-1, -2)).reshape(
-            cuts, n, r1, n, r1).transpose(1, 3, 0, 2, 4).reshape(n * n, -1)
-        rows = (_outer_weights(n) @ products).reshape(n * n, cuts, r1, r1)
+            cuts, n, r1, n, r1).transpose(1, 3, 0, 2, 4)  # M_kl at [k, l]
+        first, second = np.triu_indices(n, 1)
+        upper, lower = products[first, second], products[second, first]
+        rows = np.empty((n * n, cuts, r1, r1), dtype=complex)
+        rows[:n] = products[np.arange(n), np.arange(n)]
+        rows[n::2] = upper + lower
+        rows[n + 1::2] = 1j * (upper - lower)
         rows = 0.5 * (rows + rows.conj().swapaxes(-1, -2))
         tables.append(_frozen(_pack(rows).reshape(n * n, -1)))
     return tuple(tables)
@@ -561,7 +497,10 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
 
     Rows of :func:`_combine` are coefficient vectors c over the rows |b_k>
     of ``basis`` (n_basis, D), which should be orthonormal. On every cut the
-    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k. Two SVDs give
+    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k, rows on the
+    cut's smaller side (side I on a tie); the B_k of a cut are one
+    transpose of the (n_basis, *dims) basis tensor, and cuts are taken by
+    that shape, then in the order of ``masks``. Two SVDs give
     orthonormal bases U of the joint column span and V of the joint row
     span of the B_k, and the group stores A_k = U^dag B_k V. Then
     M(c) = U A(c) V^dag with A(c) = sum_k c_k A_k, which has the singular
@@ -580,22 +519,29 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
     the singular values gives. Keeping a small direction is exact, so any
     basis is accepted.
     """
-    n = basis.shape[0]
+    n, total = basis.shape[0], math.prod(dims)
+    tensor = basis.reshape((n,) + dims)
+    cuts = []
+    for column, mask in enumerate(masks):
+        rows = math.prod(d for p, d in enumerate(dims) if mask >> p & 1)
+        side = mask if rows * rows <= total else ~mask  # the smaller; side I on a tie
+        parties = sorted(range(len(dims)), key=lambda p: not side >> p & 1)
+        cuts.append((min(rows, total // rows), column, parties))
     groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for _, columns, index in _gram_groups(dims, masks):
-        for column, cut in zip(columns, index):
-            blocks = basis[:, cut]
-            u, s, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(cut.shape[0], -1),
-                                    full_matrices=False)
-            u = u[:, s > _SUPPORT_TOL]
-            _, s, vh = np.linalg.svd(blocks.reshape(-1, cut.shape[1]), full_matrices=False)
-            v = vh[s > _SUPPORT_TOL].conj().T
-            compressed = u.conj().T @ blocks @ v
-            if compressed.shape[1] > compressed.shape[2]:
-                compressed = compressed.swapaxes(1, 2)
-            members, stacks = groups.setdefault(compressed.shape[1:], ([], []))
-            members.append(column)
-            stacks.append(compressed)
+    # by matricization shape, then in enumeration order (sorted is stable)
+    for rows, column, parties in sorted(cuts, key=lambda cut: cut[0]):
+        blocks = tensor.transpose([0] + [p + 1 for p in parties]).reshape(n, rows, -1)
+        u, s, _ = np.linalg.svd(blocks.transpose(1, 0, 2).reshape(rows, -1),
+                                full_matrices=False)
+        u = u[:, s > _SUPPORT_TOL]
+        _, s, vh = np.linalg.svd(blocks.reshape(-1, blocks.shape[2]), full_matrices=False)
+        v = vh[s > _SUPPORT_TOL].conj().T
+        compressed = u.conj().T @ blocks @ v
+        if compressed.shape[1] > compressed.shape[2]:
+            compressed = compressed.swapaxes(1, 2)
+        members, stacks = groups.setdefault(compressed.shape[1:], ([], []))
+        members.append(column)
+        stacks.append(compressed)
     return tuple((shape, np.array(members), np.stack(stacks, axis=1).reshape(n, -1))
                  for shape, (members, stacks) in sorted(groups.items()))
 
@@ -648,8 +594,9 @@ class PhaseObjective:
 
     Holds the compressed blocks of :func:`_support_groups` and, for a basis
     of at most ``_TABLE_MAX_BASIS`` states, their Gram tables
-    (:func:`_gram_tables`), both built once here; one instance serves a
-    whole surface or a whole decomposition sampler. Only one cut per orbit
+    (:func:`_gram_tables`), both built once here; :meth:`_grams` is the one
+    place coefficient rows become Grams. One instance serves a whole
+    surface or a whole decomposition sampler. Only one cut per orbit
     of the party swaps fixing every basis state is evaluated: such a swap
     fixes every superposition too, so a cut and its image have the same
     Schmidt spectrum.
@@ -669,16 +616,35 @@ class PhaseObjective:
         self.row_entries = sum(columns.size * math.prod(shape)
                                for shape, columns, _ in self._groups)
 
+    def _grams(self, block: np.ndarray):
+        """``(columns, grams)`` per group, lazily: the Grams (rows, cuts,
+        reals) of coefficient rows ``block`` on the cuts at ``columns``, one
+        ``_combine`` of the rows' :func:`_outer_reals` with the group's table
+        where there are tables, otherwise of ``_combine(block, operand)``."""
+        if self._tables is None:
+            return ((columns, _gram(_combine(block, operand).reshape(
+                (len(block), columns.size) + shape))) for shape, columns, operand in self._groups)
+        reals = _outer_reals(block)
+        return ((columns, _combine(reals, table).reshape(len(block), columns.size, -1))
+                for (_, columns, _), table in zip(self._groups, self._tables))
+
     def measure(self, coeff: np.ndarray) -> np.ndarray:
         """GGM of each row of unit coefficient rows ``coeff`` (K, n_basis).
 
-        Every Gram of a row block is one product of the block's outer-product
-        reals with the Gram tables where the objective holds them, and is
-        formed from the combined blocks otherwise (see :func:`_top_squares`).
-        The result does not depend on how rows are blocked.
+        Rows are blocked by ``_BLOCK_ENTRIES`` entries of the products that
+        form their Grams (:meth:`_grams`; one row at least), and each row's
+        maximum is that of :func:`_store_tops` with ``max_only``. The blocking
+        changes no bit but where the table product rounds a row by the
+        block's row count (see :func:`_combine`), in the last bit.
         """
-        return 1.0 - _top_squares(coeff, self._groups, self._tables,
-                                  max_only=True).max(axis=1)
+        out = np.empty((len(coeff), len(self.masks)))
+        entries = (self.row_entries if self._tables is None
+                   else sum(table.shape[1] for table in self._tables))
+        step = max(1, _BLOCK_ENTRIES // entries)
+        for start in range(0, len(coeff), step):
+            _store_tops(out[start:start + step], self._grams(coeff[start:start + step]),
+                        max_only=True)
+        return 1.0 - np.clip(out, 0.0, 1.0, out=out).max(axis=1)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""

@@ -72,6 +72,13 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _reject_unknown(mapping, fields, context):
+    """Raise ``SpecError`` naming every key of ``mapping`` outside ``fields``:
+    a field that would be parsed and ignored."""
+    if unknown := sorted(set(mapping) - set(fields)):
+        raise SpecError(f"{context}: unexpected field(s) {', '.join(map(repr, unknown))}")
+
+
 def _complex_array(values, context):
     try:
         arr = np.asarray(values, dtype=float)
@@ -92,12 +99,14 @@ def parse_state_spec(spec, context="state") -> PureState:
     if not isinstance(spec, dict):
         raise SpecError(f"{context}: expected a JSON object")
     if "amplitudes" in spec:
+        _reject_unknown(spec, ("shape", "amplitudes"), context)
         shape = SystemShape(tuple(_require(spec, "shape", context)))
         amps = _complex_array(spec["amplitudes"], f"{context}.amplitudes")
         try:
             return PureState(shape, amps)
         except ValueError as exc:
             raise SpecError(f"{context}: {exc}") from exc
+    _reject_unknown(spec, ("constructor", "args"), context)
     name = _require(spec, "constructor", context)
     args = spec.get("args", {})
     if not isinstance(args, dict):
@@ -111,25 +120,36 @@ def parse_state_spec(spec, context="state") -> PureState:
 
 
 def _build_state(name, args, context) -> PureState:
+    def reads(*fields):
+        _reject_unknown(args, fields, f"{context}.args")
+
     if name == "ghz":
+        reads("n_parties", "d", "sign")
         return ghz(args["n_parties"], args.get("d", 2), args.get("sign", 1))
     if name == "gghz":
+        reads("n_parties", "alpha")
         return gghz(args["n_parties"], args["alpha"])
     if name == "dicke":
+        reads("n_parties", "k")
         return dicke(args["n_parties"], args["k"])
     if name == "generalized_dicke":
+        reads("n_parties", "k", "b")
         b = _complex_array(args["b"], f"{context}.args.b")
         return generalized_dicke(DickeCoefficients(args["n_parties"], args["k"], b))
     if name == "zeta":
+        reads("i")
         return zeta(args["i"])
     if name == "uniform_sector":
+        reads("dims", "modulus", "k")
         shape = SystemShape(tuple(args["dims"]))
         return uniform_sector_state(shape, args["modulus"], args["k"])
     if name == "sector":
+        reads("dims", "modulus", "k", "q")
         shape = SystemShape(tuple(args["dims"]))
         q = _complex_array(args["q"], f"{context}.args.q")
         return sector_state(SectorSpec(shape, args["modulus"], args["k"], q))
     if name == "superpose":
+        reads("basis", "weights", "phases")
         basis = [parse_state_spec(s, f"{context}.basis[{i}]")
                  for i, s in enumerate(args["basis"])]
         phases = args.get("phases")
@@ -142,6 +162,7 @@ def parse_group_spec(spec, context="group") -> UnitaryGroup:
     if not isinstance(spec, dict):
         raise SpecError(f"{context}: expected a JSON object")
     if "kind" in spec:
+        _reject_unknown(spec, ("kind", "dims"), context)
         kind = spec["kind"]
         if kind not in GROUP_KINDS:
             raise SpecError(f"{context}.kind: {kind!r} is not one of {GROUP_KINDS}")
@@ -152,6 +173,7 @@ def parse_group_spec(spec, context="group") -> UnitaryGroup:
             return builtin_group(kind, SystemShape(tuple(dims)))
         except ValueError as exc:
             raise SpecError(f"{context}: {exc}") from exc
+    _reject_unknown(spec, ("elements",), context)
     elements_spec = _require(spec, "elements", context)
     elements = []
     shape = None
@@ -178,6 +200,7 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
     if not isinstance(spec, dict):
         raise SpecError(f"{context}: expected a JSON object")
     if "family" in spec:
+        _reject_unknown(spec, ("family", "args"), context)
         name = spec["family"]
         if name not in FAMILY_BUILDERS:
             raise SpecError(
@@ -188,6 +211,7 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
             raise VerificationError(f"{context}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise SpecError(f"{context}.args: {exc}") from exc
+    _reject_unknown(spec, ("group", "basis", "weights", "param_names", "name"), context)
     group = parse_group_spec(_require(spec, "group", context), f"{context}.group")
     basis = [parse_state_spec(s, f"{context}.basis[{i}]")
              for i, s in enumerate(_require(spec, "basis", context))]

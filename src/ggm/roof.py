@@ -59,7 +59,8 @@ class TwirledFamily:
     factors without forming a D x D matrix; either failure raises
     :class:`VerificationError`.
     The family is immutable, so nothing downstream checks it again, and
-    its phase ``objective`` is built once, after verification.
+    its phase ``objective`` is built once, on first use: a family built
+    only to be checked pays for no blocks or tables.
 
     ``param_names``/``weight_map`` describe how points of the family's
     mixing simplex translate to weight vectors (identity padding with the
@@ -76,7 +77,6 @@ class TwirledFamily:
     param_names: tuple[str, ...] = ()
     weight_map: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
-    objective: _batch.PhaseObjective = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -100,8 +100,11 @@ class TwirledFamily:
         if not pre.ok:
             raise VerificationError(
                 f"family fails the preimage check (deviation {pre.max_deviation:.3e})")
-        object.__setattr__(self, "objective", _batch.PhaseObjective(
-            np.stack([b.amplitudes for b in basis]), self.shape.dims))
+
+    @functools.cached_property
+    def objective(self) -> _batch.PhaseObjective:
+        return _batch.PhaseObjective(np.stack([b.amplitudes for b in self.basis]),
+                                     self.shape.dims)
 
     @property
     def free_phases(self) -> int:

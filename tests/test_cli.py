@@ -10,10 +10,12 @@ import pytest
 
 import ggm.cli as cli_module
 import ggm.twirl as twirl_module
+from ggm import _batch
 from ggm.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    SpecError,
     main,
     parse_family_spec,
     parse_group_spec,
@@ -99,6 +101,41 @@ class TestParseSpecs:
     def test_builtin_family(self):
         fam = parse_family_spec({"family": "rank3_ghz_w"})
         assert fam.free_phases == 2
+
+    # A field that would be parsed and ignored is a usage error, at every level.
+
+    def test_family_field_outside_its_form_rejected(self):
+        # a built-in family has its own weights and group
+        with pytest.raises(SpecError, match=r"family: unexpected field\(s\) 'group', 'weights'"):
+            parse_family_spec({"family": "rank3_gghz", "args": {"alpha": 0.5},
+                               "weights": [1, 0, 0], "group": {"kind": "omega", "dims": [2] * 3}})
+        with pytest.raises(SpecError, match="'args'"):
+            parse_family_spec({**parity_family_doc(PARITY_SECTORS), "args": {}})
+
+    def test_group_field_outside_its_form_rejected(self):
+        eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(SpecError, match=r"group: unexpected field\(s\) 'elements'"):
+            parse_group_spec({"kind": "parity", "dims": [2, 2], "elements": [[eye, eye]]})
+        with pytest.raises(SpecError, match="'dims'"):
+            parse_group_spec({"elements": [[eye, eye]], "dims": [2, 2]})
+
+    def test_state_field_outside_its_form_rejected(self):
+        with pytest.raises(SpecError, match=r"state: unexpected field\(s\) 'shape'"):
+            parse_state_spec({"constructor": "ghz", "args": {"n_parties": 3}, "shape": [2] * 3})
+        with pytest.raises(SpecError, match="'constructor'"):
+            parse_state_spec({"shape": [2], "amplitudes": [[1, 0], [0, 0]],
+                              "constructor": "ghz"})
+
+    def test_unknown_constructor_arg_rejected(self):
+        with pytest.raises(SpecError, match=r"state.args: unexpected field\(s\) 'bogus'"):
+            parse_state_spec({"constructor": "ghz", "args": {"n_parties": 3, "bogus": 7}})
+        # nested specs are checked too
+        with pytest.raises(SpecError, match=r"basis\[1\].args: unexpected field\(s\) 'alpha'"):
+            parse_state_spec({"constructor": "superpose", "args": {
+                "basis": [{"constructor": "ghz", "args": {"n_parties": 3}},
+                          {"constructor": "dicke", "args": {"n_parties": 3, "k": 1,
+                                                            "alpha": 0.5}}],
+                "weights": [0.5, 0.5]}})
 
 
 class TestPureCommand:
@@ -209,6 +246,30 @@ class TestVerifyGroupCommand:
             f"(max deviation {inv.max_deviation:.3e}, tol 1e-08)",
             f"preimage property: {'pass' if pre.ok else 'FAIL'} "
             f"(max deviation {pre.max_deviation:.3e}, tol 1e-08)"]
+
+    def test_family_check_builds_no_objective(self, tmp_path, monkeypatch, capsys):
+        # verify-group only checks the family, so it pays for no phase objective
+        built = []
+        original = _batch.PhaseObjective.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_batch.PhaseObjective, "__init__", counting)
+        group = write_json(tmp_path / "grp.json", {"kind": "omega", "dims": [2] * 6})
+        family = write_json(tmp_path / "fam.json",
+                            {"family": "rank3_ghz_dicke", "args": {"n_parties": 6}})
+        assert main(["verify-group", group, "--family", family]) == EXIT_OK
+        assert built == []
+
+    def test_family_weights_it_would_ignore_exit_1(self, tmp_path, capsys):
+        group = write_json(tmp_path / "grp.json", {"kind": "omega", "dims": [2, 2, 2]})
+        family = write_json(tmp_path / "fam.json", {"family": "rank3_gghz",
+                                                    "args": {"alpha": 0.5},
+                                                    "weights": [1, 0, 0]})
+        assert main(["verify-group", group, "--family", family]) == EXIT_USAGE
+        assert "'weights'" in capsys.readouterr().err
 
     def test_wrong_group_fails_with_exit_2(self, tmp_path, rank2_family_spec, capsys):
         # the omega(3) twirl does not fix the parity mixture

@@ -40,6 +40,29 @@ def random_unitary(rng, d):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def smaller_side_first(dims, mask):
+    """The parties of cut ``mask``, its smaller side first (side I on a
+    tie), and the shape of its matricization with rows on that side."""
+    side_i = [p for p in range(len(dims)) if mask >> p & 1]
+    side_l = [p for p in range(len(dims)) if not mask >> p & 1]
+    d_i = math.prod(dims[p] for p in side_i)
+    d_l = math.prod(dims[p] for p in side_l)
+    parties = side_i + side_l if d_i <= d_l else side_l + side_i
+    return parties, (min(d_i, d_l), max(d_i, d_l))
+
+
+def matricization_indices(dims):
+    """Per matricization shape, in increasing order, the flat amplitude
+    index ``index[m, r, c]`` of entry (r, c) of the shape's canonical cut m,
+    rows on its smaller side (side I on a tie)."""
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    shapes = {}
+    for mask in _batch.canonical_cut_masks(dims):
+        parties, shape = smaller_side_first(dims, mask)
+        shapes.setdefault(shape, []).append(flat.transpose(parties).reshape(shape))
+    return [(shape, np.stack(index)) for shape, index in sorted(shapes.items())]
+
+
 def random_phased_rows(family, rows, seed):
     rng = np.random.default_rng(seed)
     n = len(family.basis)
@@ -118,16 +141,10 @@ class TestRowBlocking:
 
     @pytest.mark.parametrize("dims", [(2,) * 10, (2,) * 8, (2,) * 6, (3,) * 6], ids=str)
     def test_cut_table_chunks_change_no_bit(self, dims, monkeypatch):
-        # The cut table of the compressed blocks holds one entry per
-        # matricization shape. The pure kernel gathers its root
-        # matricizations in chunks of about _BLOCK_ENTRIES / 4 entries per
-        # row block (a 10-qubit row gathers about 2x 2^16), so at 2^6 every
-        # root is gathered alone.
+        # The pure kernel gathers its root matricizations in chunks of about
+        # _BLOCK_ENTRIES / 4 entries per row block (a 10-qubit row gathers
+        # about 2x 2^16), so at 2^6 every root is gathered alone.
         amps = random_amplitudes(np.random.default_rng(10), dims, rows=3)
-        masks = _batch.canonical_cut_masks(dims)
-        table = _batch._gram_groups(dims, masks)
-        assert len(table) == len({shape for shape, _, _ in table})
-        assert sorted(np.concatenate([c for _, c, _ in table])) == list(range(len(masks)))
         groups, _ = _batch._reduced_plan(dims)
         roots = [index for _, _, parent, index in groups if parent is None]
         original = _batch._gram
@@ -242,14 +259,33 @@ def rows_of(gram):
     return math.isqrt(size) if size <= 9 else math.isqrt(size // 2)
 
 
+def every_square(objective, coeff):
+    """Top squared Schmidt coefficient per coefficient row and per cut of
+    ``objective``, clipped to [0, 1], from its Grams of ``coeff`` as one
+    row block, with no cut pruned."""
+    out = np.empty((len(coeff), len(objective.masks)))
+    for columns, gram in objective._grams(coeff):
+        out[:, columns] = _batch._eigmax_herm(gram)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def support_objective(basis, dims, *, tables=False):
+    """A ``PhaseObjective`` of ``basis`` on every canonical cut, forming its
+    Grams from the compressed blocks or, with ``tables``, from their Gram
+    tables, whatever the basis size."""
+    dims = tuple(dims)
+    objective = _batch.PhaseObjective(basis, dims)
+    objective.masks = _batch.canonical_cut_masks(dims)
+    objective._groups = _batch._support_groups(objective.basis, dims, objective.masks)
+    objective._tables = _batch._gram_tables(objective._groups) if tables else None
+    return objective
+
+
 def support_squares(basis, dims, coeff, *, tables=False):
     """Top squared Schmidt coefficient per coefficient row and per cut, read
     from the compressed basis blocks of every canonical cut, or with
     ``tables`` from their Gram tables."""
-    dims = tuple(dims)
-    groups = _batch._support_groups(np.asarray(basis, dtype=complex), dims,
-                                    _batch.canonical_cut_masks(dims))
-    return _batch._top_squares(coeff, groups, _batch._gram_tables(groups) if tables else None)
+    return every_square(support_objective(basis, dims, tables=tables), coeff)
 
 
 def random_orthonormal_basis(rng, dims, n_basis):
@@ -429,7 +465,7 @@ class TestCutPruning:
         if isinstance(case, str):
             objective, rows = objective_case(case)
             pruned = objective.measure
-            full = _batch._top_squares(rows, objective._groups, objective._tables)
+            full = every_square(objective, rows)
         else:
             rows = random_amplitudes(np.random.default_rng(9), case, rows=64)
             pruned = functools.partial(pure.ggm_values, shape=SystemShape(case))
@@ -451,14 +487,15 @@ class TestCutPruning:
         objective = family.objective
         assert objective._tables is not None
         roots, phases = random_phased_rows(family, 300, seed=3)
-        full = _batch._top_squares(roots * np.exp(1j * phases), objective._groups,
-                                   objective._tables)
+        full = every_square(objective, roots * np.exp(1j * phases))
         assert np.array_equal(objective.values(roots, phases), 1.0 - full.max(axis=1))
 
     def test_groups_in_increasing_gram_rows(self):
+        rng = np.random.default_rng(12)
         for dims in GENERIC_SHAPES:
-            table = _batch._gram_groups(dims, _batch.canonical_cut_masks(dims))
-            assert [shape for shape, _, _ in table] == sorted(shape for shape, _, _ in table)
+            basis = random_orthonormal_basis(rng, dims, 3)
+            groups = _batch._support_groups(basis, dims, _batch.canonical_cut_masks(dims))
+            assert [shape for shape, _, _ in groups] == sorted(shape for shape, _, _ in groups)
         groups = rank3_ghz_dicke(12).objective._groups
         assert [shape for shape, _, _ in groups] == sorted(shape for shape, _, _ in groups)
         assert groups[-1][0][0] == 4
@@ -472,7 +509,7 @@ class TestGram:
     def test_gathered_blocks(self, dims):
         amps = random_amplitudes(np.random.default_rng(11), dims, rows=300)
         shapes = []
-        for shape, _, index in _batch._gram_groups(dims, _batch.canonical_cut_masks(dims)):
+        for shape, index in matricization_indices(dims):
             if shape[0] > 3:
                 continue
             shapes.append(shape)
@@ -1037,14 +1074,10 @@ def union_find_representatives(n_parties, masks, swaps):
 
 def support_ranks(basis, dims, mask):
     """Dimensions of the joint column and row spans of a cut's blocks, rows
-    on the smaller side (side I on a tie) as in the kernel's cut table."""
-    side_i = [p for p in range(len(dims)) if mask >> p & 1]
-    side_l = [p for p in range(len(dims)) if not mask >> p & 1]
-    d_i = math.prod(dims[p] for p in side_i)
-    d_l = math.prod(dims[p] for p in side_l)
-    small, big = (side_i, side_l) if d_i <= d_l else (side_l, side_i)
+    on the smaller side (side I on a tie) as the kernel orients them."""
+    parties, shape = smaller_side_first(dims, mask)
     blocks = basis.reshape((-1,) + dims).transpose(
-        [0] + [p + 1 for p in small + big]).reshape(basis.shape[0], min(d_i, d_l), -1)
+        [0] + [p + 1 for p in parties]).reshape((basis.shape[0],) + shape)
     return (np.linalg.matrix_rank(np.concatenate(list(blocks), axis=1)),
             np.linalg.matrix_rank(np.concatenate(list(blocks), axis=0)))
 
@@ -1120,11 +1153,13 @@ class TestSupportKernel:
         dims = (2, 3, 4)
         basis = random_amplitudes(np.random.default_rng(5), dims, rows=4)
         coeff = random_amplitudes(np.random.default_rng(6), (4,), rows=700)
-        results = []
-        for entries in (1 << 10, 1 << 16):
-            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-            results.append(support_squares(basis, dims, coeff))
-        assert np.array_equal(results[0], results[1])
+        for tables in (False, True):
+            objective = support_objective(basis, dims, tables=tables)
+            results = []
+            for entries in (1 << 10, 1 << 16):
+                monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+                results.append(objective.measure(coeff))
+            assert np.array_equal(results[0], results[1])
 
 
 SAMPLER_TARGETS = {"rank5": (rank5_five_qubit, [0.3, 0.25]),
@@ -1177,6 +1212,13 @@ class TestGramTables:
             assert np.array_equal(full, full.conj().swapaxes(-1, -2))
         assert {shape[0] > 3 for shape, _, _ in groups} == {False, True}
 
+    @pytest.mark.parametrize("n_basis", [2, 3, 4, 5, 8])
+    def test_outer_reals_independent_of_the_block(self, n_basis):
+        # a 3,000-row block against its rows one at a time, bit for bit
+        coeff = random_amplitudes(np.random.default_rng(n_basis), (n_basis,), rows=3000)
+        alone = np.concatenate([_batch._outer_reals(row[None]) for row in coeff])
+        assert np.array_equal(_batch._outer_reals(coeff), alone)
+
     def test_path_chosen_by_the_basis_size(self):
         # the tables for every built-in family and both benchmark sampler
         # targets, the blocks above _TABLE_MAX_BASIS states
@@ -1201,8 +1243,7 @@ class TestGramTables:
 
 
 class TestFamilyObjective:
-    def test_built_once_at_construction(self, monkeypatch):
-        family = rank3_ghz_w()
+    def test_built_once_on_first_evaluation(self, monkeypatch):
         built = []
         original = _batch.PhaseObjective.__init__
 
@@ -1211,9 +1252,12 @@ class TestFamilyObjective:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(_batch.PhaseObjective, "__init__", counting)
-        min_phase_ggm(family, np.full(3, 1 / 3))
-        min_phase_ggm(family, np.array([0.5, 0.25, 0.25]))
+        family = rank3_ghz_w()
         assert built == []
+        min_phase_ggm(family, np.full(3, 1 / 3))
+        assert built == [1]
+        min_phase_ggm(family, np.array([0.5, 0.25, 0.25]))
+        assert built == [1]
 
     def test_min_phase_ggm_takes_no_search_keywords(self):
         family = rank3_ghz_w()

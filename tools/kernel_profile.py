@@ -32,8 +32,11 @@ with the Gram tables, or rows with the compressed blocks) and ``gram``
 (``_gram`` on the combined blocks), with ``form`` their sum. Then per
 Gram size it prints ``top`` and ``top_s``, the Grams sent to the top
 eigenvalue and the seconds there, and ``other`` and ``total`` for the rest
-of the bound and its whole time. A tree without the Gram tables shows
-``outer`` 0, so the two paths compare layer by layer.
+of the bound and its whole time. Rows are counted at
+``PhaseObjective._grams``, the one place coefficient rows become Grams, so
+with ``--sampler`` the profiled tree must have that method. A basis above
+``_batch._TABLE_MAX_BASIS`` states shows ``outer`` 0, so the two paths
+compare layer by layer.
 
 The wrappers time every root chunk and every group on its own, and their
 overhead grows with the number of calls, so the seconds (``total``
@@ -153,9 +156,9 @@ class SamplerProfile:
                 return out
             return wrapper
 
-        def profiled_top_squares(coeff, *args, **kwargs):
-            self.rows += coeff.shape[0]
-            return top_squares(coeff, *args, **kwargs)
+        def profiled_grams(objective, block):
+            self.rows += block.shape[0]
+            return grams(objective, block)
 
         def profiled_eigmax(grams):
             start = time.perf_counter()
@@ -165,20 +168,20 @@ class SamplerProfile:
             entry[1] += time.perf_counter() - start
             return out
 
-        top_squares, eigmax = batch._top_squares, batch._eigmax_herm
-        wrappers = {"_top_squares": profiled_top_squares, "_eigmax_herm": profiled_eigmax,
-                    "_combine": timed("combine", batch._combine),
-                    "_gram": timed("gram", batch._gram)}
-        if hasattr(batch, "_outer_reals"):  # trees without Gram tables lack it
-            wrappers["_outer_reals"] = timed("outer", batch._outer_reals)
-        for name, value in wrappers.items():
-            self.undo.append((name, getattr(batch, name)))
-            setattr(batch, name, value)
+        grams, eigmax = batch.PhaseObjective._grams, batch._eigmax_herm
+        wrappers = {(batch.PhaseObjective, "_grams"): profiled_grams,
+                    (batch, "_eigmax_herm"): profiled_eigmax,
+                    (batch, "_combine"): timed("combine", batch._combine),
+                    (batch, "_gram"): timed("gram", batch._gram),
+                    (batch, "_outer_reals"): timed("outer", batch._outer_reals)}
+        for (owner, name), value in wrappers.items():
+            self.undo.append((owner, name, getattr(owner, name)))
+            setattr(owner, name, value)
         return self
 
     def __exit__(self, *exc):
-        for name, value in reversed(self.undo):
-            setattr(self.batch, name, value)
+        for owner, name, value in reversed(self.undo):
+            setattr(owner, name, value)
         return False
 
 

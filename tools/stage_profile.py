@@ -31,9 +31,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark runs BLAS
+# as the benchmark runs BLAS; OpenBLAS reads it when numpy is first imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 STAGES = ("joint seed", "pencil", "scan", "golden", "cycle-end values", "stencil",
           "envelope")
