@@ -348,11 +348,11 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
             best = top if best is None else np.maximum(best, top)
 
 
-# Bases of at most this many states form their Grams from the tables of
-# _gram_tables, larger ones from their blocks. Timing PhaseObjective.measure
-# alone on 10,000 random unit rows over random orthonormal bases of n
-# states (median of 5, BLAS on one thread), the table path took this share
-# of the block path's time:
+# PhaseObjective.measure forms Grams of bases of at most this many states
+# from the tables of _gram_tables (a pencil at any size), larger ones from
+# their blocks. Timing measure alone on 10,000 random unit rows over random
+# orthonormal bases of n states (median of 5, BLAS on one thread), the
+# table path took this share of the block path's time:
 #
 #   dims   n=3   5     8     12    16
 #   2^4    0.17  0.24  0.57  1.11  1.35
@@ -366,17 +366,22 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
 _TABLE_MAX_BASIS = 8
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> np.ndarray:
+    """The pairs k < l, ``np.triu_indices(n, 1)`` as one array, once per n."""
+    return _frozen(np.array(np.triu_indices(n, 1)))
+
+
 def _outer_reals(coeff: np.ndarray) -> np.ndarray:
     """The n^2 reals of each row's outer product c c^dag, in the row order
     of :func:`_gram_tables`: |c_k|^2 for every k, then the real and
-    imaginary parts of c_k conj(c_l) for each pair k < l in
-    ``np.triu_indices`` order.
+    imaginary parts of c_k conj(c_l) for each pair k < l of :func:`_pairs`.
 
     Real products and sums only: numpy's complex product rounds some
     elements of a long block differently from the same elements alone, so
     it would tie a row's bits to its block."""
     n = coeff.shape[1]
-    first, second = np.triu_indices(n, 1)
+    first, second = _pairs(n)
     re, im = coeff.real, coeff.imag
     re_k, im_k, re_l, im_l = re[:, first], im[:, first], re[:, second], im[:, second]
     reals = np.empty((coeff.shape[0], n * n))
@@ -394,7 +399,7 @@ def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
     A row's Gram on a cut is G(c) = sum_kl c_k conj(c_l) M_kl with
     M_kl = A_k A_l^dag, the A_k the cut's compressed blocks. The table's
     rows follow :func:`_outer_reals`: H_kk = M_kk, then for each pair k < l
-    (in ``np.triu_indices`` order) M_kl + M_lk and i (M_kl - M_lk), the
+    of :func:`_pairs` M_kl + M_lk and i (M_kl - M_lk), the
     multipliers of Re and Im of c_k conj(c_l) (M_lk = M_kl^dag). All M_kl of
     a cut are the blocks of one Gram of the A_k stacked; the rows, indexed
     from them, are symmetrized so that each is Hermitian to the bit. Each
@@ -408,7 +413,7 @@ def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
         stacked = operand.reshape(n, cuts, r1, r2).swapaxes(0, 1).reshape(cuts, n * r1, r2)
         products = (stacked @ stacked.conj().swapaxes(-1, -2)).reshape(
             cuts, n, r1, n, r1).transpose(1, 3, 0, 2, 4)  # M_kl at [k, l]
-        first, second = np.triu_indices(n, 1)
+        first, second = _pairs(n)
         upper, lower = products[first, second], products[second, first]
         rows = np.empty((n * n, cuts, r1, r1), dtype=complex)
         rows[:n] = products[np.arange(n), np.arange(n)]
@@ -592,14 +597,14 @@ class PhaseObjective:
     """GGM of superpositions sum_k c_k |basis_k>, by coefficient rows or as
     a function of phases (c_k = sqrt(w_k) e^{i phi_k}).
 
-    Holds the compressed blocks of :func:`_support_groups` and, for a basis
-    of at most ``_TABLE_MAX_BASIS`` states, their Gram tables
-    (:func:`_gram_tables`), both built once here; :meth:`_grams` is the one
-    place coefficient rows become Grams. One instance serves a whole
-    surface or a whole decomposition sampler. Only one cut per orbit
-    of the party swaps fixing every basis state is evaluated: such a swap
-    fixes every superposition too, so a cut and its image have the same
-    Schmidt spectrum.
+    Holds the compressed blocks of :func:`_support_groups`, built here, and
+    their Gram tables (:func:`_gram_tables`), built on first use (by
+    :meth:`measure` up to ``_TABLE_MAX_BASIS`` states, by :meth:`pencil` at
+    any size); :meth:`_grams` and the pencil form every Gram from them or
+    the blocks. One instance serves a whole surface or a whole sampler.
+    Only one cut per orbit of the party swaps fixing every basis state is
+    evaluated: such a swap fixes every superposition too, so a cut and its
+    image have the same Schmidt spectrum.
     """
 
     def __init__(self, basis_matrix: np.ndarray, dims: tuple[int, ...]):
@@ -609,19 +614,22 @@ class PhaseObjective:
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
         self._groups = _support_groups(self.basis, self.dims, self.masks)
-        self._tables = (_gram_tables(self._groups)
-                        if len(self.basis) <= _TABLE_MAX_BASIS else None)
-        # Compressed block entries per row: a pencil of ``_BLOCK_ENTRIES //
-        # row_entries`` rows keeps B, P, S and T within that many entries.
-        self.row_entries = sum(columns.size * math.prod(shape)
-                               for shape, columns, _ in self._groups)
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        return _gram_tables(self._groups)
+
+    @functools.cached_property
+    def row_entries(self) -> int:
+        """Outer and table reals per row: a pencil holds three times that."""
+        return len(self.basis) ** 2 + sum(table.shape[1] for table in self._tables)
 
     def _grams(self, block: np.ndarray):
         """``(columns, grams)`` per group, lazily: the Grams (rows, cuts,
         reals) of coefficient rows ``block`` on the cuts at ``columns``, one
         ``_combine`` of the rows' :func:`_outer_reals` with the group's table
-        where there are tables, otherwise of ``_combine(block, operand)``."""
-        if self._tables is None:
+        up to ``_TABLE_MAX_BASIS`` states, else of ``_combine(block, operand)``."""
+        if len(self.basis) > _TABLE_MAX_BASIS:
             return ((columns, _gram(_combine(block, operand).reshape(
                 (len(block), columns.size) + shape))) for shape, columns, operand in self._groups)
         reals = _outer_reals(block)
@@ -638,8 +646,9 @@ class PhaseObjective:
         block's row count (see :func:`_combine`), in the last bit.
         """
         out = np.empty((len(coeff), len(self.masks)))
-        entries = (self.row_entries if self._tables is None
-                   else sum(table.shape[1] for table in self._tables))
+        entries = (sum(table.shape[1] for table in self._tables)
+                   if len(self.basis) <= _TABLE_MAX_BASIS
+                   else sum(cols.size * math.prod(shape) for shape, cols, _ in self._groups))
         step = max(1, _BLOCK_ENTRIES // entries)
         for start in range(0, len(coeff), step):
             _store_tops(out[start:start + step], self._grams(coeff[start:start + step]),
@@ -653,39 +662,38 @@ class PhaseObjective:
     def pencil(self, roots: np.ndarray, phases: np.ndarray, coord: int):
         """Probe of the rows' GGM as a function of phase ``coord`` alone.
 
-        With B the block combination of a row without coefficient ``coord``
-        (its phase there is ignored), A = A_coord and r = roots[:, coord],
-        each cut's Gram at angle theta is the Hermitian pencil
-        G(theta) = P + cos(theta) S + sin(theta) T with P = BB^dag + r^2 AA^dag,
-        Q = r AB^dag, S = Q + Q^dag and T = i(Q - Q^dag). They are built once
-        here (the caller bounds the rows: B has ``row_entries`` per row), in
-        the layout of :func:`_gram`, so a probe's scaled adds touch the
-        Gram's reals, and as in :meth:`values` a cut whose Frobenius bound
-        cannot reach the probe's maximum so far skips the top eigenvalue.
-        The returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM
-        at each angle, of the same shape. Every step is elementwise per row
-        or the kernel's own, so no row depends on the rows around it.
+        With c_coord = r e^{i theta} (r = roots[:, coord]; the phase there is
+        ignored), a row's :func:`_outer_reals` are o(theta) = O_P + cos(theta)
+        O_S + sin(theta) O_T: O_S the reals of the pairs with ``coord`` at
+        theta = 0, O_T those at theta = pi/2, O_P the rest (r^2 included).
+        Grams are linear in o, so each cut's Gram is the Hermitian pencil
+        P + cos(theta) S + sin(theta) T, whose P, S and T, in the layout of
+        :func:`_gram`, are built here (the caller bounds the rows by
+        ``row_entries``) as one product of O_P, O_S and O_T with the group's
+        table, at any basis size. A probe's scaled adds touch the Gram's
+        reals, and as in :meth:`values` a cut whose Frobenius bound cannot
+        reach the probe's maximum so far skips the top eigenvalue. The
+        returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM at
+        each angle, of the same shape. Every step is per row but the table
+        product, which can round a row by its block's rows (:func:`_combine`).
         """
+        n, count = len(self.basis), len(roots)
+        turned = n + np.flatnonzero(np.repeat((_pairs(n) == coord).any(axis=0), 2))
         coeff = roots * np.exp(1j * phases)
-        coeff[:, coord] = 0.0
-        r = roots[:, coord, None, None]
-        pencils = []
-        for shape, columns, operand in self._groups:
-            b = _combine(coeff, operand).reshape((len(coeff), columns.size) + shape)
-            a = operand[coord].reshape((columns.size,) + shape)
-            # Q = r A B^dag one column at a time, in order, so it is elementwise.
-            b_conj = b.conj()
-            q = a[..., :, None, 0] * b_conj[..., None, :, 0]
-            for k in range(1, shape[1]):
-                q += a[..., :, None, k] * b_conj[..., None, :, k]
-            q *= r[..., None]
-            q_dag = q.conj().swapaxes(-1, -2)
-            mats = _gram(b) + r * r * _gram(a), _pack(q + q_dag), _pack(1j * (q - q_dag))
-            pencils.append(tuple(m[:, None] for m in mats))
+        coeff[:, coord] = roots[:, coord]
+        reals = np.zeros((3, count, n * n))  # O_P, O_S, O_T
+        reals[0] = _outer_reals(coeff)
+        reals[1][:, turned] = reals[0][:, turned]
+        reals[0][:, turned] = 0.0
+        coeff[:, coord] = 1j * roots[:, coord]
+        reals[2][:, turned] = _outer_reals(coeff)[:, turned]
+        reals = reals.reshape(3 * count, n * n)
+        pencils = [_combine(reals, table).reshape(3, count, 1, columns.size, -1)
+                   for (_, columns, _), table in zip(self._groups, self._tables)]
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)
-            flat = angles.reshape(len(coeff), -1)
+            flat = angles.reshape(count, -1)
             top = np.empty(flat.shape)
             step = max(1, _BLOCK_ENTRIES // (flat.shape[1] * self.row_entries))
             for start in range(0, flat.shape[0], step):

@@ -362,8 +362,8 @@ class GgmSurface:
     minimum Hessian eigenvalue (NaN near the boundary), ``phase_argmin``
     the minimizing phases per point (one column per basis element). Where
     two tied phase branches cross, ``raw`` has a concave kink and the
-    Hessian column holds a finite difference of order 1/h (-110 to -4519
-    at 24 points of figure 7 at grid 41): only its sign, the flag, counts.
+    Hessian column holds a finite difference of order 1/h (-109.56 to
+    -4518.6 at 24 points of figure 7 at grid 41): only its sign, the flag, counts.
     """
 
     param_names: tuple[str, ...]

@@ -1,6 +1,7 @@
 """The batched Schmidt kernel shared by the pure and mixed pipelines, its
 symmetry reduction for twirled families, and the kernel invariants."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -269,23 +270,31 @@ def every_square(objective, coeff):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def support_objective(basis, dims, *, tables=False):
-    """A ``PhaseObjective`` of ``basis`` on every canonical cut, forming its
-    Grams from the compressed blocks or, with ``tables``, from their Gram
-    tables, whatever the basis size."""
+def support_objective(basis, dims):
+    """A ``PhaseObjective`` of ``basis`` on every canonical cut."""
     dims = tuple(dims)
     objective = _batch.PhaseObjective(basis, dims)
     objective.masks = _batch.canonical_cut_masks(dims)
     objective._groups = _batch._support_groups(objective.basis, dims, objective.masks)
-    objective._tables = _batch._gram_tables(objective._groups) if tables else None
     return objective
+
+
+@contextlib.contextmanager
+def gram_path(tables):
+    """Within it, ``PhaseObjective.measure`` and ``_grams`` form the Grams
+    from the Gram tables with ``tables``, otherwise from the compressed
+    blocks, whatever the basis size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_batch, "_TABLE_MAX_BASIS", math.inf if tables else 0)
+        yield
 
 
 def support_squares(basis, dims, coeff, *, tables=False):
     """Top squared Schmidt coefficient per coefficient row and per cut, read
     from the compressed basis blocks of every canonical cut, or with
     ``tables`` from their Gram tables."""
-    return every_square(support_objective(basis, dims, tables=tables), coeff)
+    with gram_path(tables):
+        return every_square(support_objective(basis, dims), coeff)
 
 
 def random_orthonormal_basis(rng, dims, n_basis):
@@ -299,7 +308,7 @@ def objective_case(kind):
     rng = np.random.default_rng(21)
     n_basis = {"table objective": 5, "block objective": 12}[kind]
     objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis), (2,) * 4)
-    assert (objective._tables is None) == (kind == "block objective")
+    assert (n_basis > _batch._TABLE_MAX_BASIS) == (kind == "block objective")
     return objective, random_amplitudes(rng, (n_basis,), rows=64)
 
 
@@ -728,13 +737,26 @@ class TestCoefficientRowBlocking:
 
 
 class TestPencil:
-    """One-phase probes on the Gram pencil P + cos(theta) S + sin(theta) T."""
+    """One-phase probes on the Gram pencil P + cos(theta) S + sin(theta) T,
+    on every built-in family and on a basis whose values take the blocks."""
 
     ENTRIES = (1, 1 << 6, 1 << 10, 1 << 16)
+    CASES = sorted(FAMILY_BUILDERS) + ["12-state basis"]
 
     @staticmethod
-    def rows(family, seed, count=41):
-        roots, phases = random_phased_rows(family, count, seed)
+    def objective(name):
+        """A built-in family's objective, or for ``"12-state basis"`` one of
+        a seeded orthonormal 12-state basis on four qubits, above
+        ``_TABLE_MAX_BASIS``."""
+        if name in FAMILY_BUILDERS:
+            return FAMILY_BUILDERS[name]().objective
+        basis = random_orthonormal_basis(np.random.default_rng(12), (2,) * 4, 12)
+        assert len(basis) > _batch._TABLE_MAX_BASIS
+        return _batch.PhaseObjective(basis, (2,) * 4)
+
+    @staticmethod
+    def rows(objective, seed, count=41):
+        roots, phases = random_phased_rows(objective, count, seed)
         roots[::3, -1] = 0.0   # zero weights, on the probed coordinate too
         roots[1::3, 0] = 0.0
         roots /= np.linalg.norm(roots, axis=1, keepdims=True)
@@ -749,12 +771,11 @@ class TestPencil:
         return objective.values(np.repeat(roots, angles.shape[1], axis=0),
                                 probed.reshape(-1, n)).reshape(angles.shape)
 
-    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize("name", CASES)
     def test_matches_values_on_every_coordinate(self, name):
-        family = FAMILY_BUILDERS[name]()
-        objective = family.objective
-        roots, phases, angles = self.rows(family, seed=len(name))
-        for coord in range(len(family.basis)):
+        objective = self.objective(name)
+        roots, phases, angles = self.rows(objective, seed=len(name))
+        for coord in range(len(objective.basis)):
             probe = objective.pencil(roots, phases, coord)
             expected = self.full_values(objective, roots, phases, coord, angles)
             assert np.max(np.abs(probe(angles) - expected)) <= 1e-13
@@ -763,12 +784,11 @@ class TestPencil:
             assert np.max(np.abs(one(angles[4:5]) - expected[4:5])) <= 1e-13
             assert np.max(np.abs(one(angles[4:5, 0]) - expected[4:5, 0])) <= 1e-13
 
-    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    @pytest.mark.parametrize("name", CASES)
     def test_bit_identical_whatever_the_blocking(self, name, monkeypatch):
-        family = FAMILY_BUILDERS[name]()
-        objective = family.objective
-        roots, phases, angles = self.rows(family, seed=len(name) + 2)
-        for coord in range(len(family.basis)):
+        objective = self.objective(name)
+        roots, phases, angles = self.rows(objective, seed=len(name) + 2)
+        for coord in range(len(objective.basis)):
             whole = objective.pencil(roots, phases, coord)(angles)
             for entries in self.ENTRIES:
                 monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
@@ -1153,12 +1173,13 @@ class TestSupportKernel:
         dims = (2, 3, 4)
         basis = random_amplitudes(np.random.default_rng(5), dims, rows=4)
         coeff = random_amplitudes(np.random.default_rng(6), (4,), rows=700)
+        objective = support_objective(basis, dims)
         for tables in (False, True):
-            objective = support_objective(basis, dims, tables=tables)
             results = []
-            for entries in (1 << 10, 1 << 16):
-                monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-                results.append(objective.measure(coeff))
+            with gram_path(tables):
+                for entries in (1 << 10, 1 << 16):
+                    monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+                    results.append(objective.measure(coeff))
             assert np.array_equal(results[0], results[1])
 
 
@@ -1219,19 +1240,41 @@ class TestGramTables:
         alone = np.concatenate([_batch._outer_reals(row[None]) for row in coeff])
         assert np.array_equal(_batch._outer_reals(coeff), alone)
 
+    @staticmethod
+    def tables_built(objective, evaluate):
+        """Whether ``evaluate(objective)`` builds the objective's Gram tables,
+        none being built before."""
+        assert "_tables" not in vars(objective)
+        evaluate(objective)
+        return "_tables" in vars(objective)
+
     def test_path_chosen_by_the_basis_size(self):
-        # the tables for every built-in family and both benchmark sampler
-        # targets, the blocks above _TABLE_MAX_BASIS states
+        # measure takes the tables for every built-in family and both
+        # benchmark sampler targets, and the blocks above _TABLE_MAX_BASIS
+        # states; the first pencil builds the tables at any size
+        rng = np.random.default_rng(4)
+
+        def measure(objective):
+            objective.measure(random_amplitudes(rng, (len(objective.basis),), rows=3))
+
+        def pencil(objective):
+            n = len(objective.basis)
+            objective.pencil(np.full((3, n), n ** -0.5), np.zeros((3, n)), n - 1)
+
         for name, builder in FAMILY_BUILDERS.items():
             objective = builder().objective
+            assert self.tables_built(objective, measure), name
             assert len(objective._tables) == len(objective._groups), name
         for name in SAMPLER_TARGETS:
-            assert _batch.PhaseObjective(*sampler_eigenbasis(name))._tables is not None
-        rng = np.random.default_rng(4)
+            assert self.tables_built(_batch.PhaseObjective(*sampler_eigenbasis(name)), measure)
         for n_basis in (8, 9, 12):
             objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis),
                                               (2,) * 4)
-            assert (objective._tables is None) == (n_basis > _batch._TABLE_MAX_BASIS)
+            assert self.tables_built(objective, measure) == (
+                n_basis <= _batch._TABLE_MAX_BASIS)
+            if n_basis > _batch._TABLE_MAX_BASIS:
+                assert self.tables_built(objective, pencil)
+            assert len(objective._tables) == len(objective._groups)
         assert _batch._TABLE_MAX_BASIS == 8
 
     @pytest.mark.parametrize("kind", ["table objective", "block objective"])
@@ -1240,6 +1283,7 @@ class TestGramTables:
         objective, rows = objective_case(kind)
         assert objective.measure(rows[:0]).shape == (0,)
         assert np.array_equal(objective.measure(rows[:1]), objective.measure(rows[:2])[:1])
+        assert ("_tables" in vars(objective)) == (kind == "table objective")
 
 
 class TestFamilyObjective:

@@ -465,9 +465,16 @@ class TestSamplerAgainstReference:
         bound = hjw_upper_bound(rho, m, 400, seed)
         assert abs(bound - reference_hjw_upper_bound(rho, m, 400, seed)) < 1e-12
 
-    def test_rank_above_the_table_cutoff(self):
+    def test_rank_above_the_table_cutoff(self, monkeypatch):
         rho = self.TARGETS["rank12_4qubit"]()
         assert rho.rank() == 12 > _batch._TABLE_MAX_BASIS
+        # the sampler's objective measures only, so it builds no Gram table
+        built = []
+        tables = _batch._gram_tables
+        monkeypatch.setattr(_batch, "_gram_tables",
+                            lambda groups: built.append(1) or tables(groups))
+        hjw_upper_bound(rho, 14, 50, 7)
+        assert built == []
 
     def test_swap_symmetric_eigenbasis(self):
         rho = self.TARGETS["rank3_ghz_dicke5"]()

@@ -33,10 +33,10 @@ with the Gram tables, or rows with the compressed blocks) and ``gram``
 Gram size it prints ``top`` and ``top_s``, the Grams sent to the top
 eigenvalue and the seconds there, and ``other`` and ``total`` for the rest
 of the bound and its whole time. Rows are counted at
-``PhaseObjective._grams``, the one place coefficient rows become Grams, so
-with ``--sampler`` the profiled tree must have that method. A basis above
-``_batch._TABLE_MAX_BASIS`` states shows ``outer`` 0, so the two paths
-compare layer by layer.
+``PhaseObjective._grams``, the one place ``measure`` turns coefficient rows
+into Grams, so with ``--sampler`` the profiled tree must have that method.
+A basis above ``_batch._TABLE_MAX_BASIS`` states shows ``outer`` 0, so the
+two paths compare layer by layer.
 
 The wrappers time every root chunk and every group on its own, and their
 overhead grows with the number of calls, so the seconds (``total``

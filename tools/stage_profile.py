@@ -10,8 +10,7 @@ evaluated inside it (a one-phase probe counts one row per angle):
 
 - ``joint seed``: ``_apply_joint_seeds`` of the cold (raw-surface) start;
 - ``pencil``: ``PhaseObjective.pencil`` builds of the cold start;
-- ``scan``: the grid scan of the cold start (probes of a row of angles, or
-  on a tree without pencils, ``values`` calls on the scan's candidates);
+- ``scan``: the grid scan of the cold start (probes of a row of angles);
 - ``golden``: ``_golden_refine`` of the cold start;
 - ``cycle-end values``: the other ``values`` calls of the cold start (the
   starting values and each cycle's end);
@@ -82,27 +81,23 @@ class StageProfile:
         values = objective.values
 
         def counted_values(obj, roots, phases):
-            # On a tree without pencils the scan evaluates the candidates
-            # ``cand_phases`` of minimize_phases.
-            scan = sys._getframe(1).f_locals.get("cand_phases") is phases
-            stage = self.active or ("scan" if scan else "cycle-end values")
+            stage = self.active or "cycle-end values"
             self.rows[stage] += len(roots)
             return self._timed(stage, values, obj, roots, phases)
 
         self._set(objective, "values", counted_values)
-        if hasattr(objective, "pencil"):
-            pencil = objective.pencil
+        pencil = objective.pencil
 
-            def counted_pencil(obj, roots, phases, coord):
-                probe = self._timed("pencil", pencil, obj, roots, phases, coord)
+        def counted_pencil(obj, roots, phases, coord):
+            probe = self._timed("pencil", pencil, obj, roots, phases, coord)
 
-                def counted_probe(angles):
-                    stage = self.active or "scan"
-                    self.rows[stage] += int(np.size(angles))
-                    return self._timed(stage, probe, angles)
-                return counted_probe
+            def counted_probe(angles):
+                stage = self.active or "scan"
+                self.rows[stage] += int(np.size(angles))
+                return self._timed(stage, probe, angles)
+            return counted_probe
 
-            self._set(objective, "pencil", counted_pencil)
+        self._set(objective, "pencil", counted_pencil)
         return self
 
     def __exit__(self, *exc):
