@@ -688,12 +688,13 @@ class PhaseObjective:
         coeff[:, coord] = 1j * roots[:, coord]
         reals[2][:, turned] = _outer_reals(coeff)[:, turned]
         reals = reals.reshape(3 * count, n * n)
-        pencils = [_combine(reals, table).reshape(3, count, 1, columns.size, -1)
+        pencils = [_combine(reals, table).reshape(
+                       3, count, 1, columns.size, table.shape[1] // columns.size)
                    for (_, columns, _), table in zip(self._groups, self._tables)]
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)
-            flat = angles.reshape(count, -1)
+            flat = angles.reshape(count, math.prod(angles.shape[1:]))
             top = np.empty(flat.shape)
             step = max(1, _BLOCK_ENTRIES // (flat.shape[1] * self.row_entries))
             for start in range(0, flat.shape[0], step):

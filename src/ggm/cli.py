@@ -50,7 +50,6 @@ from .twirl import (
     builtin_group,
 )
 
-DEFAULT_SEED = 12345
 DEFAULT_TOL = 1e-9
 
 EXIT_OK = 0
@@ -300,8 +299,7 @@ def _cmd_verify_group(args) -> int:
     if args.family is not None:
         family = parse_family_spec(_load_json(args.family))
         # Both checks read one moved basis and one QR.
-        inv, pre = _verify_family(group, family.basis, family.weights,
-                                  tol=args.tol, seed=args.seed)
+        inv, pre, _ = _verify_family(group, family.basis, family.weights, tol=args.tol)
         lines.append(
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
             f"(max deviation {inv.max_deviation:.3e}, tol {args.tol:g})")
@@ -417,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--family", default=None,
                        help="optional family spec to test invariance/preimage")
     p_ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="accepted for compatibility and ignored: the preimage "
+                            "check is exact and draws no phases")
     p_ver.add_argument("--out", default=None)
 
     p_fig = sub.add_parser("figure", help="write the dataset behind figure 1..8")

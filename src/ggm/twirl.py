@@ -34,7 +34,6 @@ __all__ = [
     "PreimageResult",
     "VerificationError",
     "GROUP_KINDS",
-    "PREIMAGE_SEED",
 ]
 
 UNITARY_TOL = 1e-10
@@ -42,16 +41,10 @@ GROUP_TOL = 1e-9
 GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
 
 # Entries in one block of the closure check (block x |G| x |G| x N x d^2), of
-# the moved rows (block x rows x D) and of the residuals (block x r x r).
+# the moved rows (block x rows x D) and of the twirled blocks (block x r x r,
+# gathered from block x r x |G| columns).
 _CLOSURE_BLOCK = 1 << 16
 _RESIDUAL_BLOCK = 1 << 12
-
-# Default phase sample of the preimage check: a fixed seed for its random
-# draws, their count, and the grid points per free phase. The property is
-# phase-independent, so sampling is a sanity net rather than a proof.
-PREIMAGE_SEED = 12345
-PREIMAGE_DRAWS = 20
-PREIMAGE_GRID_POINTS = 8
 
 
 class VerificationError(ValueError):
@@ -346,69 +339,59 @@ def _moved_r(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
     """R of the thin QR V = QR of the columns V = [g v_a for every g, a; v_b].
 
     The columns run over the rows v_a of ``rows``, first moved by every
-    element g (g-major), then unmoved; every twirl residual of mixtures of
-    these rows is read from R by :func:`_twirl_residuals`.
+    element g (g-major), then unmoved; the twirled blocks of these rows are
+    read from R by :func:`_twirled_blocks`.
     """
     n_moved = group.order * len(rows)
     stacked = np.concatenate([_moved(group.stacks, rows).reshape(n_moved, -1), rows])
     return np.linalg.qr(stacked.T, mode="r")
 
 
-def _twirl_residuals(r: np.ndarray, order: int, factors: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """Frobenius norms ||(1/|G|) sum_g g X_k g^dagger - Y||_F, one per X_k.
+def _twirled_blocks(r: np.ndarray, order: int, weights: np.ndarray,
+                    tol: float) -> tuple[InvarianceResult, PreimageResult, np.ndarray]:
+    """Both checks of Y = sum_k w_k |v_k><v_k|, read from the R of :func:`_moved_r`.
 
-    X_k = sum_j |x_kj><x_kj| with x_kj = sum_a factors[k, a, j] v_a, and
-    Y = sum_b w_b |v_b><v_b|, over the rows v_a behind ``r`` (the output of
-    :func:`_moved_r` for a group of ``order`` elements). Each difference
-    is V C_k V^dagger for the columns V of :func:`_moved_r` and a
-    block-diagonal C_k, so with V = QR its norm is ||R C_k R^dagger||_F.
-    The norm is read from that small matrix and never expanded into
-    traces, whose cancellation would resolve it only to about 1e-8.
+    The twirled blocks T_kl = (1/|G|) sum_g g|v_k><v_l|g^dagger are
+    V C V^dagger for the columns V of :func:`_moved_r`, so with V = QR
+    ||T_kl||_F = ||(1/|G|) sum_g R_gk R_gl^dagger||_F over the columns R_gk
+    of R. Norms are read from these small matrices and never expanded into
+    traces, whose cancellation would resolve them only to about 1e-8.
+
+    The invariance deviation is ||sum_k w_k T_kk - Y||_F. A member
+    sum_k sqrt(w_k) e^{i phi_k}|v_k> twirls to sum_k w_k T_kk plus
+    sum_{k != l} sqrt(w_k w_l) e^{i(phi_k - phi_l)} T_kl, so the preimage
+    deviation, the invariance deviation plus sum_{k != l} sqrt(w_k w_l)
+    ||T_kl||_F, bounds its twirl residual at every phase vector. It is 0
+    exactly when every member twirls onto Y; conversely, averaging the
+    residual against e^{-i(phi_k - phi_l)} shows that it is at most n^2
+    times the largest residual over the phases. Also returns the (n, n)
+    array of ||T_kl||_F, zero on the diagonal and where w_k w_l = 0.
     """
-    n_moved = order * len(weights)
-    r_moved = r[:, :n_moved].reshape(len(r), order, len(weights))
+    n = len(weights)
+    n_moved = order * n
+    r_moved = r[:, :n_moved].reshape(len(r), order, n)
     r_target = r[:, n_moved:]
-    target = (r_target * weights) @ r_target.conj().T
-    out = np.empty(len(factors))
-    step = max(1, _RESIDUAL_BLOCK // len(r) ** 2)
-    for lo in range(0, len(factors), step):
-        # R g x_kj for every element g and term j, as the columns of one matrix per k
-        moved = np.einsum("rga,kaj->krgj", r_moved, factors[lo:lo + step])
-        moved = moved.reshape(len(moved), len(r), -1)
-        diff = moved @ moved.conj().swapaxes(-1, -2)
-        diff /= order
-        diff -= target
-        out[lo:lo + step] = np.linalg.norm(diff, axis=(1, 2))
-    return out
+    roots = np.sqrt(np.clip(weights, 0.0, None))
+    moved = (r_moved * roots).reshape(len(r), n_moved)
+    diff = moved @ moved.conj().T
+    diff /= order
+    diff -= (r_target * weights) @ r_target.conj().T
+    inv = float(np.linalg.norm(diff))
 
-
-def _invariance(r: np.ndarray, order: int, weights: np.ndarray,
-                tol: float) -> InvarianceResult:
-    terms = np.diag(np.sqrt(np.clip(weights, 0.0, None)))[None]
-    dev = float(_twirl_residuals(r, order, terms, weights)[0])
-    return InvarianceResult(dev <= tol, dev)
-
-
-def _preimage(r: np.ndarray, order: int, weights: np.ndarray, phases: np.ndarray,
-              tol: float) -> PreimageResult:
-    coeffs = np.sqrt(np.clip(weights, 0.0, None)) * np.exp(1j * phases)
-    worst = float(_twirl_residuals(r, order, coeffs[:, :, None], weights).max(initial=0.0))
-    return PreimageResult(worst <= tol, worst)
-
-
-def _sampled_phases(n: int, random_draws: int, grid_points: int,
-                    seed: int) -> np.ndarray:
-    """Phase vectors of the preimage check, one row each, phase 0 fixed at 0.
-
-    Zero phases, an axis-aligned grid of ``grid_points`` values per free
-    phase, then ``random_draws`` joint uniform draws from ``seed``.
-    """
-    angles = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)[1:]
-    grid = np.kron(np.eye(n)[1:], angles[:, None])
-    draws = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(random_draws, n))
-    draws[:, 0] = 0.0
-    return np.concatenate([np.zeros((1, n)), grid, draws])
+    # R_gk for every element g, as the columns of one matrix per k
+    cols = r_moved.transpose(2, 0, 1)
+    k, l = np.triu_indices(n, 1)
+    weighted = roots[k] * roots[l] > 0.0
+    k, l = k[weighted], l[weighted]
+    cross = np.zeros((n, n))
+    step = max(1, _RESIDUAL_BLOCK // (len(r) * max(len(r), order)))
+    for lo in range(0, len(k), step):
+        pairs = slice(lo, lo + step)
+        blocks = cols[k[pairs]] @ cols[l[pairs]].conj().swapaxes(-1, -2)
+        cross[k[pairs], l[pairs]] = np.linalg.norm(blocks, axis=(1, 2)) / order
+    cross += cross.T
+    pre = inv + float(roots @ cross @ roots)
+    return InvarianceResult(inv <= tol, inv), PreimageResult(pre <= tol, pre), cross
 
 
 def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
@@ -419,49 +402,30 @@ def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
     the factors; it bounds the max-entry norm of :func:`verify_invariance`
     from above, so this check is never the looser one.
     """
-    rows, weights = _mixture_rows(group, basis, weights)
-    return _invariance(_moved_r(group, rows), group.order, weights, tol)
+    return _verify_family(group, basis, weights, tol=tol)[0]
 
 
-def verify_preimage(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL,
-                    random_draws: int = PREIMAGE_DRAWS,
-                    grid_points: int = PREIMAGE_GRID_POINTS,
-                    seed: int = PREIMAGE_SEED,
-                    phases: list | None = None) -> PreimageResult:
+def verify_preimage(group: UnitaryGroup, basis, weights, *,
+                    tol: float = GROUP_TOL) -> PreimageResult:
     """Check that phased superpositions of ``basis`` twirl onto the mixture.
 
-    Every member sqrt(w_k) e^{i phi_k}|basis_k> must twirl to
-    sum_k w_k |basis_k><basis_k| regardless of the phases. Sampled phase
-    assignments are an axis-aligned grid of ``grid_points`` values per free
-    phase plus ``random_draws`` joint uniform draws from a fixed seed; pass
-    ``phases`` (a list of full-length phase vectors) to override. The basis
-    and weights are validated once; all assignments then share one thin QR
-    of the moved basis, and the deviation is the largest Frobenius norm of
-    a twirl residual (see :func:`verify_mixture_invariance`).
+    Every member sum_k sqrt(w_k) e^{i phi_k}|basis_k> must twirl to
+    sum_k w_k |basis_k><basis_k| whatever its phases. The deviation is the
+    bound of :func:`_twirled_blocks` on the Frobenius norm of that twirl
+    residual at every phase vector, so the check holds for all phases at
+    once, not at a sample; it is 0 exactly when the property holds.
     """
-    rows, weights = _mixture_rows(group, basis, weights)
-    n = len(rows)
-    if phases is None:
-        phases = _sampled_phases(n, random_draws, grid_points, seed)
-    elif any(np.size(vec) != n for vec in phases):
-        raise ValueError("basis, weights, and phases must have equal lengths")
-    phases = np.asarray(phases, dtype=float).reshape(-1, n)
-    return _preimage(_moved_r(group, rows), group.order, weights, phases, tol)
+    return _verify_family(group, basis, weights, tol=tol)[1]
 
 
-def _verify_family(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL,
-                   seed: int = PREIMAGE_SEED) -> tuple[InvarianceResult, PreimageResult]:
+def _verify_family(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL
+                   ) -> tuple[InvarianceResult, PreimageResult, np.ndarray]:
     """:func:`verify_mixture_invariance` and :func:`verify_preimage` at
-    ``tol`` and ``seed`` (their other arguments at the defaults), read from
-    one moved basis and one thin QR.
+    ``tol``, read from one moved basis and one thin QR, with the norms
+    ||T_kl||_F of :func:`_twirled_blocks` that name a failing pair.
 
-    Both deviations are bit-identical to those of the two separate calls,
-    which compute the same R.
+    Both results equal those of the two separate calls, which compute the
+    same R.
     """
     rows, weights = _mixture_rows(group, basis, weights)
-    r = _moved_r(group, rows)
-    return (_invariance(r, group.order, weights, tol),
-            _preimage(r, group.order, weights,
-                      _sampled_phases(len(rows), PREIMAGE_DRAWS, PREIMAGE_GRID_POINTS,
-                                      seed),
-                      tol))
+    return _twirled_blocks(_moved_r(group, rows), group.order, weights, tol)

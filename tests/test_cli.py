@@ -211,11 +211,25 @@ class TestVerifyGroupCommand:
 
     @pytest.mark.parametrize("group_kind, code", [("parity", EXIT_OK),
                                                   ("omega", EXIT_VERIFICATION)])
+    def test_seed_is_accepted_and_ignored(self, group_kind, code, tmp_path,
+                                          rank2_family_spec):
+        # the check draws no phases, so --seed leaves the report's bytes alone
+        spec = write_json(tmp_path / "grp.json", {"kind": group_kind, "dims": [2, 2, 2]})
+        reports = []
+        for seed in ([], ["--seed", "7"]):
+            out = tmp_path / f"report{len(reports)}.txt"
+            assert main(["verify-group", spec, "--family", rank2_family_spec,
+                         *seed, "--out", str(out)]) == code
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("group_kind, code", [("parity", EXIT_OK),
+                                                  ("omega", EXIT_VERIFICATION)])
     def test_family_checks_move_the_basis_once(self, group_kind, code, tmp_path,
                                                rank2_family_spec, monkeypatch, capsys):
         # The family's construction moves its basis once; the invariance and
         # preimage checks against the spec's group share one more _moved call,
-        # and report what the two public checks report at --tol and --seed.
+        # and report what the two public checks report at --tol; --seed is ignored.
         calls, after_parse = [], []
         moved, parse = twirl_module._moved, cli_module.parse_family_spec
 
@@ -239,8 +253,7 @@ class TestVerifyGroupCommand:
         family = parse({"family": "rank2_symmetric", "args": {"n_parties": 3}})
         inv = twirl_module.verify_mixture_invariance(group, family.basis, family.weights,
                                                      tol=1e-8)
-        pre = twirl_module.verify_preimage(group, family.basis, family.weights,
-                                           tol=1e-8, seed=7)
+        pre = twirl_module.verify_preimage(group, family.basis, family.weights, tol=1e-8)
         assert capsys.readouterr().out.splitlines()[2:] == [
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
             f"(max deviation {inv.max_deviation:.3e}, tol 1e-08)",

@@ -40,7 +40,7 @@ def test_families_verify_at_random_weights(builder):
         params = rng.dirichlet(np.ones(len(fam.param_names) + 1))[:-1]
         weights = fam.params_to_weights(params)
         assert verify_invariance(fam.group, fam.target_at(weights)).ok
-        assert verify_preimage(fam.group, fam.basis, weights, random_draws=5).ok
+        assert verify_preimage(fam.group, fam.basis, weights).ok
 
 
 def test_rank5_weight_pairing():

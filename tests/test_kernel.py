@@ -802,6 +802,16 @@ class TestPencil:
             column = objective.pencil(roots, phases, coord)(np.ascontiguousarray(angles[:, 2]))
             assert np.array_equal(column, whole[:, 2])
 
+    @pytest.mark.parametrize("name", ["rank3_gghz", "12-state basis"])
+    def test_no_rows(self, name):
+        # as measure accepts zero rows, so does the pencil and its probe
+        objective = self.objective(name)
+        n = len(objective.basis)
+        probe = objective.pencil(np.zeros((0, n)), np.zeros((0, n)), n - 1)
+        assert probe(np.zeros(0)).shape == (0,)
+        assert probe(np.zeros((0, 5))).shape == (0, 5)
+        assert objective.measure(np.zeros((0, n))).shape == (0,)
+
     @pytest.mark.parametrize("name", ["rank3_gghz", "qutrit_sector_family"])
     def test_one_angle_on_a_full_block_of_rows(self, name):
         # a golden-section step: one angle for each of 2^16 // row_entries rows

@@ -16,7 +16,7 @@ from ggm.families import (
     rank5_five_qubit,
     zeta_slice_family,
 )
-from ggm.hilbert import DensityMatrix, SystemShape
+from ggm.hilbert import DensityMatrix, PureState, SystemShape
 from ggm.pure import ggm_values
 from ggm.roof import (
     TwirledFamily,
@@ -32,7 +32,13 @@ from ggm.roof import (
     simplex_grid,
 )
 from ggm.states import dicke, ghz
-from ggm.twirl import LocalUnitaryElement, UnitaryGroup, VerificationError, builtin_group
+from ggm.twirl import (
+    LocalUnitaryElement,
+    UnitaryGroup,
+    VerificationError,
+    builtin_group,
+    verify_mixture_invariance,
+)
 from helpers import hessian_report
 
 
@@ -65,6 +71,32 @@ class TestTwirledFamily:
             TwirledFamily(group=trivial, basis=(ghz(3), dicke(3, 1)),
                           weights=np.array([0.5, 0.5]))
         assert isinstance(info.value, ValueError)
+
+    def test_surviving_cross_term_names_its_pair(self):
+        # omega(3) fixes the mixture of GHZ+ and GHZ-, but |000> and |111>
+        # share a charge sector, so |GHZ+><GHZ-| survives the twirl
+        shape = SystemShape((2, 2, 2))
+        minus = np.zeros(8)
+        minus[[0, 7]] = [1.0, -1.0]
+        basis = (ghz(3), PureState(shape, minus / math.sqrt(2.0)))
+        group = builtin_group("omega", shape)
+        assert verify_mixture_invariance(group, basis, [0.5, 0.5]).ok
+        with pytest.raises(VerificationError, match=r"preimage.*basis pair \(0, 1\)"):
+            TwirledFamily(group=group, basis=basis, weights=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("build, grid, edge", [(rank5_five_qubit, 51, 5),
+                                                   (zeta_slice_family, 101, 9)])
+    def test_boundary_weights_are_exact_zeros(self, build, grid, edge):
+        # on x1 + x2 = 1 the residual weight keeps the grid's rounding
+        family = build()
+        points = simplex_grid(grid, 2)
+        unsnapped = family.weight_map(points)
+        residue = (unsnapped > 0.0) & (unsnapped < 1e-15)
+        assert residue.any(axis=1).sum() == edge
+        weights = family.params_to_weights(points)
+        assert np.all(weights[residue] == 0.0)
+        assert not np.any((weights > 0.0) & (weights < 1e-12))
+        assert np.array_equal(weights[~residue], np.clip(unsnapped, 0.0, None)[~residue])
 
     def test_params_to_weights_default_padding(self):
         fam = rank3_ghz_w()
@@ -112,16 +144,20 @@ class TestMinPhaseGgm:
 
     def test_joint_seed_independent_of_the_rows_around_it(self):
         # At figure 7's default grid the edge points (0.96, 0.04) and
-        # (0.97, 0.03) keep a last weight of about 3e-17, so they share
-        # their active pattern, and their seed lattice, with the 4,860
-        # interior points; their seed must still be the one they take alone.
+        # (0.97, 0.03) give weight_map a last weight of about 3e-17, which
+        # params_to_weights snaps to 0. Kept, it makes them share their active
+        # pattern, and their seed lattice, with the 4,860 interior points;
+        # their seed must still be the one they take alone.
         fam = zeta_slice_family()
         grid = simplex_grid(101, 2)
-        values, phases = min_phase_ggm_many(fam, grid)
-        for point in ([0.96, 0.04], [0.97, 0.03]):
-            row = np.flatnonzero(np.all(np.abs(grid - point) < 1e-12, axis=1))[0]
-            assert 0.0 < fam.params_to_weights(grid[row])[-1] < 1e-16
-            single, single_phases = min_phase_ggm(fam, fam.params_to_weights(grid[row]))
+        weights = fam.params_to_weights(grid)
+        rows = [np.flatnonzero(np.all(np.abs(grid - point) < 1e-12, axis=1))[0]
+                for point in ([0.96, 0.04], [0.97, 0.03])]
+        weights[rows] = fam.weight_map(grid[rows])
+        values, phases = _batch.minimize_phases(fam.objective, weights)
+        for row in rows:
+            assert 0.0 < weights[row, -1] < 1e-16
+            single, single_phases = min_phase_ggm(fam, weights[row])
             assert values[row] == single
             assert np.array_equal(phases[row], single_phases)
 

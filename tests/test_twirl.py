@@ -22,7 +22,7 @@ from ggm.twirl import (
     _factors_equal_up_to_phase,
     _moved,
     _moved_r,
-    _twirl_residuals,
+    _twirled_blocks,
     _verify_family,
     builtin_group,
     verify_invariance,
@@ -275,15 +275,14 @@ class TestVerifyPreimage:
         shape = SystemShape((2,) * n)
         group = builtin_group("parity", shape)
         basis = [uniform_sector_state(shape, 2, 0), uniform_sector_state(shape, 2, 1)]
-        explicit = [np.array([0.0, phi]) for phi in (0.0, np.pi / 4, np.pi)]
-        ok, dev = verify_preimage(group, basis, [0.3, 0.7], phases=explicit)
+        ok, dev = verify_preimage(group, basis, [0.3, 0.7])
         assert ok and dev < 1e-12
 
-    def test_zeta_family_random_draws(self):
+    def test_zeta_family(self):
         group = builtin_group("zeta", QUBITS3)
         from ggm.states import zeta
         basis = [zeta(i) for i in range(1, 5)]
-        ok, dev = verify_preimage(group, basis, [0.4, 0.2, 0.3, 0.1], random_draws=20)
+        ok, dev = verify_preimage(group, basis, [0.4, 0.2, 0.3, 0.1])
         assert ok and dev < 1e-9
 
     def test_broken_preimage_detected(self):
@@ -298,7 +297,7 @@ class TestVerifyPreimage:
         even = uniform_sector_state(shape, 2, 0)
         rotated = PureState(shape, full @ even.amplitudes)
         odd = uniform_sector_state(shape, 2, 1)
-        ok, dev = verify_preimage(group, [rotated, odd], [0.5, 0.5], random_draws=5)
+        ok, dev = verify_preimage(group, [rotated, odd], [0.5, 0.5])
         assert not ok
         assert dev > 1e-3
 
@@ -438,19 +437,44 @@ class TestFactoredResidual:
     @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
                              ids=[c[0] for c in family_cases()])
     def test_preimage_residual_matches_dense(self, name, group, rows, weights):
+        basis = [PureState(group.shape, r) for r in rows]
+        _, bound, cross = _verify_family(group, basis, weights)
+        # ||T_kl||_F is the dense twirl of |b_k><b_l| on every weighted pair
+        assert np.all(weights > 0) and np.array_equal(cross, cross.T)
+        assert np.all(cross.diagonal() == 0.0)
+        for k, l in zip(*np.triu_indices(len(rows), 1)):
+            dense = dense_twirl(group, np.outer(rows[k], rows[l].conj()))
+            assert abs(cross[k, l] - np.linalg.norm(dense)) <= 1e-12
+        # the bound covers the dense residual at seeded phases, in the
+        # Frobenius and so in the max-entry norm
         phases = np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, (6, len(weights)))
         coeffs = np.sqrt(weights) * np.exp(1j * phases)
-        factored = _twirl_residuals(_moved_r(group, rows), group.order,
-                                    coeffs[:, :, None], weights)
         dense = np.array([dense_residual(group, rows, c, weights) for c in coeffs])
-        assert np.max(np.abs(factored - dense[:, 0])) <= 1e-12
-        # Frobenius >= max-entry, up to rounding of the two computations
-        assert np.all(factored >= dense[:, 1] - 1e-15)
+        assert np.all(bound.max_deviation >= dense[:, 0])
+        assert np.all(bound.max_deviation >= dense[:, 1])
         if name == "broken":
-            assert np.all(factored >= dense[:, 1]) and factored.min() > 1e-3
-        basis = [PureState(group.shape, r) for r in rows]
-        batched = verify_preimage(group, basis, weights, phases=list(phases))
-        assert abs(batched.max_deviation - dense[:, 0].max()) <= 1e-12
+            assert not bound.ok and bound.max_deviation > 1e-3
+        assert verify_preimage(group, basis, weights) == bound
+
+    @pytest.mark.parametrize("kind", ["zeta", "parity"])
+    def test_twirled_blocks_match_dense_on_a_random_basis(self, kind):
+        # a seeded orthonormal basis no group fixes: every T_kl is generic
+        group = builtin_group(kind, QUBITS3)
+        rng = np.random.default_rng(37)
+        amps = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        rows = np.linalg.qr(amps)[0].T
+        weights = np.array([0.4, 0.3, 0.2, 0.1])
+        basis = [PureState(QUBITS3, r) for r in rows]
+        inv, pre, cross = _verify_family(group, basis, weights)
+        target = (rows.T * weights) @ rows.conj()
+        assert abs(inv.max_deviation
+                   - np.linalg.norm(dense_twirl(group, target) - target)) <= 1e-12
+        for k, l in zip(*np.triu_indices(len(rows), 1)):
+            dense = dense_twirl(group, np.outer(rows[k], rows[l].conj()))
+            assert np.linalg.norm(dense) > 1e-2
+            assert abs(cross[k, l] - np.linalg.norm(dense)) <= 1e-12
+        roots = np.sqrt(weights)
+        assert abs(pre.max_deviation - inv.max_deviation - roots @ cross @ roots) <= 1e-15
 
     @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
                              ids=[c[0] for c in family_cases()])
@@ -514,7 +538,8 @@ class TestFactoredResidual:
         assert not result.ok and not dense.ok
         assert result.max_deviation >= dense.max_deviation
 
-    def test_default_draws_are_the_per_draw_maximum(self):
+    def test_bound_covers_every_draw(self):
+        # zero phases, a grid of 8 per free phase and 20 seeded draws
         group, rows, weights = broken_family()
         basis = [PureState(group.shape, r) for r in rows]
         rng = np.random.default_rng(12345)
@@ -526,7 +551,31 @@ class TestFactoredResidual:
             phases.append(vec)
         per_draw = max(dense_residual(group, rows, np.sqrt(weights) * np.exp(1j * p),
                                       weights)[0] for p in phases)
-        assert abs(verify_preimage(group, basis, weights).max_deviation - per_draw) <= 1e-12
+        assert verify_preimage(group, basis, weights).max_deviation >= per_draw > 1e-3
+
+    @pytest.mark.parametrize("name", ["rank5_five_qubit", "qutrit_sector_family"])
+    def test_twirled_blocks_whatever_the_blocking(self, name, monkeypatch):
+        family = FAMILY_BUILDERS[name]()
+        rows = np.stack([b.amplitudes for b in family.basis])
+        r = _moved_r(family.group, rows)
+        whole = _twirled_blocks(r, family.group.order, family.weights, GROUP_TOL)
+        # one pair at a time, then every pair in one block
+        for entries in (1, 1 << 30):
+            monkeypatch.setattr(ggm.twirl, "_RESIDUAL_BLOCK", entries)
+            blocked = _twirled_blocks(r, family.group.order, family.weights, GROUP_TOL)
+            assert blocked[:2] == whole[:2]
+            assert np.array_equal(blocked[2], whole[2])
+
+    def test_zero_weight_pairs_are_not_checked(self):
+        # the trivial group keeps every cross term; with the second state at
+        # weight 0 no member carries it, and only the two others are named
+        group, rows, _ = broken_family()
+        rows = np.concatenate([rows, dicke(3, 2).amplitudes[None]])
+        basis = [PureState(group.shape, r) for r in rows]
+        inv, pre, cross = _verify_family(group, basis, [0.5, 0.0, 0.5])
+        assert inv.ok and not pre.ok
+        assert np.array_equal(cross != 0.0, np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 1)
+        assert abs(pre.max_deviation - 2 * 0.5 * cross[0, 2]) <= 1e-15
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_construction_moves_the_basis_once(self, name, monkeypatch):
@@ -544,7 +593,7 @@ class TestFactoredResidual:
         separate = (verify_mixture_invariance(family.group, family.basis, family.weights),
                     verify_preimage(family.group, family.basis, family.weights))
         assert len(calls) == 3
-        assert _verify_family(family.group, family.basis, family.weights) == separate
+        assert _verify_family(family.group, family.basis, family.weights)[:2] == separate
 
     def test_large_family_builds_no_dense_matrix(self, monkeypatch):
         built = []
