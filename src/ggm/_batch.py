@@ -348,21 +348,23 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
             best = top if best is None else np.maximum(best, top)
 
 
-# PhaseObjective.measure forms Grams of bases of at most this many states
-# from the tables of _gram_tables (a pencil at any size), larger ones from
-# their blocks. Timing measure alone on 10,000 random unit rows over random
-# orthonormal bases of n states (median of 5, BLAS on one thread), the
-# table path took this share of the block path's time:
+# hjw_upper_bound reads members of eigenbases of at most this many states
+# by a PhaseObjective (the Gram tables of _gram_tables), larger ones by
+# pure.ggm_values on their amplitudes. Timing PhaseObjective.measure against
+# ggm_values on the combined amplitudes, on 10,000 random unit rows over
+# random orthonormal bases of n states (2-vCPU host, BLAS on one thread,
+# median of 5, then of 3 runs), the tables took this share of the pure
+# kernel's time:
 #
 #   dims   n=3   5     8     12    16
-#   2^4    0.17  0.24  0.57  1.11  1.35
-#   2^5    0.15  0.25  0.34  0.44  0.80
-#   3^3    0.30  0.40  0.67  2.13  3.27
-#   2^6    0.21  0.27  0.40  0.72  1.12
+#   2^4    0.42  0.45  0.64  1.02  1.73
+#   2^5    0.20  0.25  0.38  0.55  1.07
+#   3^3    0.32  0.47  0.77  1.38  5.20
+#   2^6    0.36  0.49  0.82  1.21  1.92
 #
-# A table has n^2 rows, so it loses on large bases: a full-rank 6-qubit
-# eigenbasis would need 4096 x 1784 reals (58 MB). Every built-in family
-# has n <= 5.
+# A table has n^2 rows, so it loses on large generic bases. A family's
+# objective keeps its tables at any size: orbit pruning leaves a symmetric
+# family few cuts (ghz_dicke_mixture(9) has 9 states and 4 orbit cuts).
 _TABLE_MAX_BASIS = 8
 
 
@@ -389,39 +391,6 @@ def _outer_reals(coeff: np.ndarray) -> np.ndarray:
     reals[:, n::2] = re_k * re_l + im_k * im_l
     reals[:, n + 1::2] = im_k * re_l - re_k * im_l
     return reals
-
-
-def _gram_tables(groups: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
-    """Per group of :func:`_support_groups`, the real (n^2, cuts * reals)
-    table H with ``_outer_reals(c) @ H`` the group's Grams of the row c,
-    laid out as :func:`_gram` lays them out.
-
-    A row's Gram on a cut is G(c) = sum_kl c_k conj(c_l) M_kl with
-    M_kl = A_k A_l^dag, the A_k the cut's compressed blocks. The table's
-    rows follow :func:`_outer_reals`: H_kk = M_kk, then for each pair k < l
-    of :func:`_pairs` M_kl + M_lk and i (M_kl - M_lk), the
-    multipliers of Re and Im of c_k conj(c_l) (M_lk = M_kl^dag). All M_kl of
-    a cut are the blocks of one Gram of the A_k stacked; the rows, indexed
-    from them, are symmetrized so that each is Hermitian to the bit. Each
-    row is packed by :func:`_pack`, so the product is the packed Gram up to
-    3 rows and the real view of the full matrix beyond, Hermitian to the
-    bit as every H is.
-    """
-    tables = []
-    for (r1, r2), columns, operand in groups:
-        n, cuts = operand.shape[0], columns.size
-        stacked = operand.reshape(n, cuts, r1, r2).swapaxes(0, 1).reshape(cuts, n * r1, r2)
-        products = (stacked @ stacked.conj().swapaxes(-1, -2)).reshape(
-            cuts, n, r1, n, r1).transpose(1, 3, 0, 2, 4)  # M_kl at [k, l]
-        first, second = _pairs(n)
-        upper, lower = products[first, second], products[second, first]
-        rows = np.empty((n * n, cuts, r1, r1), dtype=complex)
-        rows[:n] = products[np.arange(n), np.arange(n)]
-        rows[n::2] = upper + lower
-        rows[n + 1::2] = 1j * (upper - lower)
-        rows = 0.5 * (rows + rows.conj().swapaxes(-1, -2))
-        tables.append(_frozen(_pack(rows).reshape(n * n, -1)))
-    return tuple(tables)
 
 
 def _root_grams(block: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -490,39 +459,41 @@ def schmidt_sq_matrix(amps: np.ndarray, dims: tuple[int, ...], *,
 
 
 # Singular values of a cut's joint support at or below this are dropped.
-# Unit-norm basis rows make them absolute; see _support_groups for the bound.
+# Unit-norm basis rows make them absolute; see _gram_tables for the bound.
 _SUPPORT_TOL = 1e-13
 
 
-def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
-                    masks: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Groups of the (n_basis, cuts * r1 * r2) compressed blocks of
-    ``basis`` on ``masks``, for :func:`_combine`, in increasing order of
-    (r1, r2).
+def _gram_tables(basis: np.ndarray, dims: tuple[int, ...],
+                 masks: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``(columns, table)`` per group of the cuts ``masks`` of ``basis``
+    (n_basis, D), whose rows should be orthonormal: ``_outer_reals(c) @
+    table`` are the Grams of the coefficient row c on the cuts at
+    ``columns`` of ``masks``, laid out as :func:`_gram` lays them out.
 
-    Rows of :func:`_combine` are coefficient vectors c over the rows |b_k>
-    of ``basis`` (n_basis, D), which should be orthonormal. On every cut the
-    matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k, rows on the
-    cut's smaller side (side I on a tie); the B_k of a cut are one
-    transpose of the (n_basis, *dims) basis tensor, and cuts are taken by
-    that shape, then in the order of ``masks``. Two SVDs give
-    orthonormal bases U of the joint column span and V of the joint row
-    span of the B_k, and the group stores A_k = U^dag B_k V. Then
-    M(c) = U A(c) V^dag with A(c) = sum_k c_k A_k, which has the singular
-    values of M(c), so a row costs n_basis * r1 * r2 and touches no D-sized
-    array. Where r1 > r2 the plain transpose A_k^T is stored:
-    sum_k c_k A_k^T = A(c)^T keeps the singular values, while the conjugate
-    transpose would conjugate c.
+    On a cut the matricization of sum_k c_k |b_k> is M(c) = sum_k c_k B_k,
+    rows on the smaller side (side I on a tie); the B_k are one transpose of
+    the (n_basis, *dims) basis tensor. Two SVDs give orthonormal bases U
+    and V of the joint column and row spans of the B_k, and the compressed
+    blocks A_k = U^dag B_k V give M(c) = U A(c) V^dag with the singular
+    values of A(c) = sum_k c_k A_k. Where r1 > r2 the plain transpose A_k^T
+    is taken (sum_k c_k A_k^T = A(c)^T; the conjugate transpose would
+    conjugate c). Cuts are grouped by the shape (r1, r2) of their A_k, in
+    increasing order, each group in the order of ``masks``.
+
+    The Gram is G(c) = sum_kl c_k conj(c_l) M_kl with M_kl = A_k A_l^dag,
+    the blocks of one Gram of the A_k stacked. The table's rows follow
+    :func:`_outer_reals`: M_kk, then for each pair k < l of :func:`_pairs`
+    M_kl + M_lk and i (M_kl - M_lk), the multipliers of Re and Im of
+    c_k conj(c_l), each symmetrized to be Hermitian to the bit and packed
+    by :func:`_pack`, so every product is too.
 
     Directions with singular value at most ``_SUPPORT_TOL`` are dropped.
     With P the projector onto the dropped column directions,
     M^dag M = (UU^dag M)^dag (UU^dag M) + (PM)^dag (PM), so dropping them
     lowers the top square by at most ||PM||^2 <= |c|^2 * sum sigma_dropped^2,
-    and likewise on the row side. For a unit c the result is never above
+    and likewise on the row side: for a unit c the result is never above
     the exact value and falls short by at most the dropped squares of both
-    sides, well inside the 2 * sqrt(sum sigma_dropped^2) that perturbing
-    the singular values gives. Keeping a small direction is exact, so any
-    basis is accepted.
+    sides. Keeping a small direction is exact, so any basis is accepted.
     """
     n, total = basis.shape[0], math.prod(dims)
     tensor = basis.reshape((n,) + dims)
@@ -546,9 +517,21 @@ def _support_groups(basis: np.ndarray, dims: tuple[int, ...],
             compressed = compressed.swapaxes(1, 2)
         members, stacks = groups.setdefault(compressed.shape[1:], ([], []))
         members.append(column)
-        stacks.append(compressed)
-    return tuple((shape, np.array(members), np.stack(stacks, axis=1).reshape(n, -1))
-                 for shape, (members, stacks) in sorted(groups.items()))
+        stacks.append(compressed.reshape(-1, compressed.shape[2]))  # A_k stacked
+    first, second = _pairs(n)
+    tables = []
+    for (r1, _), (members, stacks) in sorted(groups.items()):
+        stacked = np.stack(stacks)  # (cuts, n * r1, r2)
+        products = (stacked @ stacked.conj().swapaxes(-1, -2)).reshape(
+            len(members), n, r1, n, r1).transpose(1, 3, 0, 2, 4)  # M_kl at [k, l]
+        upper, lower = products[first, second], products[second, first]
+        rows = np.empty((n * n, len(members), r1, r1), dtype=complex)
+        rows[:n] = products[np.arange(n), np.arange(n)]
+        rows[n::2] = upper + lower
+        rows[n + 1::2] = 1j * (upper - lower)
+        rows = 0.5 * (rows + rows.conj().swapaxes(-1, -2))
+        tables.append((_frozen(np.array(members)), _frozen(_pack(rows).reshape(n * n, -1))))
+    return tuple(tables)
 
 
 def fixing_transpositions(basis: np.ndarray,
@@ -597,14 +580,13 @@ class PhaseObjective:
     """GGM of superpositions sum_k c_k |basis_k>, by coefficient rows or as
     a function of phases (c_k = sqrt(w_k) e^{i phi_k}).
 
-    Holds the compressed blocks of :func:`_support_groups`, built here, and
-    their Gram tables (:func:`_gram_tables`), built on first use (by
-    :meth:`measure` up to ``_TABLE_MAX_BASIS`` states, by :meth:`pencil` at
-    any size); :meth:`_grams` and the pencil form every Gram from them or
-    the blocks. One instance serves a whole surface or a whole sampler.
-    Only one cut per orbit of the party swaps fixing every basis state is
-    evaluated: such a swap fixes every superposition too, so a cut and its
-    image have the same Schmidt spectrum.
+    Holds the Gram tables of :func:`_gram_tables`, built here: every Gram
+    of :meth:`measure`, :meth:`values` and :meth:`pencil` is a product of
+    the rows' outer-product reals with them, at any basis size. One
+    instance serves a whole surface or a whole sampler. Only one cut per
+    orbit of the party swaps fixing every basis state is evaluated: such a
+    swap fixes every superposition too, so a cut and its image have the
+    same Schmidt spectrum.
     """
 
     def __init__(self, basis_matrix: np.ndarray, dims: tuple[int, ...]):
@@ -613,43 +595,30 @@ class PhaseObjective:
         self.masks = orbit_representatives(
             len(self.dims), canonical_cut_masks(self.dims),
             fixing_transpositions(self.basis, self.dims))
-        self._groups = _support_groups(self.basis, self.dims, self.masks)
-
-    @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        return _gram_tables(self._groups)
-
-    @functools.cached_property
-    def row_entries(self) -> int:
-        """Outer and table reals per row: a pencil holds three times that."""
-        return len(self.basis) ** 2 + sum(table.shape[1] for table in self._tables)
+        self.tables = _gram_tables(self.basis, self.dims, self.masks)
+        # outer and table reals per row: a pencil holds three times that
+        self.row_entries = len(self.basis) ** 2 + sum(
+            table.shape[1] for _, table in self.tables)
 
     def _grams(self, block: np.ndarray):
-        """``(columns, grams)`` per group, lazily: the Grams (rows, cuts,
+        """``(columns, grams)`` per table, lazily: the Grams (rows, cuts,
         reals) of coefficient rows ``block`` on the cuts at ``columns``, one
-        ``_combine`` of the rows' :func:`_outer_reals` with the group's table
-        up to ``_TABLE_MAX_BASIS`` states, else of ``_combine(block, operand)``."""
-        if len(self.basis) > _TABLE_MAX_BASIS:
-            return ((columns, _gram(_combine(block, operand).reshape(
-                (len(block), columns.size) + shape))) for shape, columns, operand in self._groups)
+        ``_combine`` of the rows' :func:`_outer_reals` with the table."""
         reals = _outer_reals(block)
         return ((columns, _combine(reals, table).reshape(len(block), columns.size, -1))
-                for (_, columns, _), table in zip(self._groups, self._tables))
+                for columns, table in self.tables)
 
     def measure(self, coeff: np.ndarray) -> np.ndarray:
         """GGM of each row of unit coefficient rows ``coeff`` (K, n_basis).
 
-        Rows are blocked by ``_BLOCK_ENTRIES`` entries of the products that
-        form their Grams (:meth:`_grams`; one row at least), and each row's
-        maximum is that of :func:`_store_tops` with ``max_only``. The blocking
-        changes no bit but where the table product rounds a row by the
-        block's row count (see :func:`_combine`), in the last bit.
+        Rows are blocked by ``_BLOCK_ENTRIES`` table reals (one row at
+        least), and each row's maximum is that of :func:`_store_tops` with
+        ``max_only``. The blocking changes no bit but where the table
+        product rounds a row by the block's row count (see
+        :func:`_combine`), in the last bit.
         """
         out = np.empty((len(coeff), len(self.masks)))
-        entries = (sum(table.shape[1] for table in self._tables)
-                   if len(self.basis) <= _TABLE_MAX_BASIS
-                   else sum(cols.size * math.prod(shape) for shape, cols, _ in self._groups))
-        step = max(1, _BLOCK_ENTRIES // entries)
+        step = max(1, _BLOCK_ENTRIES // sum(table.shape[1] for _, table in self.tables))
         for start in range(0, len(coeff), step):
             _store_tops(out[start:start + step], self._grams(coeff[start:start + step]),
                         max_only=True)
@@ -669,8 +638,7 @@ class PhaseObjective:
         Grams are linear in o, so each cut's Gram is the Hermitian pencil
         P + cos(theta) S + sin(theta) T, whose P, S and T, in the layout of
         :func:`_gram`, are built here (the caller bounds the rows by
-        ``row_entries``) as one product of O_P, O_S and O_T with the group's
-        table, at any basis size. A probe's scaled adds touch the Gram's
+        ``row_entries``) as one product of O_P, O_S and O_T with each table. A probe's scaled adds touch the Gram's
         reals, and as in :meth:`values` a cut whose Frobenius bound cannot
         reach the probe's maximum so far skips the top eigenvalue. The
         returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM at
@@ -690,7 +658,7 @@ class PhaseObjective:
         reals = reals.reshape(3 * count, n * n)
         pencils = [_combine(reals, table).reshape(
                        3, count, 1, columns.size, table.shape[1] // columns.size)
-                   for (_, columns, _), table in zip(self._groups, self._tables)]
+                   for columns, table in self.tables]
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)

@@ -103,7 +103,9 @@ def ggm_values(amplitude_rows: np.ndarray, shape) -> np.ndarray:
 
     One call of the batched Schmidt kernel over every canonical cut, which
     skips the top eigenvalue of each cut that cannot reach its row's
-    maximum, as :func:`ggm_pure` does; rows are assumed normalized.
+    maximum, as :func:`ggm_pure` does; rows are assumed normalized. The
+    decomposition sampler (:func:`~ggm.roof.hjw_upper_bound`) reads its
+    members by it above rank ``_batch._TABLE_MAX_BASIS``.
     """
     return 1.0 - _batch.schmidt_sq_matrix(np.asarray(amplitude_rows, dtype=complex),
                                           shape.dims, max_only=True).max(axis=1)

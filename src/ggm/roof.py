@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _batch
+from . import _batch, pure
 from .hilbert import DensityMatrix, PureState
 from .twirl import UnitaryGroup, VerificationError, _verify_family
 
@@ -144,7 +144,7 @@ class TwirledFamily:
         else:
             rest = 1.0 - params.sum(axis=-1, keepdims=True)
             w = np.concatenate([params, rest], axis=-1)
-        bad = (w.min(axis=-1) < -1e-9) | (np.abs(w.sum(axis=-1) - 1.0) > 1e-9)
+        bad = _off_simplex(w)
         if bad.any():
             raise ValueError(f"parameters {params[bad] if bad.ndim else params} "
                              f"leave the mixing simplex")
@@ -153,6 +153,12 @@ class TwirledFamily:
         # grids. The measure grows like sqrt(w) near a face, so that residue
         # moves raw by up to 5.7e-9; weights below 4 ulps of 1 are exactly 0.
         return np.where(w < 4.0 * np.finfo(float).eps, 0.0, w)
+
+
+def _off_simplex(weights: np.ndarray) -> np.ndarray:
+    """Which weight vectors of a (..., n_basis) array leave the mixing
+    simplex: a weight below -1e-9, or a sum off 1 by more than 1e-9."""
+    return (weights.min(axis=-1) < -1e-9) | (np.abs(weights.sum(axis=-1) - 1.0) > 1e-9)
 
 
 def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.ndarray]:
@@ -173,13 +179,16 @@ def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarra
     refined by golden section until the step falls below
     ``_batch.PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
     are dropped from the search; the first active element carries phase 0
-    as the global-phase gauge.
+    as the global-phase gauge. Raises ``ValueError`` for weights off the
+    mixing simplex, by the rule of :meth:`TwirledFamily.params_to_weights`.
 
     Returns ``(value, phases)`` with one phase per basis element.
     """
     weights = family.weights if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (len(family.basis),):
         raise ValueError("weights length does not match the family basis")
+    if _off_simplex(weights):
+        raise ValueError(f"weights {weights} are not a probability vector")
     values, phases = _batch.minimize_phases(family.objective, weights[None, :])
     return float(values[0]), phases[0]
 
@@ -553,13 +562,15 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
 
     Isometries come in blocks, each from one Gaussian draw and one stacked
     QR. Every member lies in the range of ``rho``, so its measure is read
-    from its coefficients over the eigenbasis by one
-    :class:`~ggm._batch.PhaseObjective`: up to rank 8 each cut's Gram is one
-    product of the member's outer-product reals with a table built from the
-    compressed eigenbasis blocks, and above it the Gram of the combined
-    blocks. The objective evaluates one cut per orbit of the party swaps
-    that leave every eigenbasis vector exactly unchanged, as they fix every
-    member too; no other symmetry is assumed.
+    from its coefficients over the eigenbasis. Up to rank
+    ``_batch._TABLE_MAX_BASIS`` one :class:`~ggm._batch.PhaseObjective`
+    reads them: each cut's Gram is one product of the member's
+    outer-product reals with a table built from the compressed eigenbasis
+    blocks, and one cut is evaluated per orbit of the party swaps that leave
+    every eigenbasis vector exactly unchanged, as they fix every member too.
+    Above that rank the members' amplitudes are formed, in row blocks of
+    about ``_batch._BLOCK_ENTRIES`` entries, and read by
+    :func:`~ggm.pure.ggm_values` on every cut. No other symmetry is assumed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -570,7 +581,19 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
     if m < rank:
         raise ValueError(f"decomposition size {m} is below the rank {rank}")
 
-    objective = _batch.PhaseObjective(vecs.T, rho.shape.dims)
+    if rank <= _batch._TABLE_MAX_BASIS:
+        measure = _batch.PhaseObjective(vecs.T, rho.shape.dims).measure
+    else:
+        basis = vecs.T
+        rows = max(1, _batch._BLOCK_ENTRIES // basis.shape[1])
+
+        def measure(coeff):
+            out = np.empty(len(coeff))
+            for start in range(0, len(coeff), rows):
+                out[start:start + rows] = pure.ggm_values(
+                    _batch._combine(coeff[start:start + rows], basis), rho.shape)
+            return out
+
     sqrt_lam = np.sqrt(lam)
 
     def average_measures(iso):
@@ -579,7 +602,7 @@ def hjw_upper_bound(rho: DensityMatrix, m: int, samples: int, seed: int) -> floa
         p = np.sum(np.abs(coeff) ** 2, axis=-1)
         live = p > 1e-14
         vals = np.zeros(p.shape)
-        vals[live] = objective.measure(coeff[live] / np.sqrt(p[live])[:, None])
+        vals[live] = measure(coeff[live] / np.sqrt(p[live])[:, None])
         return np.sum(p * vals, axis=1)
 
     best = float(average_measures(np.eye(m, rank, dtype=complex)[None])[0])

@@ -219,9 +219,9 @@ def superpose(basis, weights, phases=None) -> PureState:
     if abs(weights.sum() - 1.0) > NORM_TOL:
         raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
     shape = basis[0].shape
-    mat = np.stack([b.amplitudes for b in basis])
     if any(b.shape != shape for b in basis):
         raise ValueError("all basis states must share a shape")
+    mat = np.stack([b.amplitudes for b in basis])
     gram_dev = np.max(np.abs(mat @ mat.conj().T - np.eye(len(basis))))
     if gram_dev > 1e-8:
         raise ValueError(f"basis is not orthonormal (deviation {gram_dev:.3e})")

@@ -1,7 +1,6 @@
 """The batched Schmidt kernel shared by the pure and mixed pipelines, its
 symmetry reduction for twirled families, and the kernel invariants."""
 
-import contextlib
 import functools
 import itertools
 import math
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from ggm import _batch, pure
 from ggm.families import (
     FAMILY_BUILDERS,
+    ghz_dicke_mixture,
     qutrit_sector_family,
     rank3_gghz,
     rank3_ghz_dicke,
@@ -270,31 +270,24 @@ def every_square(objective, coeff):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+def table_rows(tables):
+    """Gram rows of each ``(columns, table)`` of ``_gram_tables``."""
+    return [rows_of(table.reshape(len(table), columns.size, -1)) for columns, table in tables]
+
+
 def support_objective(basis, dims):
     """A ``PhaseObjective`` of ``basis`` on every canonical cut."""
     dims = tuple(dims)
     objective = _batch.PhaseObjective(basis, dims)
     objective.masks = _batch.canonical_cut_masks(dims)
-    objective._groups = _batch._support_groups(objective.basis, dims, objective.masks)
+    objective.tables = _batch._gram_tables(objective.basis, dims, objective.masks)
     return objective
 
 
-@contextlib.contextmanager
-def gram_path(tables):
-    """Within it, ``PhaseObjective.measure`` and ``_grams`` form the Grams
-    from the Gram tables with ``tables``, otherwise from the compressed
-    blocks, whatever the basis size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_batch, "_TABLE_MAX_BASIS", math.inf if tables else 0)
-        yield
-
-
-def support_squares(basis, dims, coeff, *, tables=False):
+def support_squares(basis, dims, coeff):
     """Top squared Schmidt coefficient per coefficient row and per cut, read
-    from the compressed basis blocks of every canonical cut, or with
-    ``tables`` from their Gram tables."""
-    with gram_path(tables):
-        return every_square(support_objective(basis, dims), coeff)
+    from the Gram tables of every canonical cut."""
+    return every_square(support_objective(basis, dims), coeff)
 
 
 def random_orthonormal_basis(rng, dims, n_basis):
@@ -303,12 +296,13 @@ def random_orthonormal_basis(rng, dims, n_basis):
 
 
 def objective_case(kind):
-    """A ``PhaseObjective`` on the Gram tables or, above the cutoff, on the
-    blocks, and unit coefficient rows for it."""
+    """A ``PhaseObjective`` of a 5-state basis (``"table objective"``) or of
+    a 12-state one, above ``_TABLE_MAX_BASIS``, and unit coefficient rows
+    for it."""
     rng = np.random.default_rng(21)
-    n_basis = {"table objective": 5, "block objective": 12}[kind]
+    n_basis = {"table objective": 5, "12-state objective": 12}[kind]
     objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis), (2,) * 4)
-    assert (n_basis > _batch._TABLE_MAX_BASIS) == (kind == "block objective")
+    assert (n_basis > _batch._TABLE_MAX_BASIS) == (kind == "12-state objective")
     return objective, random_amplitudes(rng, (n_basis,), rows=64)
 
 
@@ -467,7 +461,7 @@ class TestCutPruning:
         assert _batch._PRUNE_SLACK > pure.TIE_TOL
 
     @pytest.mark.parametrize("case", [(2,) * 6, (2,) * 8, (3,) * 4, (2, 3, 4, 5),
-                                      "table objective", "block objective"], ids=str)
+                                      "table objective", "12-state objective"], ids=str)
     def test_values_bit_identical_whatever_the_blocking(self, case, monkeypatch):
         # pure states by dims, and coefficient rows of a PhaseObjective of
         # each kind; pruned values against the full kernel's row maximum
@@ -494,7 +488,7 @@ class TestCutPruning:
         # values prunes Grams formed from the tables: its maximum keeps the
         # bits of the same table path over every cut
         objective = family.objective
-        assert objective._tables is not None
+        assert objective.tables
         roots, phases = random_phased_rows(family, 300, seed=3)
         full = every_square(objective, roots * np.exp(1j * phases))
         assert np.array_equal(objective.values(roots, phases), 1.0 - full.max(axis=1))
@@ -503,11 +497,11 @@ class TestCutPruning:
         rng = np.random.default_rng(12)
         for dims in GENERIC_SHAPES:
             basis = random_orthonormal_basis(rng, dims, 3)
-            groups = _batch._support_groups(basis, dims, _batch.canonical_cut_masks(dims))
-            assert [shape for shape, _, _ in groups] == sorted(shape for shape, _, _ in groups)
-        groups = rank3_ghz_dicke(12).objective._groups
-        assert [shape for shape, _, _ in groups] == sorted(shape for shape, _, _ in groups)
-        assert groups[-1][0][0] == 4
+            rows = table_rows(_batch._gram_tables(basis, dims, _batch.canonical_cut_masks(dims)))
+            assert rows == sorted(rows)
+        rows = table_rows(rank3_ghz_dicke(12).objective.tables)
+        assert rows == sorted(rows)
+        assert rows[-1] == 4
 
 
 class TestGram:
@@ -675,11 +669,9 @@ class TestClosedFormTopEigenvalue:
         basis, dims = family.objective.basis, family.objective.dims
         rows = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
             np.random.default_rng(9), (basis.shape[0],), rows=200)])
-        for tables in (False, True):
-            grams = recorded_grams(lambda: support_squares(basis, dims, rows, tables=tables),
-                                   monkeypatch)
-            assert len(grams) >= len(rows)
-            assert_top_eigenvalues_match(grams)
+        grams = recorded_grams(lambda: support_squares(basis, dims, rows), monkeypatch)
+        assert len(grams) >= len(rows)
+        assert_top_eigenvalues_match(grams)
 
 
 def eigenbasis(rho):
@@ -738,7 +730,8 @@ class TestCoefficientRowBlocking:
 
 class TestPencil:
     """One-phase probes on the Gram pencil P + cos(theta) S + sin(theta) T,
-    on every built-in family and on a basis whose values take the blocks."""
+    on every built-in family and on a basis above ``_TABLE_MAX_BASIS``
+    states, there against the pure kernel on the superposed amplitudes."""
 
     ENTRIES = (1, 1 << 6, 1 << 10, 1 << 16)
     CASES = sorted(FAMILY_BUILDERS) + ["12-state basis"]
@@ -764,12 +757,20 @@ class TestPencil:
         return roots, phases, angles
 
     @staticmethod
-    def full_values(objective, roots, phases, coord, angles):
+    def full_values(objective, roots, phases, coord, angles, *, gathered=False):
+        """GGM of each row with phase ``coord`` at each of ``angles``, by
+        ``values``, or with ``gathered`` by the pure kernel on the rows'
+        amplitudes over every cut."""
         n = phases.shape[1]
         probed = np.repeat(phases[:, None, :], angles.shape[1], axis=1)
         probed[..., coord] = angles
-        return objective.values(np.repeat(roots, angles.shape[1], axis=0),
-                                probed.reshape(-1, n)).reshape(angles.shape)
+        roots, probed = np.repeat(roots, angles.shape[1], axis=0), probed.reshape(-1, n)
+        if gathered:
+            amps = (roots * np.exp(1j * probed)) @ objective.basis
+            values = 1.0 - _batch.schmidt_sq_matrix(amps, objective.dims).max(axis=1)
+        else:
+            values = objective.values(roots, probed)
+        return values.reshape(angles.shape)
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_values_on_every_coordinate(self, name):
@@ -777,7 +778,8 @@ class TestPencil:
         roots, phases, angles = self.rows(objective, seed=len(name))
         for coord in range(len(objective.basis)):
             probe = objective.pencil(roots, phases, coord)
-            expected = self.full_values(objective, roots, phases, coord, angles)
+            expected = self.full_values(objective, roots, phases, coord, angles,
+                                        gathered=name not in FAMILY_BUILDERS)
             assert np.max(np.abs(probe(angles) - expected)) <= 1e-13
             assert np.max(np.abs(probe(angles[:, 0]) - expected[:, 0])) <= 1e-13
             one = objective.pencil(roots[4:5], phases[4:5], coord)
@@ -830,7 +832,7 @@ class TestPencil:
         # probe's running maximum skip the top eigenvalue
         family = rank3_ghz_dicke(n)
         objective = family.objective
-        assert objective._groups[-1][0][0] == (3 if n == 5 else 4)
+        assert table_rows(objective.tables)[-1] == (3 if n == 5 else 4)
         roots, phases, angles = self.rows(family, seed=n)
         evaluated = []
         original = _batch._eigmax_herm
@@ -1003,13 +1005,26 @@ def test_large_family_point_matches_per_cut_reference():
     # reference over all 2047 cuts of its superposed member; every Gram of
     # the compressed objective has at most 4 rows.
     family = rank3_ghz_dicke(12)
-    assert max(shape[0] for shape, _, _ in family.objective._groups) <= 4
+    assert max(table_rows(family.objective.tables)) <= 4
     weights = np.array([0.5, 0.3, 0.2])
     value, phases = min_phase_ggm(family, weights)
     member = superpose(family.basis, weights, phases)
     cuts = enumerate_bipartitions(family.shape)
     assert len(cuts) == 2047
     assert abs(value - (1.0 - max(max_schmidt_sq(member, cut) for cut in cuts))) <= 1e-9
+
+
+def test_family_above_the_table_cutoff_matches_the_pure_kernel():
+    # ghz_dicke_mixture(9) has 9 basis states, above _TABLE_MAX_BASIS, and
+    # its objective reads its Gram tables on the 4 orbit cuts; the pure
+    # kernel reads the superposed amplitudes on all 255 cuts
+    family = ghz_dicke_mixture(9)
+    objective = family.objective
+    assert len(objective.basis) > _batch._TABLE_MAX_BASIS and len(objective.masks) == 4
+    roots, phases = random_phased_rows(family, 300, seed=9)
+    amps = (roots * np.exp(1j * phases)) @ objective.basis
+    gap = objective.values(roots, phases) - pure.ggm_values(amps, family.shape)
+    assert np.max(np.abs(gap)) <= 1e-13
 
 
 class TestOrbitReduction:
@@ -1113,16 +1128,16 @@ def support_ranks(basis, dims, mask):
 
 
 class TestSupportKernel:
-    """The support-compressed blocks against the gather kernel, same cuts."""
+    """Gram tables of the support-compressed blocks against the gather
+    kernel, same cuts."""
 
     @staticmethod
     def assert_matches_gather(basis, dims, rows=300, seed=0):
         coeff = random_amplitudes(np.random.default_rng(seed), (basis.shape[0],), rows)
         gathered = _batch.schmidt_sq_matrix(coeff @ basis, dims)
-        for tables in (False, True):
-            compressed = support_squares(basis, dims, coeff, tables=tables)
-            assert compressed.shape == gathered.shape
-            assert np.max(np.abs(compressed - gathered)) < 1e-12
+        compressed = support_squares(basis, dims, coeff)
+        assert compressed.shape == gathered.shape
+        assert np.max(np.abs(compressed - gathered)) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_family_bases(self, name):
@@ -1184,13 +1199,11 @@ class TestSupportKernel:
         basis = random_amplitudes(np.random.default_rng(5), dims, rows=4)
         coeff = random_amplitudes(np.random.default_rng(6), (4,), rows=700)
         objective = support_objective(basis, dims)
-        for tables in (False, True):
-            results = []
-            with gram_path(tables):
-                for entries in (1 << 10, 1 << 16):
-                    monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
-                    results.append(objective.measure(coeff))
-            assert np.array_equal(results[0], results[1])
+        results = []
+        for entries in (1 << 10, 1 << 16):
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            results.append(objective.measure(coeff))
+        assert np.array_equal(results[0], results[1])
 
 
 SAMPLER_TARGETS = {"rank5": (rank5_five_qubit, [0.3, 0.25]),
@@ -1207,7 +1220,8 @@ def sampler_eigenbasis(name):
 class TestGramTables:
     """Grams of coefficient rows as one product of their outer-product reals
     with the tables of ``_gram_tables``, against the Grams of the combined
-    compressed blocks, and the objectives that take them."""
+    basis blocks (the matricizations of the superposed amplitudes), and the
+    objectives that take them."""
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS) + sorted(SAMPLER_TARGETS))
     def test_squares_match_the_blocks(self, name):
@@ -1218,30 +1232,36 @@ class TestGramTables:
             basis, dims = objective.basis, objective.dims
         coeff = np.concatenate([lattice_rows(basis.shape[0]), random_amplitudes(
             np.random.default_rng(len(name)), (basis.shape[0],), rows=300)])
-        mapped = support_squares(basis, dims, coeff, tables=True)
-        assert np.max(np.abs(mapped - support_squares(basis, dims, coeff))) < 1e-13
+        mapped = support_squares(basis, dims, coeff)
+        assert np.max(np.abs(mapped - _batch.schmidt_sq_matrix(coeff @ basis, dims))) < 1e-13
 
     @pytest.mark.parametrize("dims, n_basis", [((2, 3, 4), 1), ((2, 3, 4), 2), ((2,) * 5, 3),
                                                ((2,) * 5, 5), ((2, 2, 3, 3), 8)], ids=str)
     def test_grams_in_the_layout_of_gram(self, dims, n_basis):
-        # every Gram entry, packed up to 3 rows and the real view of the full
-        # matrix beyond, which the table makes Hermitian to the bit
+        # every Gram, packed up to 3 rows and the real view of the full
+        # matrix beyond, which the table makes Hermitian to the bit; its
+        # spectrum is the top of the gathered matricization's Gram
         rng = np.random.default_rng(n_basis)
         basis = random_orthonormal_basis(rng, dims, n_basis)
         coeff = random_amplitudes(rng, (n_basis,), rows=50)
-        groups = _batch._support_groups(basis, dims, _batch.canonical_cut_masks(dims))
-        tables = _batch._gram_tables(groups)
+        masks = _batch.canonical_cut_masks(dims)
+        tables = _batch._gram_tables(basis, dims, masks)
         reals = _batch._outer_reals(coeff)
         assert reals.shape == (50, n_basis ** 2)
-        for (shape, columns, operand), table in zip(groups, tables):
+        amps = (coeff @ basis).reshape((50,) + dims)
+        for columns, table in tables:
             assert table.shape[0] == n_basis ** 2 and not table.flags.writeable
             mapped = (reals @ table).reshape(50, columns.size, -1)
-            blocks = _batch._gram((coeff @ operand).reshape((50, columns.size) + shape))
-            assert mapped.shape == blocks.shape
-            assert np.max(np.abs(mapped - blocks)) < 1e-14
+            rows = rows_of(mapped)
+            assert mapped.shape[-1] == rows * rows * (1 if rows <= 3 else 2)
             full = _batch._unpack(mapped)
             assert np.array_equal(full, full.conj().swapaxes(-1, -2))
-        assert {shape[0] > 3 for shape, _, _ in groups} == {False, True}
+            for at, column in enumerate(columns):
+                parties, shape = smaller_side_first(dims, masks[column])
+                mats = amps.transpose([0] + [p + 1 for p in parties]).reshape((50,) + shape)
+                gathered = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))[:, -rows:]
+                assert np.max(np.abs(np.linalg.eigvalsh(full[:, at]) - gathered)) < 1e-14
+        assert {rows > 3 for rows in table_rows(tables)} == {False, True}
 
     @pytest.mark.parametrize("n_basis", [2, 3, 4, 5, 8])
     def test_outer_reals_independent_of_the_block(self, n_basis):
@@ -1250,50 +1270,46 @@ class TestGramTables:
         alone = np.concatenate([_batch._outer_reals(row[None]) for row in coeff])
         assert np.array_equal(_batch._outer_reals(coeff), alone)
 
-    @staticmethod
-    def tables_built(objective, evaluate):
-        """Whether ``evaluate(objective)`` builds the objective's Gram tables,
-        none being built before."""
-        assert "_tables" not in vars(objective)
-        evaluate(objective)
-        return "_tables" in vars(objective)
-
-    def test_path_chosen_by_the_basis_size(self):
-        # measure takes the tables for every built-in family and both
-        # benchmark sampler targets, and the blocks above _TABLE_MAX_BASIS
-        # states; the first pencil builds the tables at any size
+    def test_tables_built_at_construction(self, monkeypatch):
+        # every objective builds its tables once, when it is constructed, and
+        # they cover each of its cuts once; measure and the first pencil build
+        # none, for every built-in family (whose objective is built on first
+        # use), both benchmark sampler targets and bases on either side of
+        # _TABLE_MAX_BASIS states
         rng = np.random.default_rng(4)
+        built = []
+        tables = _batch._gram_tables
+        monkeypatch.setattr(_batch, "_gram_tables",
+                            lambda *args: built.append(1) or tables(*args))
 
-        def measure(objective):
-            objective.measure(random_amplitudes(rng, (len(objective.basis),), rows=3))
-
-        def pencil(objective):
+        def check(objective):
+            assert built == [1]
+            columns = np.concatenate([columns for columns, _ in objective.tables])
+            assert sorted(columns) == list(range(len(objective.masks)))
             n = len(objective.basis)
+            objective.measure(random_amplitudes(rng, (n,), rows=3))
             objective.pencil(np.full((3, n), n ** -0.5), np.zeros((3, n)), n - 1)
+            assert built == [1]
+            built.clear()
 
         for name, builder in FAMILY_BUILDERS.items():
-            objective = builder().objective
-            assert self.tables_built(objective, measure), name
-            assert len(objective._tables) == len(objective._groups), name
+            family = builder()
+            assert built == [], name
+            check(family.objective)
         for name in SAMPLER_TARGETS:
-            assert self.tables_built(_batch.PhaseObjective(*sampler_eigenbasis(name)), measure)
+            check(_batch.PhaseObjective(*sampler_eigenbasis(name)))
         for n_basis in (8, 9, 12):
-            objective = _batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis),
-                                              (2,) * 4)
-            assert self.tables_built(objective, measure) == (
-                n_basis <= _batch._TABLE_MAX_BASIS)
-            if n_basis > _batch._TABLE_MAX_BASIS:
-                assert self.tables_built(objective, pencil)
-            assert len(objective._tables) == len(objective._groups)
+            check(_batch.PhaseObjective(random_orthonormal_basis(rng, (2,) * 4, n_basis),
+                                        (2,) * 4))
         assert _batch._TABLE_MAX_BASIS == 8
 
-    @pytest.mark.parametrize("kind", ["table objective", "block objective"])
+    @pytest.mark.parametrize("kind", ["table objective", "12-state objective"])
     def test_one_and_no_rows(self, kind):
         # hjw_upper_bound measures the live members of a sample, which can be none
         objective, rows = objective_case(kind)
         assert objective.measure(rows[:0]).shape == (0,)
         assert np.array_equal(objective.measure(rows[:1]), objective.measure(rows[:2])[:1])
-        assert ("_tables" in vars(objective)) == (kind == "table objective")
+        assert sum(columns.size for columns, _ in objective.tables) == len(objective.masks)
 
 
 class TestFamilyObjective:

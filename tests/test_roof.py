@@ -134,6 +134,14 @@ class TestMinPhaseGgm:
         assert abs(value - closed_form("qutrit", [0.4, 0.35])) < 1e-6
         assert np.max(np.abs(phases)) < 1e-3
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.2, -0.2, 0.0]],
+                             ids=["all zero", "sum 1.5", "negative"])
+    def test_rejects_weights_off_the_simplex(self, weights):
+        # unchecked, they gave 1.0 (above the ceiling 0.5), 0.0, and 0.4 with
+        # the negative weight clipped to 0
+        with pytest.raises(ValueError, match="not a probability vector"):
+            min_phase_ggm(rank3_ghz_w(), np.array(weights))
+
     def test_many_matches_single(self):
         fam = rank3_ghz_w()
         params = np.array([[0.2, 0.3], [0.5, 0.1], [0.1, 0.8]])
@@ -489,7 +497,7 @@ class TestSamplerAgainstReference:
         "rank3_ghz_dicke5": lambda: _family_target(rank3_ghz_dicke(5), [0.3, 0.3]),
         "separable": _separable_rho,
         "dicke31": lambda: dicke(3, 1).projector(),
-        # rank above _batch._TABLE_MAX_BASIS: Grams from the combined blocks
+        # rank above _batch._TABLE_MAX_BASIS: the pure kernel on the members
         "rank12_4qubit": lambda: _random_rank_state((2,) * 4, 12, seed=12),
     }
 
@@ -504,13 +512,18 @@ class TestSamplerAgainstReference:
     def test_rank_above_the_table_cutoff(self, monkeypatch):
         rho = self.TARGETS["rank12_4qubit"]()
         assert rho.rank() == 12 > _batch._TABLE_MAX_BASIS
-        # the sampler's objective measures only, so it builds no Gram table
-        built = []
-        tables = _batch._gram_tables
+        # the sampler reads the members' amplitudes by pure.ggm_values, so it
+        # builds no Gram table
+        built, read = [], []
+        tables, values = _batch._gram_tables, ggm.pure.ggm_values
         monkeypatch.setattr(_batch, "_gram_tables",
-                            lambda groups: built.append(1) or tables(groups))
+                            lambda *args: built.append(1) or tables(*args))
+        monkeypatch.setattr(ggm.pure, "ggm_values",
+                            lambda rows, shape: read.append(len(rows)) or values(rows, shape))
         hjw_upper_bound(rho, 14, 50, 7)
         assert built == []
+        # the eigendecomposition's 12 members, then 14 per sampled isometry
+        assert sum(read) == 12 + 49 * 14
 
     def test_swap_symmetric_eigenbasis(self):
         rho = self.TARGETS["rank3_ghz_dicke5"]()
@@ -533,6 +546,16 @@ class TestSamplerAgainstReference:
         for entries in (1 << 8, 1 << 16):
             monkeypatch.setattr(ggm._batch, "_BLOCK_ENTRIES", entries)
             bounds.append(hjw_upper_bound(rho, 7, 300, seed=3))
+        assert bounds[0] == bounds[1]
+
+    def test_rank12_bound_independent_of_member_blocks(self, monkeypatch):
+        # above the table cutoff the members' amplitudes are formed in blocks
+        # of about _BLOCK_ENTRIES entries: 16 rows at 2^8, 4,096 at 2^16
+        rho = self.TARGETS["rank12_4qubit"]()
+        bounds = []
+        for entries in (1 << 8, 1 << 16):
+            monkeypatch.setattr(ggm._batch, "_BLOCK_ENTRIES", entries)
+            bounds.append(hjw_upper_bound(rho, 14, 300, seed=3))
         assert bounds[0] == bounds[1]
 
 

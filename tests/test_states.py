@@ -224,6 +224,10 @@ class TestSuperpose:
         with pytest.raises(ValueError):
             superpose([ghz(3), ghz(3)], [0.5, 0.5])
 
+    def test_rejects_basis_states_of_different_shapes(self):
+        with pytest.raises(ValueError, match="all basis states must share a shape"):
+            superpose([ghz(3), ghz(4)], [0.5, 0.5])
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             superpose([ghz(3), dicke(3, 1)], [0.5, 0.6])

@@ -74,8 +74,8 @@ def random_rank_targets(dims, rank):
 # hjw_upper_bound targets: the benchmark's two, whose eigenbases have no
 # party swaps; rank3_ghz_dicke(5), whose eigenbases often have some, so the
 # sampler evaluates one cut per orbit there; and rank-12 states, above
-# _batch._TABLE_MAX_BASIS, so the sampler forms their Grams from the
-# combined blocks rather than the Gram tables.
+# _batch._TABLE_MAX_BASIS, so the sampler reads their members' amplitudes by
+# the pure kernel (pure.ggm_values) rather than by the Gram tables.
 BOUND_TARGETS = {"rank5": family_targets(ggm.rank5_five_qubit),
                  "qutrit": family_targets(ggm.qutrit_sector_family),
                  "rank3_ghz_dicke5": family_targets(lambda: ggm.rank3_ghz_dicke(5)),

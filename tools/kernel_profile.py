@@ -24,19 +24,17 @@ kernel (``_batch._reduced_plan``).
 
 With ``--sampler`` it profiles the workload's two ``hjw_upper_bound``
 targets instead (rank-5 five-qubit and qutrit, at the points and seeds
-the workload draws at seed ``S``, 2,000 samples each). Per target it
-prints ``rows``, the coefficient rows measured, and the seconds spent
-forming their Grams: ``outer`` (the outer-product reals of the Gram-table
-path, ``_outer_reals``), ``combine`` (the products of ``_combine``: rows
-with the Gram tables, or rows with the compressed blocks) and ``gram``
-(``_gram`` on the combined blocks), with ``form`` their sum. Then per
-Gram size it prints ``top`` and ``top_s``, the Grams sent to the top
-eigenvalue and the seconds there, and ``other`` and ``total`` for the rest
-of the bound and its whole time. Rows are counted at
-``PhaseObjective._grams``, the one place ``measure`` turns coefficient rows
-into Grams, so with ``--sampler`` the profiled tree must have that method.
-A basis above ``_batch._TABLE_MAX_BASIS`` states shows ``outer`` 0, so the
-two paths compare layer by layer.
+the workload draws at seed ``S``, 2,000 samples each). Both ranks lie at or
+below ``_batch._TABLE_MAX_BASIS``, so the sampler reads their members by a
+``PhaseObjective``. Per target it prints ``rows``, the coefficient rows
+measured, and the seconds spent forming their Grams: ``outer`` (the
+outer-product reals, ``_outer_reals``) and ``combine`` (their products with
+the Gram tables, ``_combine``), with ``form`` their sum. Then per Gram size
+it prints ``top`` and ``top_s``, the Grams sent to the top eigenvalue and
+the seconds there, and ``other`` and ``total`` for the rest of the bound
+and its whole time. Rows are counted at ``PhaseObjective._grams``, the one
+place ``measure`` turns coefficient rows into Grams, so with ``--sampler``
+the profiled tree must have that method.
 
 The wrappers time every root chunk and every group on its own, and their
 overhead grows with the number of calls, so the seconds (``total``
@@ -63,7 +61,7 @@ FIELDS = ("roots", "traced", "top", "gather", "gram", "trace", "top_s")
 # The workload's sampler targets, drawn after the states, and its sample count.
 SAMPLER_TARGETS = ("rank5_5qubit", "qutrit")
 HJW_SAMPLES = 2000
-FORM_FIELDS = ("outer", "combine", "gram")
+FORM_FIELDS = ("outer", "combine")
 
 
 def gram_rows(gram):
@@ -172,7 +170,6 @@ class SamplerProfile:
         wrappers = {(batch.PhaseObjective, "_grams"): profiled_grams,
                     (batch, "_eigmax_herm"): profiled_eigmax,
                     (batch, "_combine"): timed("combine", batch._combine),
-                    (batch, "_gram"): timed("gram", batch._gram),
                     (batch, "_outer_reals"): timed("outer", batch._outer_reals)}
         for (owner, name), value in wrappers.items():
             self.undo.append((owner, name, getattr(owner, name)))
