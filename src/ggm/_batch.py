@@ -140,28 +140,53 @@ def _eigmax_herm(gram: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of a stack of Grams laid out as :func:`_gram` lays
     them out, chosen by their length.
 
-    Grams of up to 3 rows (1, 4 or 9 reals) take closed forms, much faster
-    than LAPACK's per-matrix calls at these sizes; a 1-row Gram is its own
-    eigenvalue. Larger ones take ``eigvalsh`` on their complex view.
+    Grams of up to 3 rows (1, 4 or 9 reals) take the closed forms of
+    :func:`_eigmax_closed` on strided views of their components, much
+    faster than LAPACK's per-matrix calls at these sizes. Larger ones take
+    ``eigvalsh`` on their complex view.
     """
-    size = gram.shape[-1]
-    if size == 1:
-        return gram[..., 0]
-    if size == 4:
-        # 0.5 (g00 + g11) + sqrt((0.5 (g00 - g11))^2 + |g01|^2), in place
-        top = gram[..., 0] + gram[..., 1]
-        top *= 0.5
-        disc = gram[..., 0] - gram[..., 1]
-        disc *= 0.5
-        disc *= disc
-        off = np.abs(gram[..., 2:].view(complex)[..., 0])
-        off *= off
-        disc += off
-        top += np.sqrt(disc, out=disc)
-        return top
-    if size == 9:
-        return _eigmax_herm3(gram)
-    return np.linalg.eigvalsh(_unpack(gram))[..., -1]
+    if gram.shape[-1] > 9:
+        return np.linalg.eigvalsh(_unpack(gram))[..., -1]
+    return _eigmax_closed(*_components(gram)).T
+
+
+def _components(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strided views of packed Grams of r <= 3 rows (see :func:`_gram`) as
+    components, the stack's axes reversed (``.T`` is the cheapest view):
+    ``diag`` (r, ...) and ``off`` (r(r-1)/2, ...), the complex entries (0, 1),
+    (1, 2), ..., (0, 2), ... above the diagonal."""
+    rows = math.isqrt(gram.shape[-1])
+    return gram[..., :rows].T, gram[..., rows:].view(complex).T
+
+
+def _eigmax_closed(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of stacked Hermitian matrices of r <= 3 rows given
+    by their components (see :func:`_components`): ``diag`` (r, ...) real,
+    ``off`` (r(r-1)/2, ...) complex, contiguous or strided alike.
+
+    A 1-row matrix is its own eigenvalue, a 2-row one is
+    0.5 (g00 + g11) + sqrt((0.5 (g00 - g11))^2 + |g01|^2), and 3 rows take
+    :func:`_eigmax_herm3`. Each element gets the same operations in the
+    same order in any layout (``np.abs`` of a complex entry has the same
+    bits strided or contiguous), so ``measure`` and the pencil's probes
+    agree bit for bit.
+    """
+    if len(diag) == 1:
+        return diag[0]
+    if len(diag) == 3:
+        return _eigmax_herm3(diag, off)
+    # in place: out-of-place temporaries took a third longer on stacks of
+    # thousands, more than numpy's in-place overlap checks cost on one Gram
+    top = diag[0] + diag[1]
+    top *= 0.5
+    disc = diag[0] - diag[1]
+    disc *= 0.5
+    disc *= disc
+    square = np.abs(off[0])
+    square *= square
+    disc += square
+    top += np.sqrt(disc, out=disc)
+    return top
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,34 +233,41 @@ def _unpack(gram: np.ndarray) -> np.ndarray:
 _DOUBLE_TOP_GUARD = 1e-3
 
 
-def _eigmax_herm3(packed: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of a stack of packed 3x3 Hermitian matrices.
+def _eigmax_herm3(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of stacked 3x3 Hermitian matrices given by their
+    components (see :func:`_eigmax_closed`).
 
     With q = tr A / 3, p^2 = tr (A - qI)^2 / 6 and r = det(A - qI) / (2p^3),
     the eigenvalues are q + 2p cos((acos r + 2 pi k) / 3), k = 0 the largest
     (Kopp, IJMPC 19 (2008) 523, arXiv:physics/0610206). p^2 is a sum of
-    squares, so it has no cancellation; a triple root (p = 0) gives q.
-    Every row is computed on its own, element by element or by one LAPACK
-    call per guarded matrix (rebuilt in full), so no result depends on the
-    stack around it.
+    squares, so it has no cancellation; a triple root (p = 0) gives q. The
+    centred diagonals, their squares and the off-diagonal squares are each
+    one expression over the stacked components, out of place: in place,
+    numpy's overlap check doubles an operation's cost on a one-row probe.
+    Each row is computed on its own, element by element or by one LAPACK
+    call per guarded matrix, so no result depends on the stack around it.
     """
-    d0, d1, d2 = (packed[..., i] for i in range(3))
-    q = (d0 + d1 + d2) / 3.0
-    d0, d1, d2 = d0 - q, d1 - q, d2 - q
-    off = packed[..., 3:].view(complex)
-    a01, a12, a02 = off[..., 0], off[..., 1], off[..., 2]
-    s01, s02, s12 = (a.real * a.real + a.imag * a.imag for a in (a01, a02, a12))
-    p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s02 + s12)) / 6.0
+    # contiguous, so that the stacked temporaries are (measure's are strided)
+    diag, off = np.ascontiguousarray(diag), np.ascontiguousarray(off)
+    q = (diag[0] + diag[1] + diag[2]) / 3.0
+    centred = diag - q
+    squares = off.real * off.real + off.imag * off.imag
+    d0, d1, d2 = centred[0], centred[1], centred[2]
+    s01, s12, s02 = squares[0], squares[1], squares[2]
+    p2 = centred * centred
+    p2 = (p2[0] + p2[1] + p2[2] + 2.0 * (s01 + s02 + s12)) / 6.0
     det = (d0 * d1 * d2 - d0 * s12 - d1 * s02 - d2 * s01
-           + 2.0 * (a01 * a12 * a02.conj()).real)
-    p = np.sqrt(p2)
-    denom = 2.0 * p * p2
-    r = np.divide(det, denom, out=np.zeros_like(det), where=denom > 0.0)
-    np.clip(r, -1.0, 1.0, out=r)
-    top = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+           + 2.0 * (off[0] * off[1] * off[2].conj()).real)
+    twice = 2.0 * np.sqrt(p2)
+    denom = twice * p2
+    r = np.divide(det, denom, out=np.zeros(det.shape), where=denom > 0.0)
+    r = np.minimum(np.maximum(r, -1.0), 1.0)
+    top = q + twice * np.cos(np.arccos(r) / 3.0)
     near = r < _DOUBLE_TOP_GUARD - 1.0
-    if near.any():
-        top[near] = np.linalg.eigvalsh(_unpack(packed[near]))[:, -1]
+    if np.count_nonzero(near):
+        # the guarded matrices in full, from their packed reals
+        packed = np.concatenate((diag[:, near].T, off[:, near].T.copy().view(float)), axis=1)
+        top[near] = np.linalg.eigvalsh(_unpack(packed))[:, -1]
     return top
 
 
@@ -308,9 +340,13 @@ def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
     but with Grams from the tables of :func:`_gram_tables` the norm and the
     subset cost more than the closed forms they save: 48.5 against 45.5 ms
     per rank-5 sampler bound of 2,000 samples, 16.2 against 16.1 ms per
-    qutrit one. So those sizes are never skipped.
+    qutrit one. So those sizes are never skipped, and neither is a stack of
+    one 4-row Gram (a one-row probe of ``rank3_ghz_dicke(6)`` or ``(7)``):
+    its ``eigvalsh`` (about 7.5 us) costs no more than the bound (7-14 us).
+    A single larger Gram keeps the bound, which skips most of them on
+    generic states. The row maximum and the cuts at it keep their bits.
     """
-    if best is None or gram.shape[-1] <= 9:
+    if best is None or gram.shape[-1] <= 9 or gram.size == 32:
         return _eigmax_herm(gram)
     # ||G||_F^2 as one dot product of G's reals with themselves
     tops = np.sqrt((gram[..., None, :] @ gram[..., :, None])[..., 0, 0])
@@ -322,9 +358,10 @@ def _tops(gram: np.ndarray, best: np.ndarray | None) -> np.ndarray:
     return tops
 
 
-def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
+def _store_tops(out: np.ndarray, grams, max_only: bool) -> np.ndarray | None:
     """Write the top eigenvalue of each ``(columns, gram)`` of ``grams``, in
-    order, into ``out[:, columns]``.
+    order, into ``out[:, columns]``; with ``max_only``, return the row
+    maxima of ``out``.
 
     With ``max_only`` the caller reads only the row maximum and the cuts
     within ``pure.TIE_TOL`` of it. The Grams come in increasing order of
@@ -344,8 +381,21 @@ def _store_tops(out: np.ndarray, grams, max_only: bool) -> None:
         tops = _tops(gram, best)
         out[:, columns] = tops
         if max_only:
-            top = tops.max(axis=1)
+            top = _max_over_cuts(tops.T)
             best = top if best is None else np.maximum(best, top)
+    return best
+
+
+def _max_over_cuts(stack: np.ndarray) -> np.ndarray:
+    """Maximum over the first axis (the cuts) of ``stack``: one layer as a
+    view, else one reduction over the first axis of a contiguous copy, which
+    numpy runs as maxima of whole layers (a max is exact). numpy reduces a
+    short trailing axis at about 60 ns per row (188 against 12 us for 3,120
+    rows of 3 cuts), and a Python fold of ``np.maximum`` costs a call per
+    cut (264 against 3 us for the 127 cuts of one 8-qubit state)."""
+    if len(stack) == 1:
+        return stack[0]
+    return np.ascontiguousarray(stack).max(axis=0)
 
 
 # hjw_upper_bound reads members of eigenbases of at most this many states
@@ -379,18 +429,46 @@ def _outer_reals(coeff: np.ndarray) -> np.ndarray:
     of :func:`_gram_tables`: |c_k|^2 for every k, then the real and
     imaginary parts of c_k conj(c_l) for each pair k < l of :func:`_pairs`.
 
-    Real products and sums only: numpy's complex product rounds some
-    elements of a long block differently from the same elements alone, so
-    it would tie a row's bits to its block."""
+    Formed from contiguous rows of each coefficient's real and imaginary
+    parts (:func:`_rows_last`) into column slices of the result, the pairs
+    (k, l > k) of one k at a time, so every operation runs along the rows;
+    gathering the pairs by index from row-major views loops over a few
+    pairs per row and took 1.5-2x as long on 5,041 rows of 3 or 5 states."""
     n = coeff.shape[1]
-    first, second = _pairs(n)
-    re, im = coeff.real, coeff.imag
-    re_k, im_k, re_l, im_l = re[:, first], im[:, first], re[:, second], im[:, second]
-    reals = np.empty((coeff.shape[0], n * n))
-    reals[:, :n] = np.square(re) + np.square(im)
-    reals[:, n::2] = re_k * re_l + im_k * im_l
-    reals[:, n + 1::2] = im_k * re_l - re_k * im_l
+    re, im = _rows_last(coeff)
+    reals = np.empty((len(coeff), n * n))
+    np.add(np.square(re), np.square(im), out=reals[:, :n].T)
+    at = n
+    for k in range(n - 1):
+        end = at + 2 * (n - 1 - k)
+        _pair_reals(re[k], im[k], re[k + 1:], im[k + 1:],
+                    reals[:, at:end:2].T, reals[:, at + 1:end:2].T)
+        at = end
     return reals
+
+
+def _rows_last(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of coefficient rows ``coeff`` (K, n),
+    each as a contiguous (n, K) array."""
+    return np.ascontiguousarray(coeff.real.T), np.ascontiguousarray(coeff.imag.T)
+
+
+def _pair_reals(re_k, im_k, re_l, im_l, out_re, out_im) -> None:
+    """Write the real and imaginary parts of c_k conj(c_l), rows last, into
+    ``out_re`` and ``out_im``, by real products and sums: numpy's complex
+    product rounds some elements of a long block differently from the same
+    elements alone, so it would tie a row's bits to its block."""
+    np.add(re_k * re_l, im_k * im_l, out=out_re)
+    np.subtract(im_k * re_l, re_k * im_l, out=out_im)
+
+
+def _phased(roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Coefficient rows roots * e^{i phases} from real ``cos`` and ``sin``:
+    the bits of ``roots * np.exp(1j * phases)`` but for the sign of a zero."""
+    coeff = np.empty(roots.shape, dtype=complex)
+    np.multiply(roots, np.cos(phases), out=coeff.real)
+    np.multiply(roots, np.sin(phases), out=coeff.imag)
+    return coeff
 
 
 def _root_grams(block: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -612,21 +690,23 @@ class PhaseObjective:
         """GGM of each row of unit coefficient rows ``coeff`` (K, n_basis).
 
         Rows are blocked by ``_BLOCK_ENTRIES`` table reals (one row at
-        least), and each row's maximum is that of :func:`_store_tops` with
-        ``max_only``. The blocking changes no bit but where the table
-        product rounds a row by the block's row count (see
+        least), and each row's maximum is the one :func:`_store_tops`
+        returns with ``max_only``. The blocking changes no bit but where
+        the table product rounds a row by the block's row count (see
         :func:`_combine`), in the last bit.
         """
-        out = np.empty((len(coeff), len(self.masks)))
+        top = np.empty(len(coeff))
         step = max(1, _BLOCK_ENTRIES // sum(table.shape[1] for _, table in self.tables))
         for start in range(0, len(coeff), step):
-            _store_tops(out[start:start + step], self._grams(coeff[start:start + step]),
-                        max_only=True)
-        return 1.0 - np.clip(out, 0.0, 1.0, out=out).max(axis=1)
+            block = coeff[start:start + step]
+            top[start:start + step] = _store_tops(
+                np.empty((len(block), len(self.masks))), self._grams(block), max_only=True)
+        # the running maximum of _store_tops: clipping commutes with the max
+        return 1.0 - np.clip(top, 0.0, 1.0, out=top)
 
     def values(self, roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """GGM for rows of sqrt-weights ``roots`` and ``phases``, both (K, n)."""
-        return self.measure(roots * np.exp(1j * phases))
+        return self.measure(_phased(roots, phases))
 
     def pencil(self, roots: np.ndarray, phases: np.ndarray, coord: int):
         """Probe of the rows' GGM as a function of phase ``coord`` alone.
@@ -634,52 +714,137 @@ class PhaseObjective:
         With c_coord = r e^{i theta} (r = roots[:, coord]; the phase there is
         ignored), a row's :func:`_outer_reals` are o(theta) = O_P + cos(theta)
         O_S + sin(theta) O_T: O_S the reals of the pairs with ``coord`` at
-        theta = 0, O_T those at theta = pi/2, O_P the rest (r^2 included).
-        Grams are linear in o, so each cut's Gram is the Hermitian pencil
-        P + cos(theta) S + sin(theta) T, whose P, S and T, in the layout of
-        :func:`_gram`, are built here (the caller bounds the rows by
-        ``row_entries``) as one product of O_P, O_S and O_T with each table. A probe's scaled adds touch the Gram's
-        reals, and as in :meth:`values` a cut whose Frobenius bound cannot
-        reach the probe's maximum so far skips the top eigenvalue. The
-        returned ``probe(angles)``, angles (K,) or (K, m), gives the GGM at
-        each angle, of the same shape. Every step is per row but the table
-        product, which can round a row by its block's rows (:func:`_combine`).
+        theta = 0, O_T those at theta = pi/2 (formed on those pairs only),
+        O_P the rest (r^2 included). Grams are linear in o, so each cut's
+        Gram is the Hermitian pencil P + cos(theta) S + sin(theta) T, whose
+        P, S and T are built here (the caller bounds the rows by
+        ``row_entries``) as one product of O_P, O_S and O_T with each table.
+        Tables of one Gram size are stacked along the cuts and stored
+        component-major: for up to 3 rows, the diagonal reals as one
+        (r, cuts, rows) array and the real and imaginary parts of the entries
+        above it as one (2, pairs, cuts, rows) array, so a probe's scaled
+        adds run along contiguous rows and write each probed Gram's entries
+        into one (pairs, cuts, m, rows) complex array for the closed forms
+        of :func:`_eigmax_closed`. Larger Grams keep the layout of
+        :func:`_gram` that ``eigvalsh`` reads, and as in :meth:`values` a
+        cut whose Frobenius bound cannot reach the probe's maximum so far
+        skips the top eigenvalue.
+
+        The returned ``probe(angles)`` gives the GGM at angles (K,) or
+        (K, m), a row of angles per pencil row, or (1, m), angles every row
+        shares, whose cos and sin are then taken once; the result has shape
+        (K,) or (K, m). It computes cos(theta) S + P, then adds sin(theta) T,
+        element by element, into arrays the pencil keeps while the probes'
+        shape stays the same. Every step is per row but the table product,
+        which can round a row by its block's rows (:func:`_combine`).
         """
         n, count = len(self.basis), len(roots)
-        turned = n + np.flatnonzero(np.repeat((_pairs(n) == coord).any(axis=0), 2))
-        coeff = roots * np.exp(1j * phases)
+        first, second = _pairs(n)
+        turned = n + np.flatnonzero(np.repeat((first == coord) | (second == coord), 2))
+        coeff = _phased(roots, phases)
         coeff[:, coord] = roots[:, coord]
         reals = np.zeros((3, count, n * n))  # O_P, O_S, O_T
         reals[0] = _outer_reals(coeff)
         reals[1][:, turned] = reals[0][:, turned]
         reals[0][:, turned] = 0.0
+        # O_T, with c_coord = i r, on the pairs (k, coord) for k < coord and
+        # then (coord, l) for l > coord, the order of _pairs
         coeff[:, coord] = 1j * roots[:, coord]
-        reals[2][:, turned] = _outer_reals(coeff)[:, turned]
+        re, im = _rows_last(coeff)
+        o_t = reals[2]
+        for k, at in enumerate(turned[:2 * coord:2]):
+            _pair_reals(re[k], im[k], re[coord], im[coord], o_t[:, at], o_t[:, at + 1])
+        if coord < n - 1:
+            at, end = turned[2 * coord], turned[-1] + 1
+            _pair_reals(re[coord], im[coord], re[coord + 1:], im[coord + 1:],
+                        o_t[:, at:end:2].T, o_t[:, at + 1:end:2].T)
         reals = reals.reshape(3 * count, n * n)
-        pencils = [_combine(reals, table).reshape(
-                       3, count, 1, columns.size, table.shape[1] // columns.size)
-                   for columns, table in self.tables]
+        # one stack per Gram size, tables of one size (blocks of different
+        # column support) side by side along the cuts: a probe's maximum
+        # over the cuts does not depend on their order
+        sizes: dict[int, list] = {}
+        for columns, table in self.tables:
+            size = table.shape[1] // columns.size
+            sizes.setdefault(size, []).append(
+                _combine(reals, table).reshape(3, count, columns.size, size))
+        groups = []
+        for size, stacks in sizes.items():
+            pst = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
+            if size > 9:
+                groups.append(pst)
+                continue
+            rows = math.isqrt(size)
+            pairs = pst[..., rows:].reshape(3, count, pst.shape[2], (size - rows) // 2, 2)
+            groups.append((np.ascontiguousarray(pst[..., :rows].transpose(0, 3, 2, 1)),
+                           np.ascontiguousarray(pairs.transpose(0, 4, 3, 2, 1))))
+        scratch: dict = {}
 
         def probe(angles: np.ndarray) -> np.ndarray:
             angles = np.asarray(angles, dtype=float)
-            flat = angles.reshape(count, math.prod(angles.shape[1:]))
-            top = np.empty(flat.shape)
-            step = max(1, _BLOCK_ENTRIES // (flat.shape[1] * self.row_entries))
-            for start in range(0, flat.shape[0], step):
-                rows = slice(start, start + step)
-                block = flat[rows, :, None, None]
-                cos, sin = np.cos(block), np.sin(block)
+            m = math.prod(angles.shape[1:])
+            # angle-major, (m, rows) or (m, 1) for angles every row shares
+            flat = (angles.reshape(m, 1) if len(angles) == 1
+                    else np.ascontiguousarray(angles.reshape(count, m).T))
+            cos, sin = np.cos(flat), np.sin(flat)
+            shared = flat.shape[1] == 1
+            tops = []
+            step = max(1, _BLOCK_ENTRIES // (m * self.row_entries))
+            for start in range(0, count, step):
+                stop = min(start + step, count)
+                rows = slice(start, stop)
+                c, s = (cos, sin) if shared else (cos[:, rows], sin[:, rows])
+                shape = (m, stop - start)
                 best = None
-                for p, s, t in pencils:
-                    gram = cos * s[rows]
-                    gram += p[rows]
-                    gram += sin * t[rows]
-                    tops = _tops(gram, best).max(axis=-1)
-                    best = tops if best is None else np.maximum(best, tops)
-                top[rows] = best
-            return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
+                for g, group in enumerate(groups):
+                    if isinstance(group, tuple):
+                        diag, off = group
+                        diag = _scaled(_scratch(scratch, (g, 0), diag.shape[1:3] + shape),
+                                       c, s, diag[..., None, rows])
+                        arrays = _scratch(scratch, (g, 1), off.shape[1:4] + shape, split=True)
+                        _scaled(arrays, c, s, off[..., None, rows])
+                        top = _max_over_cuts(_eigmax_closed(diag, arrays[3]))
+                    else:
+                        gram = _scaled(_scratch(scratch, g, shape + group.shape[2:]),
+                                       c[..., None, None], s[..., None, None],
+                                       group[:, None, rows])
+                        top = _max_over_cuts(_tops(gram, best).T).T
+                    best = top if best is None else np.maximum(best, top)
+                # np.clip's bits, without its Python wrappers
+                tops.append(np.minimum(np.maximum(best, 0.0), 1.0))
+            top = 1.0 - (tops[0] if len(tops) == 1
+                         else np.concatenate(tops or [np.empty((m, 0))], axis=1))
+            return top.T.reshape((count,) + angles.shape[1:])
 
         return probe
+
+
+def _scratch(scratch: dict, key, shape: tuple[int, ...],
+             split: bool = False) -> tuple[np.ndarray, ...]:
+    """Three real arrays of ``shape``, kept in ``scratch[key]`` while the
+    shape stays the same (a pencil's golden-section probes). With ``split``
+    the shape is (2, ...), real and imaginary parts: the third array views
+    those of a complex array of shape[1:], returned fourth."""
+    arrays = scratch.get(key)
+    if arrays is None or arrays[0].shape != shape:
+        if split:
+            entries = np.empty(shape[1:], dtype=complex)
+            parts = np.moveaxis(entries.view(float).reshape(shape[1:] + (2,)), -1, 0)
+            arrays = np.empty(shape), np.empty(shape), parts, entries
+        else:
+            arrays = np.empty(shape), np.empty(shape), np.empty(shape)
+        scratch[key] = arrays
+    return arrays
+
+
+def _scaled(arrays: tuple[np.ndarray, ...], cos: np.ndarray, sin: np.ndarray,
+            pst: np.ndarray) -> np.ndarray:
+    """cos S + P + sin T for ``pst`` = (P, S, T), broadcast, in that order,
+    into the arrays of :func:`_scratch`, the third holding the result. No
+    output is also an input, whose overlap check would double the cost of
+    an operation on a one-row probe."""
+    scaled, shifted, out = arrays[:3]
+    np.add(np.multiply(cos, pst[1], scaled), pst[0], shifted)
+    return np.add(shifted, np.multiply(sin, pst[2], scaled), out)
 
 
 def _golden_refine(probe, phases, coord, rows, half_width, step_tol):
@@ -692,20 +857,21 @@ def _golden_refine(probe, phases, coord, rows, half_width, step_tol):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo = phases[rows, coord] - half_width
     hi = phases[rows, coord] + half_width
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
+    width = hi - lo
+    c = hi - invphi * width
+    d = lo + invphi * width
     fc, fd = probe(c), probe(d)
-    while np.max(hi - lo) > step_tol:
+    while np.max(width) > step_tol:
+        # a row that keeps [lo, d] probes a new c, one that keeps [c, hi] a new d
         left = fc < fd
-        old_c, old_d, old_fc, old_fd = c, d, fc, fd
-        hi = np.where(left, old_d, hi)
-        lo = np.where(left, lo, old_c)
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
         width = hi - lo
-        c = np.where(left, hi - invphi * width, old_d)
-        d = np.where(left, old_c, lo + invphi * width)
-        fresh = probe(np.where(left, c, d))
-        fc = np.where(left, fresh, old_fd)
-        fd = np.where(left, old_fc, fresh)
+        step = invphi * width
+        angle = np.where(left, hi - step, lo + step)
+        c, d = np.where(left, angle, d), np.where(left, c, angle)
+        fresh = probe(angle)
+        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
     phases[rows, coord] = 0.5 * (lo + hi)
 
 
@@ -749,7 +915,7 @@ def _lattice_values(objective, roots, phases, free, angles):
         cand = phases[row]
         cand[:, free[:-1]] = prefixes[prefix]
         probe = objective.pencil(roots[row], cand, free[-1])
-        out[start:start + row.size] = probe(np.broadcast_to(angles, (row.size, angles.size)))
+        out[start:start + row.size] = probe(angles[None, :])
     return out.reshape(len(roots), -1)
 
 
@@ -846,7 +1012,7 @@ def minimize_phases(
                 block = rows[start:start + step]
                 probe = objective.pencil(roots[block], phases[block], coord)
                 if cold_start:
-                    cand = probe(np.broadcast_to(grid, (block.size, grid.size)))
+                    cand = probe(grid[None, :])
                     best, best_vals = _first_near_min(cand)
                     better = best_vals < values[block] - PHASE_VALUE_TOL
                     phases[block[better], coord] = grid[best[better]]

@@ -4,15 +4,19 @@ The dense twirl builds each group element as the Kronecker product of its
 factors, party 0 most significant, and averages g A g^dagger over the
 elements. ``hessian_report`` drives the library's central-difference
 Hessian on a plain function of simplex points, as ``ggm_mixed`` drives it
-on a surface.
+on a surface. ``reference_probe`` is the one-phase probe of the Gram pencil
+as it was before its P, S and T were stored component-major: interleaved
+Gram reals per row, the closed forms of ``reference_eigmax_packed`` on
+them, and the outer-product reals of ``reference_outer_reals``.
 """
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from ggm import roof
+from ggm import _batch, roof
 
 
 def kron_all(factors):
@@ -48,3 +52,97 @@ def hessian_report(f, points, h=roof.HESSIAN_STEP):
                                     lambda stencil, _owners: apply(stencil))
     skipped = ~roof._interior(points, h)
     return HessianReport(min_eig, skipped, ~skipped & (min_eig < -roof.NONCONVEX_TOL))
+
+
+def reference_outer_reals(coeff):
+    """|c_k|^2, then Re and Im of c_k conj(c_l) for k < l, of each row of
+    ``coeff``, the pairs gathered by index from the row-major views."""
+    n = coeff.shape[1]
+    first, second = np.triu_indices(n, 1)
+    re, im = coeff.real, coeff.imag
+    re_k, im_k, re_l, im_l = re[:, first], im[:, first], re[:, second], im[:, second]
+    reals = np.empty((coeff.shape[0], n * n))
+    reals[:, :n] = np.square(re) + np.square(im)
+    reals[:, n::2] = re_k * re_l + im_k * im_l
+    reals[:, n + 1::2] = im_k * re_l - re_k * im_l
+    return reals
+
+
+def reference_eigmax_packed(gram):
+    """Top eigenvalue of a stack of packed Grams of 1, 2 or 3 rows (1, 4 or
+    9 reals), by the closed forms on strided views of the packed reals."""
+    size = gram.shape[-1]
+    if size == 1:
+        return gram[..., 0]
+    if size == 4:
+        top = gram[..., 0] + gram[..., 1]
+        top *= 0.5
+        disc = gram[..., 0] - gram[..., 1]
+        disc *= 0.5
+        disc *= disc
+        off = np.abs(gram[..., 2:].view(complex)[..., 0])
+        off *= off
+        disc += off
+        top += np.sqrt(disc, out=disc)
+        return top
+    d0, d1, d2 = (gram[..., i] for i in range(3))
+    q = (d0 + d1 + d2) / 3.0
+    d0, d1, d2 = d0 - q, d1 - q, d2 - q
+    off = gram[..., 3:].view(complex)
+    a01, a12, a02 = off[..., 0], off[..., 1], off[..., 2]
+    s01, s02, s12 = (a.real * a.real + a.imag * a.imag for a in (a01, a02, a12))
+    p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s02 + s12)) / 6.0
+    det = (d0 * d1 * d2 - d0 * s12 - d1 * s02 - d2 * s01
+           + 2.0 * (a01 * a12 * a02.conj()).real)
+    p = np.sqrt(p2)
+    denom = 2.0 * p * p2
+    r = np.divide(det, denom, out=np.zeros_like(det), where=denom > 0.0)
+    np.clip(r, -1.0, 1.0, out=r)
+    top = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    near = r < _batch._DOUBLE_TOP_GUARD - 1.0
+    if near.any():
+        top[near] = np.linalg.eigvalsh(_batch._unpack(gram[near]))[:, -1]
+    return top
+
+
+def reference_probe(objective, roots, phases, coord):
+    """``objective.pencil(roots, phases, coord)`` with P, S and T in the
+    Gram layout of ``_batch._gram``, row by row; its probe takes angles (K,)
+    or (K, m), one row of angles per pencil row."""
+    n, count = len(objective.basis), len(roots)
+    first, second = np.triu_indices(n, 1)
+    turned = n + np.flatnonzero(np.repeat((first == coord) | (second == coord), 2))
+    coeff = roots * np.exp(1j * phases)
+    coeff[:, coord] = roots[:, coord]
+    reals = np.zeros((3, count, n * n))  # O_P, O_S, O_T
+    reals[0] = reference_outer_reals(coeff)
+    reals[1][:, turned] = reals[0][:, turned]
+    reals[0][:, turned] = 0.0
+    coeff[:, coord] = 1j * roots[:, coord]
+    reals[2][:, turned] = reference_outer_reals(coeff)[:, turned]
+    reals = reals.reshape(3 * count, n * n)
+    pencils = [_batch._combine(reals, table).reshape(
+                   3, count, 1, columns.size, table.shape[1] // columns.size)
+               for columns, table in objective.tables]
+
+    def probe(angles):
+        angles = np.asarray(angles, dtype=float)
+        flat = angles.reshape(count, math.prod(angles.shape[1:]))
+        top = np.empty(flat.shape)
+        step = max(1, _batch._BLOCK_ENTRIES // (flat.shape[1] * objective.row_entries))
+        for start in range(0, flat.shape[0], step):
+            rows = slice(start, start + step)
+            block = flat[rows, :, None, None]
+            cos, sin = np.cos(block), np.sin(block)
+            best = None
+            for p, s, t in pencils:
+                gram = cos * s[rows]
+                gram += p[rows]
+                gram += sin * t[rows]
+                tops = (reference_eigmax_packed(gram) if gram.shape[-1] <= 9
+                        else _batch._tops(gram, best)).max(axis=-1)
+                best = tops if best is None else np.maximum(best, tops)
+            top[rows] = best
+        return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
+
+    return probe

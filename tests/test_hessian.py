@@ -108,12 +108,15 @@ def test_flags_survive_a_last_bit_perturbation(monkeypatch):
         probe = pencil(self, roots, phases, coord)
 
         def shifted(angles):
-            # The probed rows: ``phases`` with each angle at ``coord``.
-            columns = np.reshape(angles, (len(phases), -1))
-            rows = np.repeat(phases[:, None, :], columns.shape[1], axis=1)
+            # The probed rows: ``phases`` with each angle at ``coord``; a
+            # (1, m) row of angles is shared by every row.
+            probed = probe(angles)
+            flat = probed.reshape(len(phases), -1)
+            columns = np.broadcast_to(np.reshape(angles, (len(angles), -1)), flat.shape)
+            rows = np.repeat(phases[:, None, :], flat.shape[1], axis=1)
             rows[..., coord] = columns
             bits = _last_bits(roots[:, None, :], rows)
-            return probe(angles) + bits.reshape(np.shape(angles))
+            return probed + bits.reshape(probed.shape)
         return shifted
 
     monkeypatch.setattr(_batch.PhaseObjective, "values", perturbed)

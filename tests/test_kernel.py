@@ -26,6 +26,7 @@ from ggm.hilbert import PureState, SystemShape, enumerate_bipartitions
 from ggm.pure import ggm_pure, max_schmidt_sq
 from ggm.roof import ggm_mixed, hjw_upper_bound, min_phase_ggm
 from ggm.states import dicke, ghz, superpose, uniform_sector_state
+from helpers import reference_eigmax_packed, reference_outer_reals, reference_probe
 
 GENERIC_SHAPES = [(2,) * 6, (2,) * 8, (2,) * 10, (3,) * 4, (3,) * 6, (2, 3, 4, 5)]
 
@@ -610,6 +611,45 @@ def lattice_rows(n_basis, angles=4):
     return np.exp(1j * phases) / math.sqrt(n_basis)
 
 
+class TestComponentClosedForms:
+    """The closed forms on stacked components, contiguous as a probe holds
+    them or strided as ``measure`` passes them, against the packed ones of
+    ``tests/helpers.py``, bit for bit."""
+
+    @staticmethod
+    def stacks(rows):
+        """Random packed Grams of ``rows`` rows, (60, 7, reals), and for 3
+        rows as many again of spectra at, just inside and just outside the
+        double-top guard."""
+        rng = np.random.default_rng(rows)
+        mats = rng.standard_normal((420, rows, 5)) + 1j * rng.standard_normal((420, rows, 5))
+        grams = [_batch._gram(mats)]
+        if rows == 3:
+            spectra = np.repeat([[0.5, 0.5, 0.0], [0.5 + 1e-4, 0.5 - 1e-4, 0.0],
+                                 [0.5 + 6e-4, 0.5 - 6e-4, 0.0]], 140, axis=0)
+            grams.append(pack(rotated_spectra(spectra, seed=rows)))
+        return np.concatenate(grams).reshape(-1, 7, rows * rows)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_match_the_packed_forms(self, rows, monkeypatch):
+        packed = self.stacks(rows)
+        expected = reference_eigmax_packed(packed)
+        guarded = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda mats: guarded.append(len(mats)) or eigvalsh(mats))
+        assert np.array_equal(_batch._eigmax_herm(packed), expected)
+        diag, off = (np.ascontiguousarray(part) for part in _batch._components(packed))
+        assert np.array_equal(_batch._eigmax_closed(diag, off).T, expected)
+        # one matrix alone, as a one-row probe holds it (components put the
+        # stack's axes in reverse: cut, then row)
+        for cut, row in ((0, 0), (3, 31), (6, len(packed) - 1)):
+            alone = _batch._eigmax_closed(diag[:, cut:cut + 1, row:row + 1],
+                                          off[:, cut:cut + 1, row:row + 1])
+            assert alone[0, 0] == expected[row, cut]
+        assert (sum(guarded) > 0) == (rows == 3)
+
+
 class TestClosedFormTopEigenvalue:
     """The closed-form 3x3 top eigenvalue and its guard against LAPACK."""
 
@@ -860,6 +900,31 @@ class TestPencil:
         moved[:, 1] += 1.3
         assert np.array_equal(family.objective.pencil(roots, phases, 1)(angles),
                               family.objective.pencil(roots, moved, 1)(angles))
+
+
+class TestProbeAgainstReference:
+    """The component-major probe against the interleaved one it replaced
+    (``tests/helpers.py``), bit for bit: every built-in family and
+    coordinate, pencils of 41 rows and of one, angles (K,), (K, m) and the
+    shared (1, m), under the ``_BLOCK_ENTRIES`` settings of
+    :class:`TestPencil`."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_every_family_coordinate_and_angle_form(self, name, monkeypatch):
+        objective = FAMILY_BUILDERS[name]().objective
+        roots, phases, angles = TestPencil.rows(objective, seed=len(name) + 4)
+        grid = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        for entries in TestPencil.ENTRIES:
+            monkeypatch.setattr(_batch, "_BLOCK_ENTRIES", entries)
+            for coord in range(len(objective.basis)):
+                for rows in (slice(None), slice(4, 5)):
+                    probe = objective.pencil(roots[rows], phases[rows], coord)
+                    reference = reference_probe(objective, roots[rows], phases[rows], coord)
+                    shared = np.broadcast_to(grid, (len(roots[rows]), grid.size))
+                    for ours, theirs in ((angles[rows], angles[rows]),
+                                         (angles[rows, 1], angles[rows, 1]),
+                                         (grid[None, :], shared)):
+                        assert np.array_equal(probe(ours), reference(theirs))
 
 
 def reference_joint_seeds(objective, roots, phases, values, active, gauge):
@@ -1263,12 +1328,14 @@ class TestGramTables:
                 assert np.max(np.abs(np.linalg.eigvalsh(full[:, at]) - gathered)) < 1e-14
         assert {rows > 3 for rows in table_rows(tables)} == {False, True}
 
-    @pytest.mark.parametrize("n_basis", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("n_basis", [1, 2, 3, 4, 5, 8])
     def test_outer_reals_independent_of_the_block(self, n_basis):
-        # a 3,000-row block against its rows one at a time, bit for bit
+        # a 3,000-row block against its rows one at a time, and against the
+        # pairs gathered by index from the row-major views, bit for bit
         coeff = random_amplitudes(np.random.default_rng(n_basis), (n_basis,), rows=3000)
         alone = np.concatenate([_batch._outer_reals(row[None]) for row in coeff])
         assert np.array_equal(_batch._outer_reals(coeff), alone)
+        assert np.array_equal(_batch._outer_reals(coeff), reference_outer_reals(coeff))
 
     def test_tables_built_at_construction(self, monkeypatch):
         # every objective builds its tables once, when it is constructed, and

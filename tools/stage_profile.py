@@ -1,12 +1,15 @@
-"""Objective rows and seconds per phase-optimizer stage of one reference figure.
+"""Objective rows, seconds and page faults per phase-optimizer stage of a figure.
 
     python3 tools/stage_profile.py FIGURE [--grid G] [--repeat R]
 
 Runs ``ggm figure FIGURE`` in process (output discarded) ``R`` times (default
 2) and prints the last run. Functions of ``ggm._batch`` and ``ggm.roof`` are
 wrapped from outside the package; the package itself is not changed. A
-stage holds the time of its outermost call and every objective row
-evaluated inside it (a one-phase probe counts one row per angle):
+stage holds the time and the minor page faults (``ru_minflt`` of
+``resource.getrusage``) of its outermost calls, and every objective row
+evaluated inside it: a one-phase probe counts one row per pencil row and
+angle, so a probe of K rows at angles (K,) counts K, at (K, m) or at the
+shared (1, m) K * m.
 
 - ``joint seed``: ``_apply_joint_seeds`` of the cold (raw-surface) start;
 - ``pencil``: ``PhaseObjective.pencil`` builds of the cold start;
@@ -25,7 +28,9 @@ package (``--src`` points at its ``src``), so two trees can be compared.
 import argparse
 import contextlib
 import io
+import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -45,6 +50,7 @@ class StageProfile:
         self.batch, self.roof, self.cli = batch, roof, cli
         self.rows = dict.fromkeys(STAGES, 0)
         self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.faults = dict.fromkeys(STAGES, 0)
         self.active = None
         self.undo = []
 
@@ -56,11 +62,13 @@ class StageProfile:
         if self.active is not None:
             return fn(*args, **kwargs)
         self.active = stage
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             self.seconds[stage] += time.perf_counter() - start
+            self.faults[stage] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             self.active = None
 
     def _stage(self, stage, fn):
@@ -93,7 +101,7 @@ class StageProfile:
 
             def counted_probe(angles):
                 stage = self.active or "scan"
-                self.rows[stage] += int(np.size(angles))
+                self.rows[stage] += len(roots) * math.prod(np.shape(angles)[1:])
                 return self._timed(stage, probe, angles)
             return counted_probe
 
@@ -121,16 +129,20 @@ def main():
         argv[2:2] = ["--grid", str(args.grid)]
     for _ in range(args.repeat):
         with StageProfile(_batch, roof, cli) as profile, contextlib.redirect_stdout(io.StringIO()):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             if cli.main(argv) != 0:
                 sys.exit(f"ggm {' '.join(argv)} failed")
             total = time.perf_counter() - start
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"ggm {' '.join(argv[:-2])}: {total:.3f} s")
-    print(f"{'stage':>18} {'rows':>10} {'seconds':>9}")
+    print(f"{'stage':>18} {'rows':>10} {'seconds':>9} {'faults':>8}")
     for stage in STAGES:
-        print(f"{stage:>18} {profile.rows[stage]:>10} {profile.seconds[stage]:>9.3f}")
-    print(f"{'other':>18} {'':>10} {total - sum(profile.seconds.values()):>9.3f}")
-    print(f"{'total':>18} {sum(profile.rows.values()):>10} {total:>9.3f}")
+        print(f"{stage:>18} {profile.rows[stage]:>10} {profile.seconds[stage]:>9.4f}"
+              f" {profile.faults[stage]:>8}")
+    print(f"{'other':>18} {'':>10} {total - sum(profile.seconds.values()):>9.4f}"
+          f" {faults - sum(profile.faults.values()):>8}")
+    print(f"{'total':>18} {sum(profile.rows.values()):>10} {total:>9.4f} {faults:>8}")
 
 
 if __name__ == "__main__":
