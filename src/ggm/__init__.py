@@ -27,7 +27,6 @@ from .hilbert import (
     SystemShape,
     enumerate_bipartitions,
     matricize,
-    unmatricize,
 )
 from .pure import GgmReport, ggm_pure, ggm_values, max_schmidt_sq
 from .roof import (
@@ -44,8 +43,6 @@ from .roof import (
     simplex_grid,
 )
 from .states import (
-    DickeCoefficients,
-    SectorSpec,
     dicke,
     generalized_dicke,
     gghz,
@@ -61,7 +58,6 @@ from .twirl import (
     VerificationError,
     builtin_group,
     verify_invariance,
-    verify_mixture_invariance,
     verify_preimage,
 )
 
@@ -70,13 +66,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "DensityMatrix",
-    "DickeCoefficients",
     "FAMILY_BUILDERS",
     "GgmReport",
     "GgmSurface",
     "LocalUnitaryElement",
     "PureState",
-    "SectorSpec",
     "SystemShape",
     "TwirledFamily",
     "UnitaryGroup",
@@ -111,9 +105,7 @@ __all__ = [
     "simplex_grid",
     "superpose",
     "uniform_sector_state",
-    "unmatricize",
     "verify_invariance",
-    "verify_mixture_invariance",
     "verify_preimage",
     "zeta",
     "zeta_family",

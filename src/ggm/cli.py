@@ -30,8 +30,6 @@ from .roof import (
     min_phase_ggm_many,
 )
 from .states import (
-    DickeCoefficients,
-    SectorSpec,
     dicke,
     generalized_dicke,
     gghz,
@@ -43,14 +41,13 @@ from .states import (
 )
 from .twirl import (
     GROUP_KINDS,
+    GROUP_TOL,
     LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
     _verify_family,
     builtin_group,
 )
-
-DEFAULT_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,7 +131,7 @@ def _build_state(name, args, context) -> PureState:
     if name == "generalized_dicke":
         reads("n_parties", "k", "b")
         b = _complex_array(args["b"], f"{context}.args.b")
-        return generalized_dicke(DickeCoefficients(args["n_parties"], args["k"], b))
+        return generalized_dicke(args["n_parties"], args["k"], b)
     if name == "zeta":
         reads("i")
         return zeta(args["i"])
@@ -146,7 +143,7 @@ def _build_state(name, args, context) -> PureState:
         reads("dims", "modulus", "k", "q")
         shape = SystemShape(tuple(args["dims"]))
         q = _complex_array(args["q"], f"{context}.args.q")
-        return sector_state(SectorSpec(shape, args["modulus"], args["k"], q))
+        return sector_state(shape, args["modulus"], args["k"], q)
     if name == "superpose":
         reads("basis", "weights", "phases")
         basis = [parse_state_spec(s, f"{context}.basis[{i}]")
@@ -291,6 +288,8 @@ def _cmd_mixed(args) -> int:
 
 
 def _cmd_verify_group(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise SpecError(f"--tol must be a finite nonnegative number, got {args.tol}")
     lines = []
     group = parse_group_spec(_load_json(args.group))
     lines.append(f"group ok: {group.order} elements on dims {group.shape.dims}")
@@ -414,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("group", help="path to a JSON group spec")
     p_ver.add_argument("--family", default=None,
                        help="optional family spec to test invariance/preimage")
-    p_ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_ver.add_argument("--tol", type=float, default=GROUP_TOL)
     p_ver.add_argument("--seed", type=int, default=None,
                        help="accepted for compatibility and ignored: the preimage "
                             "check is exact and draws no phases")

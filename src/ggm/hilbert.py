@@ -26,7 +26,6 @@ __all__ = [
     "Bipartition",
     "enumerate_bipartitions",
     "matricize",
-    "unmatricize",
 ]
 
 # Constructor tolerance; inputs are analytically normalized, so anything
@@ -112,12 +111,6 @@ class PureState:
     def projector(self) -> "DensityMatrix":
         """Rank-1 density matrix |psi><psi|."""
         return DensityMatrix(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch in overlap")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,15 +227,3 @@ def matricize(state: PureState, cut: Bipartition) -> np.ndarray:
     tensor = state.amplitudes.reshape(state.shape.dims)
     perm = cut.side_I + cut.side_L
     return np.ascontiguousarray(tensor.transpose(perm)).reshape(cut.dim_I, cut.dim_L)
-
-
-def unmatricize(matrix: np.ndarray, cut: Bipartition) -> PureState:
-    """Inverse of :func:`matricize`: rebuild the amplitude vector."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (cut.dim_I, cut.dim_L):
-        raise ValueError(f"matrix shape {matrix.shape} does not match cut {cut}")
-    dims = cut.shape.dims
-    perm = cut.side_I + cut.side_L
-    inverse = np.argsort(perm)
-    tensor = matrix.reshape(tuple(dims[i] for i in perm)).transpose(inverse)
-    return PureState(cut.shape, tensor.reshape(-1))

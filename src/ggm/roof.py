@@ -67,10 +67,10 @@ class TwirledFamily:
 
     ``param_names``/``weight_map`` describe how points of the family's
     mixing simplex translate to weight vectors (identity padding with the
-    residual weight when no map is given). A ``weight_map`` works on whole
-    arrays: it maps a (..., arity) array of points to the (..., n_basis)
-    array of their weight vectors, one row per point, as
-    :meth:`params_to_weights` does.
+    residual weight when no map is given, which takes n_basis - 1 names).
+    A ``weight_map`` works on whole arrays: it maps a (..., arity) array of
+    points to the (..., n_basis) array of their weight vectors, one row per
+    point, as :meth:`params_to_weights` does.
     """
 
     group: UnitaryGroup
@@ -96,6 +96,10 @@ class TwirledFamily:
             names = ("x",) if len(basis) == 2 else tuple(
                 f"x{i + 1}" for i in range(len(basis) - 1))
             object.__setattr__(self, "param_names", names)
+        elif self.weight_map is None and len(self.param_names) != len(basis) - 1:
+            raise ValueError(
+                f"param_names has {len(self.param_names)} name(s); a family of "
+                f"{len(basis)} basis states without a weight_map takes {len(basis) - 1}")
         inv, pre, cross = _verify_family(self.group, basis, weights)
         if not inv.ok:
             raise VerificationError(
@@ -111,10 +115,6 @@ class TwirledFamily:
     def objective(self) -> _batch.PhaseObjective:
         return _batch.PhaseObjective(np.stack([b.amplitudes for b in self.basis]),
                                      self.shape.dims)
-
-    @property
-    def free_phases(self) -> int:
-        return len(self.basis) - 1
 
     @property
     def shape(self):
@@ -422,8 +422,8 @@ class GgmSurface:
         return buf.getvalue()
 
 
-def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None = None,
-              include_hessian: bool = True) -> GgmSurface:
+def ggm_mixed(family: TwirledFamily, grid=None, *,
+              grid_resolution: int | None = None) -> GgmSurface:
     """Full mixed-state pipeline over a simplex grid of family parameters.
 
     Phase-minimizes the pure measure at every grid point of a family
@@ -455,16 +455,13 @@ def ggm_mixed(family: TwirledFamily, grid=None, *, grid_resolution: int | None =
     else:
         envelope = convex_envelope_2d(grid, raw)
 
-    if include_hessian:
-        def stencil_values(points, owners):
-            # Warm-started from each owner's own minimizing phases.
-            values, _ = _batch.minimize_phases(
-                family.objective, family.params_to_weights(points), phases[owners])
-            return values
+    def stencil_values(points, owners):
+        # Warm-started from each owner's own minimizing phases.
+        values, _ = _batch.minimize_phases(
+            family.objective, family.params_to_weights(points), phases[owners])
+        return values
 
-        hessian = _hessian_min_eig(grid, HESSIAN_STEP, raw.__getitem__, stencil_values)
-    else:
-        hessian = np.full(grid.shape[0], np.nan)
+    hessian = _hessian_min_eig(grid, HESSIAN_STEP, raw.__getitem__, stencil_values)
 
     return GgmSurface(
         param_names=tuple(family.param_names),

@@ -9,15 +9,12 @@ addressing of generalized Dicke states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import NORM_TOL, PureState, SystemShape
 
 __all__ = [
-    "DickeCoefficients",
-    "SectorSpec",
     "ghz",
     "gghz",
     "dicke",
@@ -50,77 +47,6 @@ def sector_indices(shape: SystemShape, modulus: int, k: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class DickeCoefficients:
-    """Coefficients of a generalized Dicke state.
-
-    ``b[j]`` multiplies the j-th weight-k bitstring in ascending integer
-    order; the vector must be unit norm.
-    """
-
-    n_parties: int
-    k: int
-    b: np.ndarray
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n_parties:
-            raise ValueError(f"excitation count {self.k} out of range")
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
-        expected = math.comb(self.n_parties, self.k)
-        if b.size != expected:
-            raise ValueError(f"need {expected} coefficients, got {b.size}")
-        norm = np.linalg.norm(b)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficient norm {norm!r} deviates from 1")
-        frozen = b.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "b", frozen)
-
-
-@dataclass(frozen=True, eq=False)
-class SectorSpec:
-    """A state supported on one residue class of the digit sum.
-
-    ``q`` holds the coefficients over the sector's basis states, listed in
-    ascending order of the full-space basis index.
-    """
-
-    shape: SystemShape
-    modulus: int
-    k: int
-    q: np.ndarray
-
-    def __post_init__(self):
-        support = sector_indices(self.shape, self.modulus, self.k)
-        q = np.asarray(self.q, dtype=complex).reshape(-1)
-        if q.size != len(support):
-            raise ValueError(
-                f"sector (mod {self.modulus}, k={self.k}) has {len(support)} basis "
-                f"states, got {q.size} coefficients"
-            )
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"sector coefficient norm {norm!r} deviates from 1")
-        frozen = q.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "q", frozen)
-
-    @classmethod
-    def from_amplitudes(cls, shape, modulus, k, amplitudes) -> "SectorSpec":
-        """Build a spec from a full-length vector, rejecting support leakage."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != shape.total_dim:
-            raise ValueError("amplitude vector length does not match shape")
-        support = sector_indices(shape, modulus, k)
-        outside = np.delete(np.arange(shape.total_dim), support)
-        leak = np.max(np.abs(amps[outside])) if outside.size else 0.0
-        if leak > NORM_TOL:
-            raise ValueError(
-                f"support leaks outside sector k={k} (mod {modulus}) by {leak:.3e}"
-            )
-        return cls(shape, modulus, k, amps[support])
-
-
 def ghz(n_parties: int, d: int = 2, sign: int = 1) -> PureState:
     """(|0...0> +/- |1...1>)/sqrt(2), embedded in d-dimensional local spaces."""
     if sign not in (1, -1):
@@ -151,19 +77,46 @@ def dicke(n_parties: int, k: int) -> PureState:
     return PureState(SystemShape.uniform(n_parties, 2), amps)
 
 
-def generalized_dicke(coeffs: DickeCoefficients) -> PureState:
-    """Dicke state with arbitrary coefficients per weight-k bitstring."""
-    idx = weight_k_indices(coeffs.n_parties, coeffs.k)
-    amps = np.zeros(2**coeffs.n_parties, dtype=complex)
-    amps[idx] = coeffs.b
-    return PureState(SystemShape.uniform(coeffs.n_parties, 2), amps)
+def _unit_coefficients(values, label: str) -> np.ndarray:
+    """``values`` as a flat complex vector, rejecting a norm off 1."""
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(values)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"{label} norm {norm!r} deviates from 1")
+    return values
 
 
-def sector_state(spec: SectorSpec) -> PureState:
-    """Pure state with support only on the declared residue sector."""
-    amps = np.zeros(spec.shape.total_dim, dtype=complex)
-    amps[sector_indices(spec.shape, spec.modulus, spec.k)] = spec.q
-    return PureState(spec.shape, amps)
+def generalized_dicke(n_parties: int, k: int, b) -> PureState:
+    """Dicke state with arbitrary coefficients per weight-k bitstring.
+
+    ``b[j]`` multiplies the j-th weight-k bitstring in ascending integer
+    order; the vector must be unit norm.
+    """
+    idx = weight_k_indices(n_parties, k)
+    size = np.size(b)
+    if size != len(idx):
+        raise ValueError(f"need {len(idx)} coefficients, got {size}")
+    amps = np.zeros(2**n_parties, dtype=complex)
+    amps[idx] = _unit_coefficients(b, "coefficient")
+    return PureState(SystemShape.uniform(n_parties, 2), amps)
+
+
+def sector_state(shape: SystemShape, modulus: int, k: int, q) -> PureState:
+    """Pure state with support only on one digit-sum residue sector.
+
+    ``q`` holds the coefficients over the sector's basis states, listed in
+    ascending order of the full-space basis index; it must be unit norm.
+    """
+    support = sector_indices(shape, modulus, k)
+    size = np.size(q)
+    if size != len(support):
+        raise ValueError(
+            f"sector (mod {modulus}, k={k}) has {len(support)} basis "
+            f"states, got {size} coefficients"
+        )
+    amps = np.zeros(shape.total_dim, dtype=complex)
+    amps[support] = _unit_coefficients(q, "sector coefficient")
+    return PureState(shape, amps)
 
 
 def uniform_sector_state(shape: SystemShape, modulus: int, k: int) -> PureState:
@@ -172,7 +125,7 @@ def uniform_sector_state(shape: SystemShape, modulus: int, k: int) -> PureState:
     if not support:
         raise ValueError(f"sector k={k} (mod {modulus}) is empty for {shape.dims}")
     q = np.full(len(support), 1 / math.sqrt(len(support)), dtype=complex)
-    return sector_state(SectorSpec(shape, modulus, k, q))
+    return sector_state(shape, modulus, k, q)
 
 
 # Three-qubit basis of the rank-4 asymmetric family; amplitudes are exact

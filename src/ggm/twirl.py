@@ -28,7 +28,6 @@ __all__ = [
     "UnitaryGroup",
     "builtin_group",
     "verify_invariance",
-    "verify_mixture_invariance",
     "verify_preimage",
     "InvarianceResult",
     "PreimageResult",
@@ -256,7 +255,7 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
     element. The moved rows are summed block by block of elements, so a
     few copies of rho are held at once, not one per element. A mixture of
     an orthonormal basis is checked in factored form by
-    :func:`verify_mixture_invariance`.
+    :func:`_verify_family`.
     """
     if rho.shape != group.shape:
         raise ValueError("shape mismatch between group and state")
@@ -394,17 +393,6 @@ def _twirled_blocks(r: np.ndarray, order: int, weights: np.ndarray,
     return InvarianceResult(inv <= tol, inv), PreimageResult(pre <= tol, pre), cross
 
 
-def verify_mixture_invariance(group: UnitaryGroup, basis, weights, *,
-                              tol: float = GROUP_TOL) -> InvarianceResult:
-    """Check that the twirl fixes sum_k w_k |basis_k><basis_k| within ``tol``.
-
-    The deviation is the Frobenius norm of the twirl residual, computed on
-    the factors; it bounds the max-entry norm of :func:`verify_invariance`
-    from above, so this check is never the looser one.
-    """
-    return _verify_family(group, basis, weights, tol=tol)[0]
-
-
 def verify_preimage(group: UnitaryGroup, basis, weights, *,
                     tol: float = GROUP_TOL) -> PreimageResult:
     """Check that phased superpositions of ``basis`` twirl onto the mixture.
@@ -420,12 +408,12 @@ def verify_preimage(group: UnitaryGroup, basis, weights, *,
 
 def _verify_family(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL
                    ) -> tuple[InvarianceResult, PreimageResult, np.ndarray]:
-    """:func:`verify_mixture_invariance` and :func:`verify_preimage` at
-    ``tol``, read from one moved basis and one thin QR, with the norms
+    """Invariance of sum_k w_k |basis_k><basis_k| and :func:`verify_preimage`
+    at ``tol``, read from one moved basis and one thin QR, with the norms
     ||T_kl||_F of :func:`_twirled_blocks` that name a failing pair.
 
-    Both results equal those of the two separate calls, which compute the
-    same R.
+    The invariance deviation, the Frobenius norm of the twirl residual,
+    bounds the max-entry norm of :func:`verify_invariance` from above.
     """
     rows, weights = _mixture_rows(group, basis, weights)
     return _twirled_blocks(_moved_r(group, rows), group.order, weights, tol)

@@ -101,8 +101,7 @@ def test_criterion_2_rank2_closed_form_n_independent():
             [closed_form("rank2_sym", [x]) for x in grid[:, 0]])
         envelopes = {}
         for n in (3, 4, 5, 6):
-            surface = ggm_mixed(rank2_symmetric(n), grid=grid,
-                                include_hessian=False)
+            surface = ggm_mixed(rank2_symmetric(n), grid=grid)
             assert np.max(np.abs(surface.envelope - expected)) <= 2e-4
             envelopes[n] = surface.envelope
         for n in (4, 5, 6):  # N-independence of the pipeline output
@@ -264,8 +263,7 @@ def test_criterion_9_roof_bound_consistency(case2_surface, rank5_surface,
             fam = builder()
             surface = reused.get(name)
             if surface is None:
-                surface = ggm_mixed(fam, grid_resolution=resolution,
-                                    include_hessian=False)
+                surface = ggm_mixed(fam, grid_resolution=resolution)
             arity = len(fam.param_names)
             points = interior_simplex_points(rng, arity, 10)
             envelope = surface.envelope_at(points)
@@ -282,7 +280,7 @@ def test_criterion_10_ghz_mixture_note():
         grid = simplex_grid(51, 1)
         expected = np.array([closed_form("rank2_sym", [x]) for x in grid[:, 0]])
         for n in (3, 5):
-            surface = ggm_mixed(ghz_mixture(n), grid=grid, include_hessian=False)
+            surface = ggm_mixed(ghz_mixture(n), grid=grid)
             assert np.max(np.abs(surface.envelope - expected)) <= 2e-4
 
 

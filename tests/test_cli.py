@@ -100,7 +100,7 @@ class TestParseSpecs:
 
     def test_builtin_family(self):
         fam = parse_family_spec({"family": "rank3_ghz_w"})
-        assert fam.free_phases == 2
+        assert len(fam.basis) == 3
 
     # A field that would be parsed and ignored is a usage error, at every level.
 
@@ -199,6 +199,18 @@ class TestMixedCommand:
         assert len(calls) == 1
 
 
+    def test_param_names_of_the_wrong_count_exit_1(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "fam.json", {
+            "group": {"kind": "omega", "dims": [2, 2, 2]},
+            "basis": [{"constructor": "ghz", "args": {"n_parties": 3}},
+                      {"constructor": "dicke", "args": {"n_parties": 3, "k": 1}},
+                      {"constructor": "dicke", "args": {"n_parties": 3, "k": 2}}],
+            "param_names": ["x"]})
+        assert main(["mixed", spec, "--grid", "11"]) == EXIT_USAGE
+        assert ("error: family: param_names has 1 name(s); a family of 3 basis states "
+                "without a weight_map takes 2") in capsys.readouterr().err
+
+
 class TestVerifyGroupCommand:
     def test_builtin_passes(self, tmp_path, capsys):
         spec = write_json(tmp_path / "grp.json", {"kind": "parity", "dims": [2, 2, 2]})
@@ -251,8 +263,7 @@ class TestVerifyGroupCommand:
         assert len(calls) == 2
         group = parse_group_spec({"kind": group_kind, "dims": [2, 2, 2]})
         family = parse({"family": "rank2_symmetric", "args": {"n_parties": 3}})
-        inv = twirl_module.verify_mixture_invariance(group, family.basis, family.weights,
-                                                     tol=1e-8)
+        inv = twirl_module._verify_family(group, family.basis, family.weights, tol=1e-8)[0]
         pre = twirl_module.verify_preimage(group, family.basis, family.weights, tol=1e-8)
         assert capsys.readouterr().out.splitlines()[2:] == [
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
@@ -283,6 +294,16 @@ class TestVerifyGroupCommand:
                                                     "weights": [1, 0, 0]})
         assert main(["verify-group", group, "--family", family]) == EXIT_USAGE
         assert "'weights'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_tol_must_be_finite_and_nonnegative(self, tol, shown, tmp_path,
+                                                rank2_family_spec, capsys):
+        spec = write_json(tmp_path / "grp.json", {"kind": "parity", "dims": [2, 2, 2]})
+        assert main(["verify-group", spec, "--family", rank2_family_spec,
+                     "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --tol must be a finite nonnegative number, got {shown}" in captured.err
 
     def test_wrong_group_fails_with_exit_2(self, tmp_path, rank2_family_spec, capsys):
         # the omega(3) twirl does not fix the parity mixture

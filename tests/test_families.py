@@ -59,7 +59,7 @@ def test_ghz_dicke_mixture_weight_order():
     fam = ghz_dicke_mixture(4)
     w = fam.params_to_weights([0.1, 0.2, 0.3])
     assert np.allclose(w, [0.4, 0.1, 0.2, 0.3])
-    assert fam.free_phases == 3
+    assert len(fam.basis) == 4
 
 
 def test_qutrit_corners_match_pure_sector_values():

@@ -11,7 +11,6 @@ from ggm.hilbert import (
     SystemShape,
     enumerate_bipartitions,
     matricize,
-    unmatricize,
 )
 
 
@@ -163,8 +162,16 @@ class TestMatricize:
         rng = np.random.default_rng(11)
         psi = random_state(rng, dims)
         for cut in enumerate_bipartitions(psi.shape):
-            back = unmatricize(matricize(psi, cut), cut)
-            assert np.array_equal(back.amplitudes, psi.amplitudes)
+            mat = matricize(psi, cut)
+            # entry (r, c) holds the amplitude whose side-I digits encode r
+            # and side-L digits encode c, row-major in ascending party order
+            back = np.empty_like(psi.amplitudes)
+            for i in range(psi.shape.total_dim):
+                digits = psi.shape.digits_of(i)
+                r, c = (np.ravel_multi_index([digits[p] for p in side], [dims[p] for p in side])
+                        for side in (cut.side_I, cut.side_L))
+                back[i] = mat[r, c]
+            assert np.array_equal(back, psi.amplitudes)
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 2, 2, 3)])
     def test_singular_values_sum_to_one(self, dims):

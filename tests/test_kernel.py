@@ -1414,7 +1414,7 @@ class TestEnumerationMemo:
 
 class TestEnvelopeEvaluatorCached:
     def test_hull_built_once_per_surface(self, monkeypatch):
-        surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9, include_hessian=False)
+        surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9)
         built = []
         original = scipy.spatial.ConvexHull
 

@@ -36,8 +36,8 @@ from ggm.twirl import (
     LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
+    _verify_family,
     builtin_group,
-    verify_mixture_invariance,
 )
 from helpers import hessian_report
 
@@ -49,8 +49,21 @@ def rank2_closed(x):
 class TestTwirledFamily:
     def test_construction_verifies(self):
         fam = rank2_symmetric(3)
-        assert fam.free_phases == 1
+        assert len(fam.basis) == 2
         assert fam.param_names == ("x",)
+
+    def test_param_names_count_checked_without_weight_map(self):
+        # no weight_map: the names are the first n_basis - 1 weights
+        group = builtin_group("omega", SystemShape((2, 2, 2)))
+        basis = (ghz(3), dicke(3, 1), dicke(3, 2))
+        with pytest.raises(ValueError, match=r"param_names has 1 name\(s\); a family of "
+                                             r"3 basis states without a weight_map takes 2"):
+            TwirledFamily(group=group, basis=basis, weights=np.full(3, 1.0 / 3.0),
+                          param_names=("x",))
+        fam = TwirledFamily(group=group, basis=basis, weights=np.full(3, 1.0 / 3.0),
+                            param_names=("a", "b"))
+        values, _ = min_phase_ggm_many(fam, [[0.3, 0.3]])
+        assert values.shape == (1,)
 
     def test_bad_preimage_rejected(self):
         # GHZ/W mixture is not fixed by the parity group: |GHZ><W| cross
@@ -80,7 +93,7 @@ class TestTwirledFamily:
         minus[[0, 7]] = [1.0, -1.0]
         basis = (ghz(3), PureState(shape, minus / math.sqrt(2.0)))
         group = builtin_group("omega", shape)
-        assert verify_mixture_invariance(group, basis, [0.5, 0.5]).ok
+        assert _verify_family(group, basis, [0.5, 0.5])[0].ok
         with pytest.raises(VerificationError, match=r"preimage.*basis pair \(0, 1\)"):
             TwirledFamily(group=group, basis=basis, weights=np.array([0.5, 0.5]))
 
@@ -287,7 +300,7 @@ class TestConvexEnvelope2d:
             raw = rng.random(grid.shape[0]) + grid[:, 0] ** 2
         else:
             family = rank3_gghz(0.55) if case == "gghz" else zeta_slice_family()
-            surface = ggm_mixed(family, grid_resolution=61, include_hessian=False)
+            surface = ggm_mixed(family, grid_resolution=61)
             grid, raw = surface.grid, surface.raw
         lifted = ConvexHull(np.column_stack([grid, raw]))
         vertices = np.zeros(grid.shape[0], dtype=bool)
@@ -300,7 +313,7 @@ class TestConvexEnvelope2d:
 
     def test_midpoint_convexity_on_lattice(self):
         fam = rank3_gghz(0.55)
-        surface = ggm_mixed(fam, grid_resolution=41, include_hessian=False)
+        surface = ggm_mixed(fam, grid_resolution=41)
         step = 1.0 / 40
         env = {tuple(np.round(p / step).astype(int)): e
                for p, e in zip(surface.grid, surface.envelope)}
@@ -583,7 +596,7 @@ class TestMinimizationSandwich:
         from ggm.states import superpose
 
         fam = builder()
-        surface = ggm_mixed(fam, grid_resolution=21, include_hessian=False)
+        surface = ggm_mixed(fam, grid_resolution=21)
         assert (surface.envelope <= surface.raw + 1e-12).all()
         rng = np.random.default_rng(44)
         for idx in rng.choice(surface.grid.shape[0], size=5, replace=False):

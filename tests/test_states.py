@@ -6,8 +6,6 @@ import pytest
 from ggm.hilbert import SystemShape
 from ggm.pure import ggm_pure
 from ggm.states import (
-    DickeCoefficients,
-    SectorSpec,
     dicke,
     generalized_dicke,
     gghz,
@@ -104,24 +102,30 @@ class TestGeneralizedDicke:
     def test_uniform_reduces_to_dicke(self):
         n, k = 4, 2
         b = np.full(math.comb(n, k), 1 / math.sqrt(math.comb(n, k)))
-        psi = generalized_dicke(DickeCoefficients(n, k, b))
+        psi = generalized_dicke(n, k, b)
         assert np.allclose(psi.amplitudes, dicke(n, k).amplitudes)
 
     def test_single_term(self):
-        psi = generalized_dicke(DickeCoefficients(2, 1, np.array([1.0, 0.0])))
+        psi = generalized_dicke(2, 1, np.array([1.0, 0.0]))
         assert np.isclose(psi.amplitudes[1], 1.0)  # |01>
 
     def test_lexicographic_addressing(self):
         # weight-1 bitstrings of 3 qubits in ascending value: 001, 010, 100
         assert weight_k_indices(3, 1) == [1, 2, 4]
         b = np.array([1.0, 1.0, SQ2]) / 2
-        psi = generalized_dicke(DickeCoefficients(3, 1, b))
+        psi = generalized_dicke(3, 1, b)
         assert np.isclose(psi.amplitudes[4], SQ2 / 2)
         assert abs(ggm_pure(psi).value - 0.25) < 1e-9
 
     def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            DickeCoefficients(3, 1, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="coefficient norm"):
+            generalized_dicke(3, 1, np.array([1.0, 1.0, 1.0]))
+
+    def test_coefficient_count_and_range_enforced(self):
+        with pytest.raises(ValueError, match="need 3 coefficients, got 2"):
+            generalized_dicke(3, 1, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="excitation count 4 out of range"):
+            generalized_dicke(3, 4, np.array([1.0]))
 
 
 class TestSectorState:
@@ -153,21 +157,24 @@ class TestSectorState:
         states = [uniform_sector_state(shape, 3, k) for k in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
-                assert abs(states[i].overlap(states[j])) < 1e-12
+                assert abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) < 1e-12
 
-    def test_support_leakage_rejected(self):
-        shape = SystemShape((2, 2, 2))
-        amps = np.zeros(8)
-        amps[[0, 1]] = 1 / SQ2  # index 1 has odd weight
-        with pytest.raises(ValueError):
-            SectorSpec.from_amplitudes(shape, 2, 0, amps)
-
-    def test_from_amplitudes_accepts_clean_support(self):
+    def test_coefficients_fill_the_sector_in_index_order(self):
+        # the even sector of 3 qubits is 000, 011, 101, 110
         shape = SystemShape((2, 2, 2))
         amps = np.zeros(8)
         amps[[0, 3]] = 1 / SQ2
-        spec = SectorSpec.from_amplitudes(shape, 2, 0, amps)
-        assert np.allclose(sector_state(spec).amplitudes, amps)
+        psi = sector_state(shape, 2, 0, np.array([1.0, 1.0, 0.0, 0.0]) / SQ2)
+        assert np.allclose(psi.amplitudes, amps)
+
+    def test_coefficient_count_enforced(self):
+        with pytest.raises(ValueError, match=r"sector \(mod 2, k=0\) has 4 basis states, "
+                                             r"got 3 coefficients"):
+            sector_state(SystemShape((2, 2, 2)), 2, 0, np.ones(3) / math.sqrt(3))
+
+    def test_norm_enforced(self):
+        with pytest.raises(ValueError, match="sector coefficient norm"):
+            sector_state(SystemShape((2, 2, 2)), 2, 0, np.ones(4))
 
     def test_mixed_dims_modulus(self):
         # lcm rule: dims (2, 4) grade digit sums modulo 4
@@ -188,7 +195,7 @@ class TestZeta:
 
     def test_orthonormal_basis(self):
         zs = [zeta(i) for i in range(1, 5)]
-        gram = np.array([[a.overlap(b) for b in zs] for a in zs])
+        gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in zs] for a in zs])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
     def test_bad_index(self):
@@ -199,7 +206,7 @@ class TestZeta:
 class TestSuperpose:
     def test_single_state(self):
         psi = superpose([ghz(3)], [1.0], [0.7])
-        assert abs(abs(psi.overlap(ghz(3))) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(psi.amplitudes, ghz(3).amplitudes)) - 1.0) < 1e-12
 
     def test_ghz_w_wbar_combination(self):
         psi = superpose([ghz(3), dicke(3, 1), dicke(3, 2)], [0.2, 0.3, 0.5])

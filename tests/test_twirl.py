@@ -26,7 +26,6 @@ from ggm.twirl import (
     _verify_family,
     builtin_group,
     verify_invariance,
-    verify_mixture_invariance,
     verify_preimage,
 )
 from helpers import dense_twirl, kron_all
@@ -482,7 +481,7 @@ class TestFactoredResidual:
         basis = [PureState(group.shape, r) for r in rows]
         rho = DensityMatrix.mixture(basis, weights)
         diff = dense_twirl(group, rho.entries) - rho.entries
-        result = verify_mixture_invariance(group, basis, weights)
+        result = _verify_family(group, basis, weights)[0]
         assert abs(result.max_deviation - np.linalg.norm(diff)) <= 1e-12
         assert result.max_deviation >= verify_invariance(group, rho).max_deviation - 1e-15
         assert result.ok
@@ -533,7 +532,7 @@ class TestFactoredResidual:
         group = builtin_group("parity", QUBITS3)
         basis = [ghz(3), dicke(3, 1)]
         rho = DensityMatrix.mixture(basis, [0.5, 0.5])
-        result = verify_mixture_invariance(group, basis, [0.5, 0.5])
+        result = _verify_family(group, basis, [0.5, 0.5])[0]
         dense = verify_invariance(group, rho)
         assert not result.ok and not dense.ok
         assert result.max_deviation >= dense.max_deviation
@@ -589,11 +588,10 @@ class TestFactoredResidual:
         monkeypatch.setattr(ggm.twirl, "_moved", counting)
         family = FAMILY_BUILDERS[name]()
         assert len(calls) == 1
-        # the shared R gives the deviations of the two separate checks, bit for bit
-        separate = (verify_mixture_invariance(family.group, family.basis, family.weights),
-                    verify_preimage(family.group, family.basis, family.weights))
-        assert len(calls) == 3
-        assert _verify_family(family.group, family.basis, family.weights)[:2] == separate
+        # the shared R gives the deviation of the separate preimage check, bit for bit
+        separate = verify_preimage(family.group, family.basis, family.weights)
+        assert len(calls) == 2
+        assert _verify_family(family.group, family.basis, family.weights)[1] == separate
 
     def test_large_family_builds_no_dense_matrix(self, monkeypatch):
         built = []

@@ -1,10 +1,10 @@
 """Print the sha256 of each reference figure's CSV, one ``sha256  argv`` line a run,
-then of ``ggm verify-group`` reports, decomposition-sampler bounds and
-pure-state values.
+then of ``ggm verify-group`` reports, one ``ggm mixed`` surface of a custom
+family, decomposition-sampler bounds and pure-state values.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change keeps
-every figure, every group verification, every sampler bound and every pure
-value byte-identical:
+every figure, every group verification, the custom surface, every sampler
+bound and every pure value byte-identical:
 
     python3 tools/figure_digests.py > digests.txt
 """
@@ -43,6 +43,26 @@ VERIFY_RUNS = {
     "qudit qutrit_sector_family": ({"kind": "qudit", "dims": [3] * 3},
                                    {"family": "qutrit_sector_family"}),
 }
+
+# ggm mixed run: an omega(3) family of the three charge sectors of 3 qubits,
+# each a seeded complex superposition written with the "sector" constructor.
+# Its minimizing phases move with the weights, so its Hessian column depends
+# on the warm start of the stencil's minimizations, which no built-in figure's
+# does.
+MIXED_SEED, MIXED_GRID = 5, 31
+
+
+def seeded_sector_family(seed):
+    rng = np.random.default_rng(seed)
+    basis = []
+    for k, size in enumerate((2, 3, 3)):
+        q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        q /= np.linalg.norm(q)
+        basis.append({"constructor": "sector",
+                      "args": {"dims": [2, 2, 2], "modulus": 3, "k": k,
+                               "q": [[z.real, z.imag] for z in q.tolist()]}})
+    return {"group": {"kind": "omega", "dims": [2, 2, 2]}, "basis": basis}
+
 
 BOUND_POINTS, BOUND_SAMPLES = 10, 300
 
@@ -111,6 +131,13 @@ with tempfile.TemporaryDirectory() as tmp:
             sys.exit(f"verify-group {name} failed")
         sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
         print(f"{sha}  verify-group {name}", flush=True)
+
+    family, out = os.path.join(tmp, "family.json"), os.path.join(tmp, "surface.csv")
+    Path(family).write_text(json.dumps(seeded_sector_family(MIXED_SEED)))
+    if main(["mixed", family, "--grid", str(MIXED_GRID), "--out", out]) != 0:
+        sys.exit("mixed seeded sector family failed")
+    sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    print(f"{sha}  mixed sector family (seed {MIXED_SEED}) --grid {MIXED_GRID}", flush=True)
 
 for seed, (name, draw) in enumerate(BOUND_TARGETS.items()):
     rng = np.random.default_rng([seed, 15])
