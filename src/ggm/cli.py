@@ -207,15 +207,13 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
             raise VerificationError(f"{context}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise SpecError(f"{context}.args: {exc}") from exc
-    _reject_unknown(spec, ("group", "basis", "weights", "param_names", "name"), context)
+    _reject_unknown(spec, ("group", "basis", "param_names", "name"), context)
     group = parse_group_spec(_require(spec, "group", context), f"{context}.group")
     basis = [parse_state_spec(s, f"{context}.basis[{i}]")
              for i, s in enumerate(_require(spec, "basis", context))]
-    weights = np.asarray(
-        spec.get("weights", np.full(len(basis), 1.0 / len(basis))), dtype=float)
     names = tuple(spec.get("param_names", ()))
     try:
-        return TwirledFamily(group=group, basis=tuple(basis), weights=weights,
+        return TwirledFamily(group=group, basis=tuple(basis),
                              name=spec.get("name", "custom"), param_names=names)
     except VerificationError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
@@ -297,14 +295,14 @@ def _cmd_verify_group(args) -> int:
     failed = False
     if args.family is not None:
         family = parse_family_spec(_load_json(args.family))
-        # Both checks read one moved basis and one QR.
-        inv, pre, _ = _verify_family(group, family.basis, family.weights, tol=args.tol)
-        lines.append(
-            f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
-            f"(max deviation {inv.max_deviation:.3e}, tol {args.tol:g})")
-        lines.append(
-            f"preimage property: {'pass' if pre.ok else 'FAIL'} "
-            f"(max deviation {pre.max_deviation:.3e}, tol {args.tol:g})")
+        # Both checks read the group's characters on the basis, moved once;
+        # a failing check names its culprit.
+        inv, pre, culprits = _verify_family(group, family.basis, tol=args.tol)
+        for label, result, culprit in zip(
+                ("invariance of family target", "preimage property"), (inv, pre), culprits):
+            line = (f"{label}: {'pass' if result.ok else 'FAIL'} "
+                    f"(max deviation {result.max_deviation:.3e}, tol {args.tol:g})")
+            lines.append(line if result.ok else f"{line}: {culprit}")
         failed = not (inv.ok and pre.ok)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_VERIFICATION if failed else EXIT_OK

@@ -44,7 +44,6 @@ def rank2_symmetric(n_parties: int = 3) -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("parity", shape),
         basis=basis,
-        weights=np.array([0.5, 0.5]),
         name=f"rank2_symmetric(N={n_parties})",
         param_names=("x",),
     )
@@ -55,7 +54,6 @@ def rank3_ghz_w() -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("omega", SystemShape.uniform(3, 2)),
         basis=(ghz(3), dicke(3, 1), dicke(3, 2)),
-        weights=np.full(3, 1 / 3),
         name="rank3_ghz_w",
         param_names=("x1", "x2"),
     )
@@ -66,7 +64,6 @@ def rank3_gghz(alpha: float = 0.55) -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("omega", SystemShape.uniform(3, 2)),
         basis=(gghz(3, alpha), dicke(3, 1), dicke(3, 2)),
-        weights=np.full(3, 1 / 3),
         name=f"rank3_gghz(alpha={alpha})",
         param_names=("x1", "x2"),
     )
@@ -80,7 +77,6 @@ def rank3_ghz_dicke(n_parties: int = 5) -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("omega", shape),
         basis=(ghz(n_parties), dicke(n_parties, 1), dicke(n_parties, n_parties - 1)),
-        weights=np.full(3, 1 / 3),
         name=f"rank3_ghz_dicke(N={n_parties})",
         param_names=("x1", "x2"),
     )
@@ -99,7 +95,6 @@ def rank5_five_qubit() -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("omega", shape),
         basis=basis,
-        weights=_rank5_weights(np.array([0.2, 0.4])),
         name="rank5_five_qubit",
         param_names=("x1", "x2"),
         weight_map=_rank5_weights,
@@ -122,7 +117,6 @@ def ghz_dicke_mixture(n_parties: int = 4, alpha: float = 1 / math.sqrt(2)) -> Tw
     return TwirledFamily(
         group=builtin_group("omega", shape),
         basis=basis,
-        weights=np.full(n_parties, 1 / n_parties),
         name=f"ghz_dicke_mixture(N={n_parties}, alpha={alpha:g})",
         param_names=tuple(f"x{i}" for i in range(1, n_parties)),
         weight_map=weight_map,
@@ -134,7 +128,6 @@ def zeta_family() -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("zeta", SystemShape.uniform(3, 2)),
         basis=tuple(zeta(i) for i in range(1, 5)),
-        weights=np.full(4, 0.25),
         name="zeta_family",
         param_names=("x1", "x2", "x3"),
     )
@@ -150,7 +143,6 @@ def zeta_slice_family() -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("zeta", SystemShape.uniform(3, 2)),
         basis=tuple(zeta(i) for i in range(1, 5)),
-        weights=_zeta_slice_weights(np.array([0.3, 0.4])),
         name="zeta_slice_family",
         param_names=("x", "y"),
         weight_map=_zeta_slice_weights,
@@ -164,7 +156,6 @@ def qutrit_sector_family() -> TwirledFamily:
     return TwirledFamily(
         group=builtin_group("qudit", shape),
         basis=basis,
-        weights=np.full(3, 1 / 3),
         name="qutrit_sector_family",
         param_names=("x1", "x2"),
     )
@@ -186,7 +177,6 @@ def ghz_mixture(n_parties: int = 3) -> TwirledFamily:
     return TwirledFamily(
         group=group,
         basis=(ghz(n_parties, sign=1), ghz(n_parties, sign=-1)),
-        weights=np.array([0.5, 0.5]),
         name=f"ghz_mixture(N={n_parties})",
         param_names=("x",),
     )

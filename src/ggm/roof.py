@@ -52,15 +52,16 @@ DEFAULT_GRID_2D = 101
 class TwirledFamily:
     """A twirl-invariant mixture together with its phase-orbit preimage.
 
-    ``basis`` is the orthonormal list of pure states being mixed, ``weights``
-    a reference probability vector over it. Construction verifies that the
-    group twirl fixes the mixture sum_k w_k |basis_k><basis_k| and maps
-    every phased superposition of the basis onto it, exactly rather than at
-    sampled phases: the twirl must annihilate each cross term
-    |basis_k><basis_l| of positive weight. Both checks run on the per-party
-    factors without forming a D x D matrix; either failure raises
-    :class:`VerificationError`, which names the basis pair whose cross term
-    survives the twirl most.
+    ``basis`` is the orthonormal list of pure states being mixed.
+    Construction verifies, at every weight vector w of the mixing simplex
+    and exactly rather than at sampled phases, that the group twirl fixes
+    the mixture sum_k w_k |basis_k><basis_k| and maps every phased
+    superposition of the basis onto it: each basis state must be an
+    eigenvector of every element, and the characters of any two must be
+    orthogonal over the group. Both checks run on the per-party factors
+    without forming a D x D matrix; either failure raises
+    :class:`VerificationError`, which names the element and basis state, or
+    the basis pair, that break it.
     The family is immutable, so nothing downstream checks it again, and
     its phase ``objective`` is built once, on first use: a family built
     only to be checked pays for no blocks or tables.
@@ -75,7 +76,6 @@ class TwirledFamily:
 
     group: UnitaryGroup
     basis: tuple[PureState, ...]
-    weights: np.ndarray
     name: str = ""
     param_names: tuple[str, ...] = ()
     weight_map: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -85,13 +85,7 @@ class TwirledFamily:
         basis = tuple(self.basis)
         if len(basis) < 2:
             raise ValueError("a twirled family needs at least two basis states")
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if weights.size != len(basis):
-            raise ValueError("weights length does not match basis length")
         object.__setattr__(self, "basis", basis)
-        weights = weights.copy()
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
         if not self.param_names:
             names = ("x",) if len(basis) == 2 else tuple(
                 f"x{i + 1}" for i in range(len(basis) - 1))
@@ -100,16 +94,15 @@ class TwirledFamily:
             raise ValueError(
                 f"param_names has {len(self.param_names)} name(s); a family of "
                 f"{len(basis)} basis states without a weight_map takes {len(basis) - 1}")
-        inv, pre, cross = _verify_family(self.group, basis, weights)
+        inv, pre, (moved, pair) = _verify_family(self.group, basis)
         if not inv.ok:
             raise VerificationError(
-                f"group does not fix the target mixture (deviation {inv.max_deviation:.3e})")
+                f"group does not fix the family's mixtures "
+                f"(deviation {inv.max_deviation:.3e}): {moved}")
         if not pre.ok:
-            k, l = np.unravel_index(np.argmax(cross), cross.shape)
             raise VerificationError(
                 f"family fails the preimage check (deviation {pre.max_deviation:.3e}): "
-                f"the twirl keeps the cross term of basis pair ({k}, {l}), "
-                f"of norm {cross[k, l]:.3e}")
+                f"{pair}")
 
     @functools.cached_property
     def objective(self) -> _batch.PhaseObjective:
@@ -171,7 +164,7 @@ def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.nd
     return _batch.minimize_phases(family.objective, weights)
 
 
-def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarray]:
+def min_phase_ggm(family: TwirledFamily, weights) -> tuple[float, np.ndarray]:
     """Minimize the pure measure of a preimage member over its free phases.
 
     Seeds from a joint phase lattice, then runs cyclic coordinate descent:
@@ -184,7 +177,7 @@ def min_phase_ggm(family: TwirledFamily, weights=None) -> tuple[float, np.ndarra
 
     Returns ``(value, phases)`` with one phase per basis element.
     """
-    weights = family.weights if weights is None else np.asarray(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(family.basis),):
         raise ValueError("weights length does not match the family basis")
     if _off_simplex(weights):

@@ -9,8 +9,9 @@ group, so it is idempotent and fixes exactly the operators commuting with
 every element.
 
 Construction-time checks work on the per-party factors and never form a
-D x D matrix: group axioms compare factor by factor, and twirl residuals of
-mixtures are Frobenius norms taken through a thin QR of the moved vectors.
+D x D matrix: group axioms compare factor by factor, and a family's twirl
+residuals are bounded by the group's characters on its basis, at every
+mixing weight at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import NORM_TOL, DensityMatrix, SystemShape
+from .hilbert import DensityMatrix, SystemShape
 
 __all__ = [
     "LocalUnitaryElement",
@@ -39,11 +40,9 @@ UNITARY_TOL = 1e-10
 GROUP_TOL = 1e-9
 GROUP_KINDS = ("parity", "omega", "zeta", "qudit")
 
-# Entries in one block of the closure check (block x |G| x |G| x N x d^2), of
-# the moved rows (block x rows x D) and of the twirled blocks (block x r x r,
-# gathered from block x r x |G| columns).
+# Entries in one block of the closure check (block x |G| x |G| x N x d^2) and
+# of the moved rows (block x rows x D).
 _CLOSURE_BLOCK = 1 << 16
-_RESIDUAL_BLOCK = 1 << 12
 
 
 class VerificationError(ValueError):
@@ -74,18 +73,6 @@ class LocalUnitaryElement:
         object.__setattr__(self, "factors", tuple(frozen))
 
 
-def _equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = GROUP_TOL) -> bool:
-    """Full-matrix equality up to a global phase: the reference that
-    :func:`_factors_equal_up_to_phase` is never looser than."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < tol:
-        return bool(np.max(np.abs(a)) <= tol)
-    phase = a[idx] / b[idx]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) <= tol)
-
-
 def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> np.ndarray:
     """Whether tensor products of unitary factors agree up to a global phase.
 
@@ -95,11 +82,12 @@ def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> 
     the factor deviation e_p = max|a_p - c_p b_p| and the modulus deviation
     m_p = ||c_p| - 1|. With M = prod(1 + m_p) and E = M sum e_p, the full
     products differ from each other by at most E entrywise after the phase
-    prod c_p. ``_equal_up_to_phase`` realigns the full matrices at the
-    largest entry of b, which is at least 1/sqrt(D), so its residual is at
-    most 2 E and its phase modulus within (M - 1) + sqrt(D) E of 1. A match
-    is accepted only when both bounds are within ``tol``, so it is never
-    accepted where the full-matrix check rejects.
+    prod c_p. The full-matrix reference ``equal_up_to_phase`` of
+    ``tests/helpers.py`` realigns the full matrices at the largest entry of
+    b, which is at least 1/sqrt(D), so its residual is at most 2 E and its
+    phase modulus within (M - 1) + sqrt(D) E of 1. A match is accepted only
+    when both bounds are within ``tol``, so it is never accepted where the
+    full-matrix check rejects.
     """
     # Factors are flattened side by side, zero-padded to the largest d^2:
     # a zero entry is never the largest of b_p and adds nothing to e_p.
@@ -253,8 +241,8 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
     is the mean of the one D^2-long row vec(rho) moved by the stacks of g
     and of conj(g) on dims + dims, and no D x D matrix is formed per
     element. The moved rows are summed block by block of elements, so a
-    few copies of rho are held at once, not one per element. A mixture of
-    an orthonormal basis is checked in factored form by
+    few copies of rho are held at once, not one per element. The mixtures
+    of an orthonormal basis are checked at every weight at once by
     :func:`_verify_family`.
     """
     if rho.shape != group.shape:
@@ -267,35 +255,6 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
     total /= group.order
     dev = float(np.max(np.abs(total.reshape(rho.entries.shape) - rho.entries)))
     return InvarianceResult(dev <= tol, dev)
-
-
-def _mixture_rows(group: UnitaryGroup, basis, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Validated amplitude rows and weights of sum_k w_k |basis_k><basis_k|.
-
-    Raises the errors that building the mixture as a DensityMatrix (one
-    shape, unit trace, no negative eigenvalue; for an orthonormal basis the
-    eigenvalues are the weights) and superposing the basis (orthonormal
-    within 1e-8) would raise, without forming the D x D matrix.
-    """
-    basis = list(basis)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != len(basis):
-        raise ValueError("weights length does not match basis length")
-    if any(b.shape != basis[0].shape for b in basis):
-        raise ValueError("all states in a mixture must share a shape")
-    if basis[0].shape != group.shape:
-        raise ValueError("shape mismatch between group and state")
-    rows = np.stack([b.amplitudes for b in basis])
-    gram = rows.conj() @ rows.T
-    trace_dev = abs(weights @ gram.diagonal().real - 1.0)
-    if trace_dev > NORM_TOL:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-    if weights.min() < -NORM_TOL:
-        raise ValueError(f"matrix has negative eigenvalue {weights.min():.3e}")
-    gram_dev = np.max(np.abs(gram - np.eye(len(basis))))
-    if gram_dev > 1e-8:
-        raise ValueError(f"basis is not orthonormal (deviation {gram_dev:.3e})")
-    return rows, weights
 
 
 def _element_blocks(order: int, rows: np.ndarray) -> list[slice]:
@@ -325,95 +284,61 @@ def _moved_block(stacks: tuple[np.ndarray, ...], rows: np.ndarray,
     return vec.reshape((len(vec),) + rows.shape)
 
 
-def _moved(stacks: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-    """g|v> for every element g and row v: shape (|G|, len(rows), D), by
-    blocks of elements (:func:`_moved_block`)."""
-    out = np.empty((len(stacks[0]),) + rows.shape, dtype=complex)
-    for elements in _element_blocks(len(out), rows):
-        out[elements] = _moved_block(stacks, rows, elements)
-    return out
-
-
-def _moved_r(group: UnitaryGroup, rows: np.ndarray) -> np.ndarray:
-    """R of the thin QR V = QR of the columns V = [g v_a for every g, a; v_b].
-
-    The columns run over the rows v_a of ``rows``, first moved by every
-    element g (g-major), then unmoved; the twirled blocks of these rows are
-    read from R by :func:`_twirled_blocks`.
-    """
-    n_moved = group.order * len(rows)
-    stacked = np.concatenate([_moved(group.stacks, rows).reshape(n_moved, -1), rows])
-    return np.linalg.qr(stacked.T, mode="r")
-
-
-def _twirled_blocks(r: np.ndarray, order: int, weights: np.ndarray,
-                    tol: float) -> tuple[InvarianceResult, PreimageResult, np.ndarray]:
-    """Both checks of Y = sum_k w_k |v_k><v_k|, read from the R of :func:`_moved_r`.
-
-    The twirled blocks T_kl = (1/|G|) sum_g g|v_k><v_l|g^dagger are
-    V C V^dagger for the columns V of :func:`_moved_r`, so with V = QR
-    ||T_kl||_F = ||(1/|G|) sum_g R_gk R_gl^dagger||_F over the columns R_gk
-    of R. Norms are read from these small matrices and never expanded into
-    traces, whose cancellation would resolve them only to about 1e-8.
-
-    The invariance deviation is ||sum_k w_k T_kk - Y||_F. A member
-    sum_k sqrt(w_k) e^{i phi_k}|v_k> twirls to sum_k w_k T_kk plus
-    sum_{k != l} sqrt(w_k w_l) e^{i(phi_k - phi_l)} T_kl, so the preimage
-    deviation, the invariance deviation plus sum_{k != l} sqrt(w_k w_l)
-    ||T_kl||_F, bounds its twirl residual at every phase vector. It is 0
-    exactly when every member twirls onto Y; conversely, averaging the
-    residual against e^{-i(phi_k - phi_l)} shows that it is at most n^2
-    times the largest residual over the phases. Also returns the (n, n)
-    array of ||T_kl||_F, zero on the diagonal and where w_k w_l = 0.
-    """
-    n = len(weights)
-    n_moved = order * n
-    r_moved = r[:, :n_moved].reshape(len(r), order, n)
-    r_target = r[:, n_moved:]
-    roots = np.sqrt(np.clip(weights, 0.0, None))
-    moved = (r_moved * roots).reshape(len(r), n_moved)
-    diff = moved @ moved.conj().T
-    diff /= order
-    diff -= (r_target * weights) @ r_target.conj().T
-    inv = float(np.linalg.norm(diff))
-
-    # R_gk for every element g, as the columns of one matrix per k
-    cols = r_moved.transpose(2, 0, 1)
-    k, l = np.triu_indices(n, 1)
-    weighted = roots[k] * roots[l] > 0.0
-    k, l = k[weighted], l[weighted]
-    cross = np.zeros((n, n))
-    step = max(1, _RESIDUAL_BLOCK // (len(r) * max(len(r), order)))
-    for lo in range(0, len(k), step):
-        pairs = slice(lo, lo + step)
-        blocks = cols[k[pairs]] @ cols[l[pairs]].conj().swapaxes(-1, -2)
-        cross[k[pairs], l[pairs]] = np.linalg.norm(blocks, axis=(1, 2)) / order
-    cross += cross.T
-    pre = inv + float(roots @ cross @ roots)
-    return InvarianceResult(inv <= tol, inv), PreimageResult(pre <= tol, pre), cross
-
-
-def verify_preimage(group: UnitaryGroup, basis, weights, *,
-                    tol: float = GROUP_TOL) -> PreimageResult:
-    """Check that phased superpositions of ``basis`` twirl onto the mixture.
+def verify_preimage(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL) -> PreimageResult:
+    """Check that phased superpositions of ``basis`` twirl onto their mixture.
 
     Every member sum_k sqrt(w_k) e^{i phi_k}|basis_k> must twirl to
-    sum_k w_k |basis_k><basis_k| whatever its phases. The deviation is the
-    bound of :func:`_twirled_blocks` on the Frobenius norm of that twirl
-    residual at every phase vector, so the check holds for all phases at
-    once, not at a sample; it is 0 exactly when the property holds.
+    sum_k w_k |basis_k><basis_k|, whatever its weights and phases. The
+    deviation is the bound of :func:`_verify_family` on the Frobenius norm
+    of that twirl residual, so the check holds on the whole mixing simplex
+    and for all phases at once; it is 0 exactly when the property holds.
     """
-    return _verify_family(group, basis, weights, tol=tol)[1]
+    return _verify_family(group, basis, tol=tol)[1]
 
 
-def _verify_family(group: UnitaryGroup, basis, weights, *, tol: float = GROUP_TOL
-                   ) -> tuple[InvarianceResult, PreimageResult, np.ndarray]:
-    """Invariance of sum_k w_k |basis_k><basis_k| and :func:`verify_preimage`
-    at ``tol``, read from one moved basis and one thin QR, with the norms
-    ||T_kl||_F of :func:`_twirled_blocks` that name a failing pair.
+def _verify_family(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL
+                   ) -> tuple[InvarianceResult, PreimageResult, tuple[str, str]]:
+    """Invariance of every mixture of ``basis`` and :func:`verify_preimage`,
+    read from the characters of the group on the basis, with no weights.
 
-    The invariance deviation, the Frobenius norm of the twirl residual,
-    bounds the max-entry norm of :func:`verify_invariance` from above.
+    Each element g moves the basis once (one block of elements at a time),
+    giving the character chi_k(g) = <b_k|g b_k> and the residual
+    e_gk = ||g b_k - chi_k(g) b_k||, taken as the norm of that vector (as
+    1 - |chi|^2 it would cancel and resolve only about 1e-8). Then
+    ||g|b_k><b_k|g^dagger - |b_k><b_k|||_F = sqrt(2) e_gk, so the invariance
+    deviation sqrt(2) max e bounds ||T(rho_w) - rho_w||_F at every weight
+    vector w, and from above the max-entry norm of :func:`verify_invariance`.
+    The twirl of a cross term |b_k><b_l| is c_kl |b_k><b_l| up to 2e + e^2,
+    with c_kl = (1/|G|) sum_g chi_k(g) conj(chi_l(g)), whose modulus is the
+    character overlap k_kl, and these terms are orthonormal, so the preimage
+    deviation sqrt(2) e + max_{k != l} k_kl + (n - 1)(2e + e^2) bounds the
+    twirl residual of every member at every weight and phase. Both are 0
+    exactly when the property holds on the whole simplex (Vollbrecht &
+    Werner, PRA 64, 062307 (2001)). Also returns two texts naming the
+    culprits: the element and basis state of the largest e, and the pair of
+    the largest overlap.
     """
-    rows, weights = _mixture_rows(group, basis, weights)
-    return _twirled_blocks(_moved_r(group, rows), group.order, weights, tol)
+    basis = list(basis)
+    if any(b.shape != group.shape for b in basis):
+        raise ValueError("shape mismatch between group and state")
+    rows = np.stack([b.amplitudes for b in basis])
+    gram_dev = np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))
+    if gram_dev > 1e-8:
+        raise ValueError(f"basis is not orthonormal (deviation {gram_dev:.3e})")
+    chars = np.empty((group.order, len(rows)), dtype=complex)
+    residuals = np.empty(chars.shape)
+    for elements in _element_blocks(group.order, rows):
+        moved = _moved_block(group.stacks, rows, elements)
+        chars[elements] = np.einsum("gkd,kd->gk", moved, rows.conj())
+        moved -= chars[elements, :, None] * rows
+        residuals[elements] = np.linalg.norm(moved, axis=-1)
+    overlaps = np.abs(chars.T @ chars.conj()) / group.order
+    np.fill_diagonal(overlaps, 0.0)
+    g, state = np.unravel_index(np.argmax(residuals), residuals.shape)
+    k, l = np.unravel_index(np.argmax(overlaps), overlaps.shape)
+    eps = float(residuals[g, state])
+    inv = math.sqrt(2.0) * eps
+    pre = inv + float(overlaps[k, l]) + (len(rows) - 1) * (2.0 * eps + eps * eps)
+    return InvarianceResult(inv <= tol, inv), PreimageResult(pre <= tol, pre), (
+        f"element {g} moves basis state {state} off its ray by {eps:.3e}",
+        f"basis pair ({k}, {l}) has character overlap {overlaps[k, l]:.3e}")

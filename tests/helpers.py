@@ -2,12 +2,15 @@
 
 The dense twirl builds each group element as the Kronecker product of its
 factors, party 0 most significant, and averages g A g^dagger over the
-elements. ``hessian_report`` drives the library's central-difference
-Hessian on a plain function of simplex points, as ``ggm_mixed`` drives it
-on a surface. ``reference_probe`` is the one-phase probe of the Gram pencil
-as it was before its P, S and T were stored component-major: interleaved
-Gram reals per row, the closed forms of ``reference_eigmax_packed`` on
-them, and the outer-product reals of ``reference_outer_reals``.
+elements; ``equal_up_to_phase`` compares such full matrices up to a global
+phase. ``two_qubit_ggm`` is the geometric measure of a two-qubit state from
+Wootters' concurrence. ``hessian_report`` drives the library's
+central-difference Hessian on a plain function of simplex points, as
+``ggm_mixed`` drives it on a surface. ``reference_probe`` is the one-phase
+probe of the Gram pencil as it was before its P, S and T were stored
+component-major: interleaved Gram reals per row, the closed forms of
+``reference_eigmax_packed`` on them, and the outer-product reals of
+``reference_outer_reals``.
 """
 
 import functools
@@ -16,7 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ggm import _batch, roof
+from ggm import (LocalUnitaryElement, PureState, SystemShape, TwirledFamily, UnitaryGroup,
+                 _batch, builtin_group, roof, sector_state)
+from ggm.twirl import GROUP_TOL
+
+TWO_QUBITS = SystemShape((2, 2))
 
 
 def kron_all(factors):
@@ -27,6 +34,69 @@ def dense_twirl(group, operator):
     """(1/|G|) sum_g g A g^dagger over full matrices, for a D x D array A."""
     fulls = [kron_all(el.factors) for el in group.elements]
     return sum(m @ operator @ m.conj().T for m in fulls) / group.order
+
+
+def equal_up_to_phase(a, b, tol=GROUP_TOL):
+    """Full-matrix equality up to a global phase: the reference that
+    ``twirl._factors_equal_up_to_phase`` is never looser than."""
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[idx]) < tol:
+        return bool(np.max(np.abs(a)) <= tol)
+    phase = a[idx] / b[idx]
+    if abs(abs(phase) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(a - phase * b)) <= tol)
+
+
+def two_qubit_ggm(rho):
+    """(1 - sqrt(1 - C^2)) / 2 for a 4 x 4 two-qubit density matrix, with C
+    Wootters' concurrence (PRL 80, 2245 (1998); Wei & Goldbart, PRA 68,
+    042307 (2003)).
+
+    C = max(0, s_1 - s_2 - s_3 - s_4) over the singular values s_i of
+    A^T (sigma_y (x) sigma_y) A, for any factor rho = A A^dagger; singular
+    values keep the vanishing ones near 0, where the square roots of the
+    eigenvalues of rho rho~ would resolve them only to about 1e-8.
+    """
+    lam, vec = np.linalg.eigh(rho)
+    factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+    yy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+    s = np.linalg.svd(factor.T @ yy @ factor, compute_uv=False)
+    concurrence = max(0.0, s[0] - s[1:].sum())
+    return 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - concurrence**2)))
+
+
+def seeded_sector_family(seed):
+    """omega(3) family of the three charge sectors of 3 qubits, each a
+    seeded complex superposition of its basis states: unlike the built-in
+    families, its minimizing phases move with the weights."""
+    rng = np.random.default_rng(seed)
+    shape = SystemShape((2, 2, 2))
+    basis = []
+    for k, size in enumerate((2, 3, 3)):
+        q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        basis.append(sector_state(shape, 3, k, q / np.linalg.norm(q)))
+    return TwirledFamily(group=builtin_group("omega", shape), basis=tuple(basis))
+
+
+def seeded_two_qubit_basis(seed=0):
+    """Two orthonormal two-qubit states: the columns of a seeded complex QR."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    return tuple(PureState(TWO_QUBITS, q[:, i]) for i in range(2))
+
+
+def trivial_group(shape):
+    """The one-element group on a system of qubits."""
+    return UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * shape.party_count),))
+
+
+def swapping_group():
+    """{I, X(x)X, Z(x)I, ZX(x)X}, a group up to phases whose X(x)X swaps
+    |00> and |11>."""
+    eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    return UnitaryGroup(TWO_QUBITS, tuple(
+        LocalUnitaryElement(TWO_QUBITS, f) for f in ((eye, eye), (x, x), (z, eye), (z @ x, x))))
 
 
 class HessianReport(NamedTuple):

@@ -204,7 +204,7 @@ def test_criterion_7_group_verification():
             assert np.max(np.abs(dense_twirl(qudit, np.outer(a, b.conj())))) < 1e-12
 
         basis = [zeta(i) for i in range(1, 5)]
-        ok, dev = verify_preimage(zeta_group, basis, [0.4, 0.25, 0.2, 0.15])
+        ok, dev = verify_preimage(zeta_group, basis)
         assert ok and dev <= 1e-9
 
 

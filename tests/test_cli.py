@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ from ggm.cli import (
     parse_group_spec,
     parse_state_spec,
 )
+from ggm.hilbert import PureState
+from helpers import TWO_QUBITS, seeded_two_qubit_basis, swapping_group, trivial_group
 
 
 
@@ -42,8 +45,36 @@ def rank2_family_spec(tmp_path):
 
 
 def parity_family_doc(basis):
-    return {"group": {"kind": "parity", "dims": [2, 2, 2]}, "basis": basis,
-            "weights": [0.5, 0.5]}
+    return {"group": {"kind": "parity", "dims": [2, 2, 2]}, "basis": basis}
+
+
+def pairs(array):
+    return [[z.real, z.imag] for z in np.asarray(array, dtype=complex).ravel().tolist()]
+
+
+def group_doc(group):
+    """Explicit-elements spec of ``group``: nested [re, im] factor matrices."""
+    return {"elements": [[np.reshape(pairs(f), f.shape + (2,)).tolist() for f in el.factors]
+                         for el in group.elements]}
+
+
+def family_doc(group, basis):
+    return {"group": group_doc(group),
+            "basis": [{"shape": list(b.shape.dims), "amplitudes": pairs(b.amplitudes)}
+                      for b in basis]}
+
+
+# A one-element group over a seeded two-qubit basis, which keeps the cross
+# term, and a group whose X(x)X swaps |00> and |11>: each names its culprit.
+BROKEN_FAMILIES = {
+    "trivial": (lambda: family_doc(trivial_group(TWO_QUBITS), seeded_two_qubit_basis()),
+                "family fails the preimage check (deviation 1.000e+00): "
+                "basis pair (0, 1) has character overlap 1.000e+00"),
+    "swapping": (lambda: family_doc(swapping_group(), [
+                     PureState(TWO_QUBITS, np.eye(4)[i]) for i in (0, 3)]),
+                 "group does not fix the family's mixtures (deviation 1.414e+00): "
+                 "element 1 moves basis state 0 off its ray by 1.000e+00"),
+}
 
 
 PARITY_SECTORS = [
@@ -181,17 +212,32 @@ class TestMixedCommand:
         assert main(["mixed", spec, "--grid", "11"]) == EXIT_VERIFICATION
         assert "verification failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(BROKEN_FAMILIES))
+    def test_family_that_fails_off_the_reference_weights_exits_2(self, name, tmp_path,
+                                                                capsys):
+        doc, message = BROKEN_FAMILIES[name]
+        spec = write_json(tmp_path / "fam.json", doc())
+        assert main(["mixed", spec, "--grid", "11"]) == EXIT_VERIFICATION
+        assert f"verification failed: family: {message}" in capsys.readouterr().err
+
+    def test_custom_family_weights_exit_1(self, tmp_path, capsys):
+        # the check covers every weight vector, so a spec names none
+        spec = write_json(tmp_path / "fam.json",
+                          {**parity_family_doc(PARITY_SECTORS), "weights": [0.5, 0.5]})
+        assert main(["mixed", spec, "--grid", "11"]) == EXIT_USAGE
+        assert "family: unexpected field(s) 'weights'" in capsys.readouterr().err
+
     def test_custom_family_verified_once(self, tmp_path, monkeypatch, capsys):
         # Both checks of a family read one set of moved basis rows, so one
-        # verification is one _moved call.
+        # verification of a small family is one _moved_block call.
         calls = []
-        original = twirl_module._moved
+        original = twirl_module._moved_block
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(twirl_module, "_moved", counting)
+        monkeypatch.setattr(twirl_module, "_moved_block", counting)
         spec = write_json(tmp_path / "fam.json",
                           parity_family_doc(PARITY_SECTORS))
         assert main(["mixed", spec, "--grid", "11", "--out",
@@ -240,10 +286,11 @@ class TestVerifyGroupCommand:
     def test_family_checks_move_the_basis_once(self, group_kind, code, tmp_path,
                                                rank2_family_spec, monkeypatch, capsys):
         # The family's construction moves its basis once; the invariance and
-        # preimage checks against the spec's group share one more _moved call,
-        # and report what the two public checks report at --tol; --seed is ignored.
+        # preimage checks against the spec's group share one more
+        # _moved_block call, and report what the two public checks report at
+        # --tol, with the culprit of a failure; --seed is ignored.
         calls, after_parse = [], []
-        moved, parse = twirl_module._moved, cli_module.parse_family_spec
+        moved, parse = twirl_module._moved_block, cli_module.parse_family_spec
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -254,7 +301,7 @@ class TestVerifyGroupCommand:
             after_parse.append(len(calls))
             return family
 
-        monkeypatch.setattr(twirl_module, "_moved", counting)
+        monkeypatch.setattr(twirl_module, "_moved_block", counting)
         monkeypatch.setattr(cli_module, "parse_family_spec", parsing)
         spec = write_json(tmp_path / "grp.json", {"kind": group_kind, "dims": [2, 2, 2]})
         assert main(["verify-group", spec, "--family", rank2_family_spec,
@@ -263,13 +310,38 @@ class TestVerifyGroupCommand:
         assert len(calls) == 2
         group = parse_group_spec({"kind": group_kind, "dims": [2, 2, 2]})
         family = parse({"family": "rank2_symmetric", "args": {"n_parties": 3}})
-        inv = twirl_module._verify_family(group, family.basis, family.weights, tol=1e-8)[0]
-        pre = twirl_module.verify_preimage(group, family.basis, family.weights, tol=1e-8)
+        inv, _, (moved_state, pair) = twirl_module._verify_family(
+            group, family.basis, tol=1e-8)
+        pre = twirl_module.verify_preimage(group, family.basis, tol=1e-8)
         assert capsys.readouterr().out.splitlines()[2:] == [
             f"invariance of family target: {'pass' if inv.ok else 'FAIL'} "
-            f"(max deviation {inv.max_deviation:.3e}, tol 1e-08)",
+            f"(max deviation {inv.max_deviation:.3e}, tol 1e-08)"
+            + ("" if inv.ok else f": {moved_state}"),
             f"preimage property: {'pass' if pre.ok else 'FAIL'} "
-            f"(max deviation {pre.max_deviation:.3e}, tol 1e-08)"]
+            f"(max deviation {pre.max_deviation:.3e}, tol 1e-08)"
+            + ("" if pre.ok else f": {pair}")]
+        assert inv.ok == pre.ok == (group_kind == "parity")
+
+    def test_fail_lines_name_the_culprit(self, tmp_path, rank2_family_spec, capsys):
+        # omega(3) fixes every mixture of GHZ+ and GHZ- but keeps their cross
+        # term, as |000> and |111> share a charge sector
+        group = write_json(tmp_path / "grp.json", {"kind": "omega", "dims": [2, 2, 2]})
+        family = write_json(tmp_path / "ghz.json", {"family": "ghz_mixture"})
+        assert main(["verify-group", group, "--family", family]) == EXIT_VERIFICATION
+        inv, pre = capsys.readouterr().out.splitlines()[2:]
+        assert re.fullmatch(r"invariance of family target: pass \(max deviation \S+, "
+                            r"tol 1e-09\)", inv)
+        assert pre == ("preimage property: FAIL (max deviation 1.000e+00, tol 1e-09): "
+                       "basis pair (0, 1) has character overlap 1.000e+00")
+        # it moves both parity-sector states off their rays
+        assert main(["verify-group", group, "--family", rank2_family_spec]) \
+            == EXIT_VERIFICATION
+        inv, pre = capsys.readouterr().out.splitlines()[2:]
+        assert re.fullmatch(r"invariance of family target: FAIL \(max deviation \S+, "
+                            r"tol 1e-09\): element 1 moves basis state \d off its ray by \S+",
+                            inv)
+        assert re.fullmatch(r"preimage property: FAIL \(max deviation \S+, tol 1e-09\): "
+                            r"basis pair \(0, 1\) has character overlap \S+", pre)
 
     def test_family_check_builds_no_objective(self, tmp_path, monkeypatch, capsys):
         # verify-group only checks the family, so it pays for no phase objective

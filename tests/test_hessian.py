@@ -5,11 +5,10 @@ points through the test-side ``helpers.hessian_report``."""
 import numpy as np
 import pytest
 
-from ggm import (SystemShape, TwirledFamily, _batch, builtin_group, closed_form, ggm_mixed,
-                 rank2_symmetric, sector_state)
+from ggm import _batch, closed_form, ggm_mixed, rank2_symmetric
 from ggm.families import zeta_slice_family
 from ggm.roof import HESSIAN_STEP, NONCONVEX_TOL, _hessian_min_eig
-from helpers import hessian_report
+from helpers import hessian_report, seeded_sector_family
 
 H = 1e-3
 
@@ -130,24 +129,10 @@ def test_flags_survive_a_last_bit_perturbation(monkeypatch):
     assert np.max(np.abs(after - before)) <= 1e-8
 
 
-def _seeded_sector_family(seed):
-    """omega(3) family of the three charge sectors of 3 qubits, each a
-    seeded complex superposition of its basis states: unlike the built-in
-    families, its minimizing phases move with the weights."""
-    rng = np.random.default_rng(seed)
-    shape = SystemShape((2, 2, 2))
-    basis = []
-    for k, size in enumerate((2, 3, 3)):
-        q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        basis.append(sector_state(shape, 3, k, q / np.linalg.norm(q)))
-    return TwirledFamily(group=builtin_group("omega", shape), basis=tuple(basis),
-                         weights=np.full(3, 1.0 / 3.0))
-
-
 def test_stencil_reminimizes_the_phases():
     # With the phases of each point's argmin held fixed, the stencil reads
     # the curvature of one phase branch, not of the minimum over phases.
-    family = _seeded_sector_family(5)
+    family = seeded_sector_family(5)
     surface = ggm_mixed(family, grid_resolution=21)
 
     def fixed_phases(points, owners):

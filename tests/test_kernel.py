@@ -1399,9 +1399,9 @@ class TestFamilyObjective:
     def test_min_phase_ggm_takes_no_search_keywords(self):
         family = rank3_ghz_w()
         with pytest.raises(TypeError):
-            min_phase_ggm(family, grid_points=16)
+            min_phase_ggm(family, np.full(3, 1 / 3), grid_points=16)
         with pytest.raises(TypeError):
-            min_phase_ggm(family, step_tol=1e-3)
+            min_phase_ggm(family, np.full(3, 1 / 3), step_tol=1e-3)
 
 
 class TestEnumerationMemo:

@@ -39,7 +39,14 @@ from ggm.twirl import (
     _verify_family,
     builtin_group,
 )
-from helpers import hessian_report
+from helpers import (
+    TWO_QUBITS,
+    hessian_report,
+    seeded_two_qubit_basis,
+    swapping_group,
+    trivial_group,
+    two_qubit_ggm,
+)
 
 
 def rank2_closed(x):
@@ -58,10 +65,8 @@ class TestTwirledFamily:
         basis = (ghz(3), dicke(3, 1), dicke(3, 2))
         with pytest.raises(ValueError, match=r"param_names has 1 name\(s\); a family of "
                                              r"3 basis states without a weight_map takes 2"):
-            TwirledFamily(group=group, basis=basis, weights=np.full(3, 1.0 / 3.0),
-                          param_names=("x",))
-        fam = TwirledFamily(group=group, basis=basis, weights=np.full(3, 1.0 / 3.0),
-                            param_names=("a", "b"))
+            TwirledFamily(group=group, basis=basis, param_names=("x",))
+        fam = TwirledFamily(group=group, basis=basis, param_names=("a", "b"))
         values, _ = min_phase_ggm_many(fam, [[0.3, 0.3]])
         assert values.shape == (1,)
 
@@ -73,7 +78,6 @@ class TestTwirledFamily:
             TwirledFamily(
                 group=builtin_group("parity", shape),
                 basis=(ghz(3), dicke(3, 1)),
-                weights=np.array([0.5, 0.5]),
             )
 
     def test_broken_preimage_raises_verification_error(self):
@@ -81,8 +85,7 @@ class TestTwirledFamily:
         shape = SystemShape((2, 2, 2))
         trivial = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 3),))
         with pytest.raises(VerificationError, match="preimage") as info:
-            TwirledFamily(group=trivial, basis=(ghz(3), dicke(3, 1)),
-                          weights=np.array([0.5, 0.5]))
+            TwirledFamily(group=trivial, basis=(ghz(3), dicke(3, 1)))
         assert isinstance(info.value, ValueError)
 
     def test_surviving_cross_term_names_its_pair(self):
@@ -93,9 +96,27 @@ class TestTwirledFamily:
         minus[[0, 7]] = [1.0, -1.0]
         basis = (ghz(3), PureState(shape, minus / math.sqrt(2.0)))
         group = builtin_group("omega", shape)
-        assert _verify_family(group, basis, [0.5, 0.5])[0].ok
+        assert _verify_family(group, basis)[0].ok
         with pytest.raises(VerificationError, match=r"preimage.*basis pair \(0, 1\)"):
-            TwirledFamily(group=group, basis=basis, weights=np.array([0.5, 0.5]))
+            TwirledFamily(group=group, basis=basis)
+
+    def test_family_with_a_zero_reference_weight_rejected(self):
+        # the trivial group fixes every mixture of a seeded two-qubit basis
+        # but keeps its cross term; a check at the weights (1, 0) alone saw no
+        # member carry it, and the envelope at grid 21 lay up to 0.049 below
+        # the exact two-qubit value
+        basis = seeded_two_qubit_basis()
+        with pytest.raises(VerificationError,
+                           match=r"preimage.*basis pair \(0, 1\) has character overlap 1\."):
+            TwirledFamily(group=trivial_group(TWO_QUBITS), basis=basis)
+
+    def test_group_that_moves_a_basis_state_rejected(self):
+        # {I, X(x)X, Z(x)I, ZX(x)X} fixes the mixture of |00> and |11> at
+        # (1/2, 1/2), not at x = 0.9: X(x)X swaps the two states
+        basis = tuple(PureState(TWO_QUBITS, np.eye(4)[i]) for i in (0, 3))
+        with pytest.raises(VerificationError,
+                           match=r"does not fix.*element 1 moves basis state 0 off its ray"):
+            TwirledFamily(group=swapping_group(), basis=basis)
 
     @pytest.mark.parametrize("build, grid, edge", [(rank5_five_qubit, 51, 5),
                                                    (zeta_slice_family, 101, 9)])
@@ -365,6 +386,15 @@ class TestGgmMixed:
         q = np.array([[0.305]])
         direct = rank2_closed(0.305)
         assert abs(surface.envelope_at(q)[0] - direct) < 1e-3
+
+    @pytest.mark.parametrize("build", [rank2_symmetric, ghz_mixture])
+    def test_two_qubit_families_match_the_concurrence(self, build):
+        # an independent reference: the measure of any two-qubit state from
+        # Wootters' concurrence, at every point of the grid
+        family = build(2)
+        surface = ggm_mixed(family, grid_resolution=21)
+        exact = [two_qubit_ggm(family.target_at(w).entries) for w in surface.weights]
+        assert np.max(np.abs(surface.envelope - exact)) <= 1e-7
 
     def test_grid_arity_checked(self):
         with pytest.raises(ValueError):

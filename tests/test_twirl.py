@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ggm.twirl
-from ggm import FAMILY_BUILDERS, hilbert, rank3_ghz_dicke
+from ggm import FAMILY_BUILDERS, TwirledFamily, hilbert, rank3_ghz_dicke
 from ggm.families import ghz_mixture
 from ggm.hilbert import DensityMatrix, PureState, SystemShape
 from ggm.states import dicke, ghz, superpose, uniform_sector_state
@@ -18,17 +18,21 @@ from ggm.twirl import (
     LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
-    _equal_up_to_phase,
+    _element_blocks,
     _factors_equal_up_to_phase,
-    _moved,
-    _moved_r,
-    _twirled_blocks,
+    _moved_block,
     _verify_family,
     builtin_group,
     verify_invariance,
     verify_preimage,
 )
-from helpers import dense_twirl, kron_all
+from helpers import (
+    dense_twirl,
+    equal_up_to_phase,
+    kron_all,
+    seeded_sector_family,
+    trivial_group,
+)
 
 QUBITS3 = SystemShape((2, 2, 2))
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -40,21 +44,26 @@ def sector_projector_cross_term(shape, modulus, q, r):
     return np.outer(a.amplitudes, b.amplitudes.conj())
 
 
+def moved(stacks, rows):
+    """g|v> for every element g of ``stacks`` and row v, in one block."""
+    return _moved_block(stacks, rows, slice(None))
+
+
 def element_stacks(element):
-    """One single-element stack per party, in the layout of ``_moved``."""
+    """One single-element stack per party, in the layout of ``_moved_block``."""
     return tuple(f[None] for f in element.factors)
 
 
 def act(element, state):
-    """g|psi> through ``_moved``."""
-    return _moved(element_stacks(element), state.amplitudes[None])[0, 0]
+    """g|psi> through ``_moved_block``."""
+    return moved(element_stacks(element), state.amplitudes[None])[0, 0]
 
 
 def act_on_matrix(element, rho):
-    """g rho g^dagger through ``_moved`` on the doubled system."""
+    """g rho g^dagger through ``_moved_block`` on the doubled system."""
     stacks = element_stacks(element)
     doubled = stacks + tuple(f.conj() for f in stacks)
-    return _moved(doubled, rho.entries.reshape(1, -1))[0, 0].reshape(rho.entries.shape)
+    return moved(doubled, rho.entries.reshape(1, -1))[0, 0].reshape(rho.entries.shape)
 
 
 class TestLocalUnitaryElement:
@@ -71,8 +80,8 @@ class TestLocalUnitaryElement:
         full = kron_all(el.factors)
         # party 0 is most significant: sign flips on indices >= 4
         assert np.allclose(np.diagonal(full), [1, 1, 1, 1, -1, -1, -1, -1])
-        # _moved acts in the same order: g on the identity rows gives g^T
-        assert np.array_equal(_moved(element_stacks(el), np.eye(8))[0], full.T)
+        # _moved_block acts in the same order: g on the identity rows gives g^T
+        assert np.array_equal(moved(element_stacks(el), np.eye(8))[0], full.T)
 
 
 class TestApply:
@@ -274,14 +283,14 @@ class TestVerifyPreimage:
         shape = SystemShape((2,) * n)
         group = builtin_group("parity", shape)
         basis = [uniform_sector_state(shape, 2, 0), uniform_sector_state(shape, 2, 1)]
-        ok, dev = verify_preimage(group, basis, [0.3, 0.7])
+        ok, dev = verify_preimage(group, basis)
         assert ok and dev < 1e-12
 
     def test_zeta_family(self):
         group = builtin_group("zeta", QUBITS3)
         from ggm.states import zeta
         basis = [zeta(i) for i in range(1, 5)]
-        ok, dev = verify_preimage(group, basis, [0.4, 0.2, 0.3, 0.1])
+        ok, dev = verify_preimage(group, basis)
         assert ok and dev < 1e-9
 
     def test_broken_preimage_detected(self):
@@ -296,7 +305,7 @@ class TestVerifyPreimage:
         even = uniform_sector_state(shape, 2, 0)
         rotated = PureState(shape, full @ even.amplitudes)
         odd = uniform_sector_state(shape, 2, 1)
-        ok, dev = verify_preimage(group, [rotated, odd], [0.5, 0.5])
+        ok, dev = verify_preimage(group, [rotated, odd])
         assert not ok
         assert dev > 1e-3
 
@@ -347,13 +356,13 @@ class TestFactoredAxioms:
         full = [kron_all(fi) for fi in factors]
         eye = tuple(np.eye(d) for d in group.shape.dims)
         for fi, mi in zip(factors, full):
-            assert factored_match(fi, eye) == _equal_up_to_phase(mi, np.eye(len(mi)))
+            assert factored_match(fi, eye) == equal_up_to_phase(mi, np.eye(len(mi)))
             inv = tuple(f.conj().T for f in fi)
             for fk, mk in zip(factors, full):
-                assert factored_match(inv, fk) == _equal_up_to_phase(mi.conj().T, mk)
+                assert factored_match(inv, fk) == equal_up_to_phase(mi.conj().T, mk)
                 for fj, mj in zip(factors, full):
                     prod = tuple(x @ y for x, y in zip(fi, fj))
-                    assert factored_match(prod, fk) == _equal_up_to_phase(mi @ mj, mk)
+                    assert factored_match(prod, fk) == equal_up_to_phase(mi @ mj, mk)
 
     @given(group_index=st.integers(0, 2), element=st.integers(0, 3),
            party=st.integers(0, 2), exponent=st.floats(-11.0, -7.0),
@@ -365,7 +374,7 @@ class TestFactoredAxioms:
         a = list(b)
         a[party] = a[party] @ near_unitary(2, 10.0 ** exponent, seed)
         if factored_match(a, b):
-            assert _equal_up_to_phase(kron_all(a), kron_all(b))
+            assert equal_up_to_phase(kron_all(a), kron_all(b))
 
     @pytest.mark.parametrize("kind,element", [("zeta", 1), ("parity", 1)])
     def test_perturbation_sweep_brackets_the_tolerance(self, kind, element):
@@ -377,7 +386,7 @@ class TestFactoredAxioms:
         for scale in scales:
             for seed in range(3):
                 a = (b[0], b[1] @ near_unitary(2, scale * GROUP_TOL, seed), b[2])
-                fact, ref = factored_match(a, b), _equal_up_to_phase(kron_all(a), kron_all(b))
+                fact, ref = factored_match(a, b), equal_up_to_phase(kron_all(a), kron_all(b))
                 assert ref or not fact, f"factored accepts at scale {scale}, seed {seed}"
                 decisions.append((scale, fact, ref))
         assert all(f and r for s, f, r in decisions if s <= 1e-2)
@@ -387,7 +396,7 @@ class TestFactoredAxioms:
         eye = (np.eye(2), np.eye(2))
         for a in [(1j * np.eye(2), -1j * np.eye(2)), (1j * np.eye(2), np.eye(2)),
                   (np.exp(0.7j) * SIGMA_Z, np.exp(-0.2j) * np.eye(2))]:
-            assert factored_match(a, eye) == _equal_up_to_phase(kron_all(a), kron_all(eye))
+            assert factored_match(a, eye) == equal_up_to_phase(kron_all(a), kron_all(eye))
         assert factored_match((1j * np.eye(2), -1j * np.eye(2)), eye)
         assert not factored_match((np.exp(0.7j) * SIGMA_Z, np.eye(2)), eye)
 
@@ -416,91 +425,119 @@ def dense_residual(group, rows, coeff, weights):
     return np.linalg.norm(diff), np.max(np.abs(diff))
 
 
+def dense_state_residuals(group, rows):
+    """||g|b_k><b_k|g^dagger - |b_k><b_k|||_F over full matrices, (|G|, n)."""
+    projectors = [np.outer(r, r.conj()) for r in rows]
+    fulls = [kron_all(el.factors) for el in group.elements]
+    return np.array([[np.linalg.norm(m @ p @ m.conj().T - p) for p in projectors]
+                     for m in fulls])
+
+
+def seeded_members(rows, seed, count=6):
+    """``count`` seeded Dirichlet weight vectors and the coefficient rows of
+    members at seeded phases."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(rows)), size=count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, weights.shape)
+    return weights, np.sqrt(weights) * np.exp(1j * phases)
+
+
 def broken_family():
-    """Trivial group on GHZ/W: fixes the mixture, not its superpositions."""
-    shape = QUBITS3
-    trivial = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 3),))
-    return trivial, np.stack([ghz(3).amplitudes, dicke(3, 1).amplitudes]), np.array([0.3, 0.7])
+    """Trivial group on GHZ/W: fixes every mixture, no superposition."""
+    return trivial_group(QUBITS3), np.stack([ghz(3).amplitudes, dicke(3, 1).amplitudes])
 
 
 def family_cases():
-    cases = []
-    for name, builder in FAMILY_BUILDERS.items():
-        fam = builder()
-        cases.append((name, fam.group, np.stack([b.amplitudes for b in fam.basis]),
-                      np.asarray(fam.weights)))
+    families = [(name, builder()) for name, builder in FAMILY_BUILDERS.items()]
+    cases = [(name, fam.group, np.stack([b.amplitudes for b in fam.basis]))
+             for name, fam in families + [("seeded_sector", seeded_sector_family(5))]]
     return cases + [("broken", *broken_family())]
 
 
 class TestFactoredResidual:
-    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+    @pytest.mark.parametrize("name,group,rows", family_cases(),
                              ids=[c[0] for c in family_cases()])
-    def test_preimage_residual_matches_dense(self, name, group, rows, weights):
+    def test_preimage_residual_matches_dense(self, name, group, rows):
         basis = [PureState(group.shape, r) for r in rows]
-        _, bound, cross = _verify_family(group, basis, weights)
-        # ||T_kl||_F is the dense twirl of |b_k><b_l| on every weighted pair
-        assert np.all(weights > 0) and np.array_equal(cross, cross.T)
-        assert np.all(cross.diagonal() == 0.0)
+        _, bound, _ = _verify_family(group, basis)
+        # the bound covers the dense residual of members at seeded weights
+        # and phases, in the Frobenius and so in the max-entry norm, and the
+        # dense twirl of every cross term |b_k><b_l|, up to the 1e-12 to
+        # which the dense reference matches the factored norms
+        weights, coeffs = seeded_members(rows, 23)
+        dense = np.array([dense_residual(group, rows, c, w) for c, w in zip(coeffs, weights)])
+        assert np.all(dense <= bound.max_deviation + 1e-12)
         for k, l in zip(*np.triu_indices(len(rows), 1)):
-            dense = dense_twirl(group, np.outer(rows[k], rows[l].conj()))
-            assert abs(cross[k, l] - np.linalg.norm(dense)) <= 1e-12
-        # the bound covers the dense residual at seeded phases, in the
-        # Frobenius and so in the max-entry norm
-        phases = np.random.default_rng(23).uniform(0.0, 2.0 * np.pi, (6, len(weights)))
-        coeffs = np.sqrt(weights) * np.exp(1j * phases)
-        dense = np.array([dense_residual(group, rows, c, weights) for c in coeffs])
-        assert np.all(bound.max_deviation >= dense[:, 0])
-        assert np.all(bound.max_deviation >= dense[:, 1])
+            cross = dense_twirl(group, np.outer(rows[k], rows[l].conj()))
+            assert np.linalg.norm(cross) <= bound.max_deviation + 1e-12
         if name == "broken":
-            assert not bound.ok and bound.max_deviation > 1e-3
-        assert verify_preimage(group, basis, weights) == bound
+            # every member carries its cross term whole: the overlap is 1
+            assert not bound.ok and abs(bound.max_deviation - 1.0) <= 1e-15
+            assert dense[:, 0].min() > 1e-3
+        else:
+            assert bound.ok
+        assert verify_preimage(group, basis) == bound
 
     @pytest.mark.parametrize("kind", ["zeta", "parity"])
     def test_twirled_blocks_match_dense_on_a_random_basis(self, kind):
-        # a seeded orthonormal basis no group fixes: every T_kl is generic
+        # a seeded orthonormal basis no group fixes: no state is an
+        # eigenvector and every twirled cross term T_kl is generic
         group = builtin_group(kind, QUBITS3)
         rng = np.random.default_rng(37)
         amps = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         rows = np.linalg.qr(amps)[0].T
-        weights = np.array([0.4, 0.3, 0.2, 0.1])
         basis = [PureState(QUBITS3, r) for r in rows]
-        inv, pre, cross = _verify_family(group, basis, weights)
-        target = (rows.T * weights) @ rows.conj()
-        assert abs(inv.max_deviation
-                   - np.linalg.norm(dense_twirl(group, target) - target)) <= 1e-12
+        inv, pre, _ = _verify_family(group, basis)
+        # the invariance deviation is the largest moved projector, sqrt(2) e
+        eps = dense_state_residuals(group, rows).max() / math.sqrt(2.0)
+        assert abs(inv.max_deviation - math.sqrt(2.0) * eps) <= 1e-12
+        fulls = [kron_all(el.factors) for el in group.elements]
+        chars = np.array([[np.vdot(r, m @ r) for r in rows] for m in fulls])
+        overlaps = np.abs(chars.T @ chars.conj()) / group.order
+        np.fill_diagonal(overlaps, 0.0)
+        expected = inv.max_deviation + overlaps.max() + 3 * (2 * eps + eps * eps)
+        assert abs(pre.max_deviation - expected) <= 1e-12
         for k, l in zip(*np.triu_indices(len(rows), 1)):
             dense = dense_twirl(group, np.outer(rows[k], rows[l].conj()))
-            assert np.linalg.norm(dense) > 1e-2
-            assert abs(cross[k, l] - np.linalg.norm(dense)) <= 1e-12
-        roots = np.sqrt(weights)
-        assert abs(pre.max_deviation - inv.max_deviation - roots @ cross @ roots) <= 1e-15
+            assert 1e-2 < np.linalg.norm(dense) <= pre.max_deviation + 1e-12
+        weights, coeffs = seeded_members(rows, 41)
+        for c, w in zip(coeffs, weights):
+            target = (rows.T * w) @ rows.conj()
+            diff = dense_twirl(group, target) - target
+            assert np.linalg.norm(diff) <= inv.max_deviation + 1e-12
+            assert dense_residual(group, rows, c, w)[0] <= pre.max_deviation + 1e-12
 
-    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+    @pytest.mark.parametrize("name,group,rows", family_cases(),
                              ids=[c[0] for c in family_cases()])
-    def test_mixture_invariance_matches_dense(self, name, group, rows, weights):
+    def test_mixture_invariance_matches_dense(self, name, group, rows):
         basis = [PureState(group.shape, r) for r in rows]
-        rho = DensityMatrix.mixture(basis, weights)
-        diff = dense_twirl(group, rho.entries) - rho.entries
-        result = _verify_family(group, basis, weights)[0]
-        assert abs(result.max_deviation - np.linalg.norm(diff)) <= 1e-12
-        assert result.max_deviation >= verify_invariance(group, rho).max_deviation - 1e-15
+        result = _verify_family(group, basis)[0]
+        assert abs(result.max_deviation - dense_state_residuals(group, rows).max()) <= 1e-12
+        # the deviation covers the target's residual at seeded weights, in
+        # the Frobenius norm and in the max-entry norm of verify_invariance,
+        # up to the 1e-12 to which the dense reference matches it
+        for w in seeded_members(rows, 29)[0]:
+            rho = DensityMatrix.mixture(basis, w)
+            diff = dense_twirl(group, rho.entries) - rho.entries
+            assert np.linalg.norm(diff) <= result.max_deviation + 1e-12
+            assert verify_invariance(group, rho).max_deviation <= result.max_deviation + 1e-12
         assert result.ok
 
-    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+    @pytest.mark.parametrize("name,group,rows", family_cases(),
                              ids=[c[0] for c in family_cases()])
-    def test_moved_rows_match_full_matrices(self, name, group, rows, weights):
+    def test_moved_rows_match_full_matrices(self, name, group, rows):
         dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
-        assert np.max(np.abs(_moved(group.stacks, rows) - dense)) <= 1e-14
+        assert np.max(np.abs(moved(group.stacks, rows) - dense)) <= 1e-14
 
-    @pytest.mark.parametrize("name,group,rows,weights", family_cases(),
+    @pytest.mark.parametrize("name,group,rows", family_cases(),
                              ids=[c[0] for c in family_cases()])
-    def test_verify_invariance_matches_dense(self, name, group, rows, weights):
+    def test_verify_invariance_matches_dense(self, name, group, rows):
         # the family target at seeded weights, then a random projector, which
         # no group but the trivial one fixes
         rng = np.random.default_rng(31)
         basis = [PureState(group.shape, r) for r in rows]
         targets = [DensityMatrix.mixture(basis, w)
-                   for w in rng.dirichlet(np.ones(len(weights)), size=5)]
+                   for w in rng.dirichlet(np.ones(len(rows)), size=5)]
         amps = rng.standard_normal(rows.shape[1]) + 1j * rng.standard_normal(rows.shape[1])
         projector = PureState(group.shape, amps / np.linalg.norm(amps)).projector()
         for rho in targets + [projector]:
@@ -521,25 +558,31 @@ class TestFactoredResidual:
         rng = np.random.default_rng(29)
         rows = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
         dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
-        whole = _moved(group.stacks, rows)
+        whole = moved(group.stacks, rows)
         assert np.max(np.abs(whole - dense)) <= 1e-14
         # element blocks of 4 and 2, then one element at a time
-        for entries in (4 * rows.size, 1):
+        for entries, count in ((4 * rows.size, 2), (1, 6)):
             monkeypatch.setattr(ggm.twirl, "_CLOSURE_BLOCK", entries)
-            assert np.array_equal(_moved(group.stacks, rows), whole)
+            blocks = _element_blocks(group.order, rows)
+            assert len(blocks) == count
+            blocked = np.concatenate([_moved_block(group.stacks, rows, b) for b in blocks])
+            assert np.array_equal(blocked, whole)
 
     def test_invariance_failure_matches_dense(self):
+        # sigma_z^(x3) maps GHZ to its sign-flipped partner and W to -W
         group = builtin_group("parity", QUBITS3)
         basis = [ghz(3), dicke(3, 1)]
         rho = DensityMatrix.mixture(basis, [0.5, 0.5])
-        result = _verify_family(group, basis, [0.5, 0.5])[0]
+        result, _, (moved_state, _) = _verify_family(group, basis)
         dense = verify_invariance(group, rho)
         assert not result.ok and not dense.ok
         assert result.max_deviation >= dense.max_deviation
+        assert moved_state == "element 1 moves basis state 0 off its ray by 1.000e+00"
 
     def test_bound_covers_every_draw(self):
         # zero phases, a grid of 8 per free phase and 20 seeded draws
-        group, rows, weights = broken_family()
+        group, rows = broken_family()
+        weights = np.array([0.3, 0.7])
         basis = [PureState(group.shape, r) for r in rows]
         rng = np.random.default_rng(12345)
         phases = [np.zeros(2)] + [np.array([0.0, a]) for a in
@@ -550,48 +593,54 @@ class TestFactoredResidual:
             phases.append(vec)
         per_draw = max(dense_residual(group, rows, np.sqrt(weights) * np.exp(1j * p),
                                       weights)[0] for p in phases)
-        assert verify_preimage(group, basis, weights).max_deviation >= per_draw > 1e-3
+        assert verify_preimage(group, basis).max_deviation >= per_draw > 1e-3
 
     @pytest.mark.parametrize("name", ["rank5_five_qubit", "qutrit_sector_family"])
-    def test_twirled_blocks_whatever_the_blocking(self, name, monkeypatch):
+    def test_family_check_whatever_the_blocking(self, name, monkeypatch):
         family = FAMILY_BUILDERS[name]()
-        rows = np.stack([b.amplitudes for b in family.basis])
-        r = _moved_r(family.group, rows)
-        whole = _twirled_blocks(r, family.group.order, family.weights, GROUP_TOL)
-        # one pair at a time, then every pair in one block
+        whole = _verify_family(family.group, family.basis)
+        # one element at a time, then every element in one block
         for entries in (1, 1 << 30):
-            monkeypatch.setattr(ggm.twirl, "_RESIDUAL_BLOCK", entries)
-            blocked = _twirled_blocks(r, family.group.order, family.weights, GROUP_TOL)
-            assert blocked[:2] == whole[:2]
-            assert np.array_equal(blocked[2], whole[2])
+            monkeypatch.setattr(ggm.twirl, "_CLOSURE_BLOCK", entries)
+            assert _verify_family(family.group, family.basis) == whole
 
-    def test_zero_weight_pairs_are_not_checked(self):
-        # the trivial group keeps every cross term; with the second state at
-        # weight 0 no member carries it, and only the two others are named
-        group, rows, _ = broken_family()
-        rows = np.concatenate([rows, dicke(3, 2).amplitudes[None]])
-        basis = [PureState(group.shape, r) for r in rows]
-        inv, pre, cross = _verify_family(group, basis, [0.5, 0.0, 0.5])
+    def test_zero_weight_pairs_are_checked(self):
+        # omega(3) keeps |GHZ+><GHZ-|, as |000> and |111> share a charge
+        # sector, and kills both cross terms with W. No member at the weights
+        # (0.5, 0, 0.5) carries the surviving term, but members at other
+        # points of the simplex do, so the family is rejected.
+        group = builtin_group("omega", QUBITS3)
+        minus = np.zeros(8)
+        minus[[0, 7]] = [1.0, -1.0]
+        basis = [ghz(3), PureState(QUBITS3, minus / math.sqrt(2.0)), dicke(3, 1)]
+        rows = np.stack([b.amplitudes for b in basis])
+        inv, pre, (_, pair) = _verify_family(group, basis)
         assert inv.ok and not pre.ok
-        assert np.array_equal(cross != 0.0, np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 1)
-        assert abs(pre.max_deviation - 2 * 0.5 * cross[0, 2]) <= 1e-15
+        assert pair == "basis pair (0, 1) has character overlap 1.000e+00"
+        unseen = np.array([0.5, 0.0, 0.5])
+        assert dense_residual(group, rows, np.sqrt(unseen), unseen)[0] <= 1e-15
+        seen = np.array([0.5, 0.5, 0.0])
+        assert 0.5 < dense_residual(group, rows, np.sqrt(seen), seen)[0] <= pre.max_deviation
+        with pytest.raises(VerificationError, match=r"basis pair \(0, 1\)"):
+            TwirledFamily(group=group, basis=tuple(basis))
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_construction_moves_the_basis_once(self, name, monkeypatch):
         calls = []
-        original = ggm.twirl._moved
+        original = ggm.twirl._moved_block
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(ggm.twirl, "_moved", counting)
+        monkeypatch.setattr(ggm.twirl, "_moved_block", counting)
         family = FAMILY_BUILDERS[name]()
         assert len(calls) == 1
-        # the shared R gives the deviation of the separate preimage check, bit for bit
-        separate = verify_preimage(family.group, family.basis, family.weights)
+        # both checks come from one moved basis, bit for bit those of the
+        # separate preimage check
+        separate = verify_preimage(family.group, family.basis)
         assert len(calls) == 2
-        assert _verify_family(family.group, family.basis, family.weights)[1] == separate
+        assert _verify_family(family.group, family.basis)[1] == separate
 
     def test_large_family_builds_no_dense_matrix(self, monkeypatch):
         built = []

@@ -31,19 +31,6 @@ from ggm.cli import main  # noqa: E402
 RUNS = ("1", "4", "2 --grid 41", "3 --grid 61", "5 --grid 31", "6 --grid 21",
         "7 --grid 41", "8 --grid 41", "2", "3", "5", "6", "7", "8")
 
-# verify-group runs: each built-in group kind against a family it fixes.
-VERIFY_RUNS = {
-    "parity rank2_symmetric": ({"kind": "parity", "dims": [2] * 3},
-                               {"family": "rank2_symmetric"}),
-    **{f"omega rank3_ghz_dicke({n})": ({"kind": "omega", "dims": [2] * n},
-                                       {"family": "rank3_ghz_dicke",
-                                        "args": {"n_parties": n}})
-       for n in (5, 6, 7)},
-    "zeta zeta_family": ({"kind": "zeta", "dims": [2] * 3}, {"family": "zeta_family"}),
-    "qudit qutrit_sector_family": ({"kind": "qudit", "dims": [3] * 3},
-                                   {"family": "qutrit_sector_family"}),
-}
-
 # ggm mixed run: an omega(3) family of the three charge sectors of 3 qubits,
 # each a seeded complex superposition written with the "sector" constructor.
 # Its minimizing phases move with the weights, so its Hessian column depends
@@ -63,6 +50,22 @@ def seeded_sector_family(seed):
                                "q": [[z.real, z.imag] for z in q.tolist()]}})
     return {"group": {"kind": "omega", "dims": [2, 2, 2]}, "basis": basis}
 
+
+# verify-group runs: each built-in group kind against a family it fixes, then
+# omega(3) against the seeded sector family as a spec with its own group.
+VERIFY_RUNS = {
+    "parity rank2_symmetric": ({"kind": "parity", "dims": [2] * 3},
+                               {"family": "rank2_symmetric"}),
+    **{f"omega rank3_ghz_dicke({n})": ({"kind": "omega", "dims": [2] * n},
+                                       {"family": "rank3_ghz_dicke",
+                                        "args": {"n_parties": n}})
+       for n in (5, 6, 7)},
+    "zeta zeta_family": ({"kind": "zeta", "dims": [2] * 3}, {"family": "zeta_family"}),
+    "qudit qutrit_sector_family": ({"kind": "qudit", "dims": [3] * 3},
+                                   {"family": "qutrit_sector_family"}),
+    f"omega sector family (seed {MIXED_SEED})": ({"kind": "omega", "dims": [2] * 3},
+                                                 seeded_sector_family(MIXED_SEED)),
+}
 
 BOUND_POINTS, BOUND_SAMPLES = 10, 300
 
