@@ -23,11 +23,11 @@ import numpy as np
 # 25-30% slower than 2^16 on 16k-64k unreduced rows of 3-5 parties.
 _BLOCK_ENTRIES = 1 << 16
 
-# Phase minimizer settings, shared by every caller: the scan grid per free
-# phase (its spacing is also the golden-section bracket), the bracket width
-# at which refinement stops, the per-cycle improvement below which cycles
-# stop, and the cycle budgets of cold (seeded and scanned) and warm
-# (refinement only) starts.
+# Phase minimizer settings, shared by every caller: the seed lattice of a
+# row with one free phase (its spacing is also the golden-section half
+# width), the bracket width at which refinement stops, the per-cycle
+# improvement below which cycles stop, and the cycle budgets of cold
+# (seeded) and warm starts.
 PHASE_GRID_POINTS = 32
 PHASE_STEP_TOL = 1e-4
 PHASE_VALUE_TOL = 1e-9
@@ -847,21 +847,23 @@ def _scaled(arrays: tuple[np.ndarray, ...], cos: np.ndarray, sin: np.ndarray,
     return np.add(shifted, np.multiply(sin, pst[2], scaled), out)
 
 
-def _golden_refine(probe, phases, coord, rows, half_width, step_tol):
+def _golden_refine(probe, phases, coord, rows):
     """Lockstep golden-section refinement of one phase coordinate.
 
     Only ``rows`` participate, ``probe`` giving their values at angles of
-    ``coord``; the rest keep their phase. Brackets shrink until narrower
-    than ``step_tol`` radians.
+    ``coord``; the rest keep their phase. Brackets start one spacing of the
+    ``PHASE_GRID_POINTS`` lattice either side of the phase and shrink until
+    narrower than ``PHASE_STEP_TOL`` radians.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    half_width = 2.0 * np.pi / PHASE_GRID_POINTS
     lo = phases[rows, coord] - half_width
     hi = phases[rows, coord] + half_width
     width = hi - lo
     c = hi - invphi * width
     d = lo + invphi * width
     fc, fd = probe(c), probe(d)
-    while np.max(width) > step_tol:
+    while np.max(width) > PHASE_STEP_TOL:
         # a row that keeps [lo, d] probes a new c, one that keeps [c, hi] a new d
         left = fc < fd
         hi = np.where(left, d, hi)
@@ -876,11 +878,14 @@ def _golden_refine(probe, phases, coord, rows, half_width, step_tol):
 
 
 def _joint_seed_size(n_free: int) -> int:
-    # Joint seeding guards against coordinate descent stalling in a local
-    # minimum when several phases must move together; sizes keep the
-    # Cartesian budget flat across arities.
-    if n_free <= 1:
+    # The lattice is the optimizer's only discrete search. Jointly it guards
+    # against coordinate descent stalling in a local minimum when several
+    # phases must move together; sizes keep the Cartesian budget flat
+    # across arities. One free phase takes the finer PHASE_GRID_POINTS.
+    if n_free == 0:
         return 0
+    if n_free == 1:
+        return PHASE_GRID_POINTS
     return 8 if n_free <= 3 else 4
 
 
@@ -963,22 +968,22 @@ def minimize_phases(
 
     Each row minimizes over the phases of its strictly positive weights;
     the first active element is gauged to phase 0. A cold start (no
-    ``init_phases``) is seeded with the best point of a joint Cartesian
-    phase lattice, then per cycle every free coordinate is scanned on a
-    ``PHASE_GRID_POINTS`` grid and refined by golden section to below
-    ``PHASE_STEP_TOL`` radians, for up to ``COLD_CYCLES`` cycles. A warm
-    start from ``init_phases`` only refines, for up to ``WARM_CYCLES``
-    cycles. Cycles stop early once no row improves by more than
-    ``PHASE_VALUE_TOL``.
+    ``init_phases``) is seeded with the best point of a phase lattice over
+    its free phases (:func:`_apply_joint_seeds`), ``PHASE_GRID_POINTS``
+    angles for one free phase and a coarser joint lattice for more; that
+    is the only discrete search. A warm start begins at ``init_phases``.
+    Either way every cycle refines each free coordinate in turn by golden
+    section to below ``PHASE_STEP_TOL`` radians, for up to ``COLD_CYCLES``
+    cycles of a cold start and ``WARM_CYCLES`` of a warm one. Cycles stop
+    early once no row improves by more than ``PHASE_VALUE_TOL``.
 
-    The seed and the scan make their discrete choices by one tie rule:
-    take the first candidate (in lattice or grid order) within
-    ``PHASE_VALUE_TOL`` of the row's minimum, and move only if it beats
-    the current value by more than ``PHASE_VALUE_TOL``. Symmetric families
-    have tied argmins whose values differ in the last bits; the rule keeps
-    a last-bit change in the objective (a Gram formed another way, say)
-    from switching a point, or the warm-started Hessian stencil around it,
-    to another branch.
+    The seed makes its discrete choice by one tie rule: take the first
+    lattice point (in lattice order) within ``PHASE_VALUE_TOL`` of the
+    row's minimum, and move only if it beats the current value by more
+    than ``PHASE_VALUE_TOL``. Symmetric families have tied argmins whose
+    values differ in the last bits; the rule keeps a last-bit change in the
+    objective (a Gram formed another way, say) from switching a point, or
+    the warm-started Hessian stencil around it, to another branch.
 
     Returns (values, phases), shapes (K,) and (K, n_basis).
     """
@@ -993,30 +998,19 @@ def minimize_phases(
     phases[~active] = 0.0
     phases[np.arange(k), gauge] = 0.0
 
-    grid = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID_POINTS, endpoint=False)
-    half_width = 2.0 * np.pi / PHASE_GRID_POINTS
     values = objective.values(roots, phases)
     if cold_start:
         _apply_joint_seeds(objective, roots, phases, values, active, gauge)
 
+    step = max(1, _BLOCK_ENTRIES // objective.row_entries)
     for _ in range(COLD_CYCLES if cold_start else WARM_CYCLES):
         cycle_start = values.copy()
         for coord in range(n):
             rows = np.flatnonzero(active[:, coord] & (gauge != coord))
-            if rows.size == 0:
-                continue
-            # One pencil per row block serves the scan and the refinement:
-            # neither moves the other coordinates.
-            step = max(1, _BLOCK_ENTRIES // objective.row_entries)
             for start in range(0, rows.size, step):
                 block = rows[start:start + step]
-                probe = objective.pencil(roots[block], phases[block], coord)
-                if cold_start:
-                    cand = probe(grid[None, :])
-                    best, best_vals = _first_near_min(cand)
-                    better = best_vals < values[block] - PHASE_VALUE_TOL
-                    phases[block[better], coord] = grid[best[better]]
-                _golden_refine(probe, phases, coord, block, half_width, PHASE_STEP_TOL)
+                _golden_refine(objective.pencil(roots[block], phases[block], coord),
+                               phases, coord, block)
         values = objective.values(roots, phases)
         if np.max(cycle_start - values) <= PHASE_VALUE_TOL:
             break

@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 # Constructor tolerance; inputs are analytically normalized, so anything
-# looser than this is a bug upstream, not noise.
+# looser than this is a bug upstream, not noise. Every check is written to
+# pass only within it, so a NaN or infinite entry fails it too.
 NORM_TOL = 1e-10
 
 
@@ -104,7 +105,7 @@ class PureState:
                 f"expected {self.shape.total_dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
 
@@ -126,13 +127,13 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
         herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > NORM_TOL:
+        if not herm_dev <= NORM_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
         trace_dev = abs(mat.trace() - 1.0)
-        if trace_dev > NORM_TOL:
+        if not trace_dev <= NORM_TOL:
             raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -NORM_TOL:
+        if not min_eig >= -NORM_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "entries", _frozen_array(mat))
 

@@ -141,17 +141,25 @@ class TwirledFamily:
         if bad.any():
             raise ValueError(f"parameters {params[bad] if bad.ndim else params} "
                              f"leave the mixing simplex")
-        # A residual weight such as 1 - x1 - x2 on the face x1 + x2 = 1 keeps
-        # the rounding of the grid coordinates, up to 1.1e-16 on the built-in
-        # grids. The measure grows like sqrt(w) near a face, so that residue
-        # moves raw by up to 5.7e-9; weights below 4 ulps of 1 are exactly 0.
-        return np.where(w < 4.0 * np.finfo(float).eps, 0.0, w)
+        return _snapped(w)
+
+
+def _snapped(weights: np.ndarray) -> np.ndarray:
+    """``weights`` with entries below 4 ulps of 1 set to exactly 0.
+
+    A residual weight such as 1 - x1 - x2 on the face x1 + x2 = 1 keeps
+    the rounding of the grid coordinates, up to 1.1e-16 on the built-in
+    grids. The measure grows like sqrt(w) near a face, so that residue
+    moves raw by up to 5.7e-9, and a closed form by up to 9.9e-9.
+    """
+    return np.where(weights < 4.0 * np.finfo(float).eps, 0.0, weights)
 
 
 def _off_simplex(weights: np.ndarray) -> np.ndarray:
     """Which weight vectors of a (..., n_basis) array leave the mixing
-    simplex: a weight below -1e-9, or a sum off 1 by more than 1e-9."""
-    return (weights.min(axis=-1) < -1e-9) | (np.abs(weights.sum(axis=-1) - 1.0) > 1e-9)
+    simplex: a weight below -1e-9, or a sum off 1 by more than 1e-9. A
+    vector with a NaN or infinite weight is off it too."""
+    return ~((weights.min(axis=-1) >= -1e-9) & (np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9))
 
 
 def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +175,9 @@ def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.nd
 def min_phase_ggm(family: TwirledFamily, weights) -> tuple[float, np.ndarray]:
     """Minimize the pure measure of a preimage member over its free phases.
 
-    Seeds from a joint phase lattice, then runs cyclic coordinate descent:
-    each free phase is scanned on the ``_batch.PHASE_GRID_POINTS`` grid and
+    Seeds from the best point of a phase lattice over the free phases
+    (``_batch.PHASE_GRID_POINTS`` angles for one, a coarser joint lattice
+    for more), then runs cyclic coordinate descent: each free phase is
     refined by golden section until the step falls below
     ``_batch.PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
     are dropped from the search; the first active element carries phase 0
@@ -467,14 +476,13 @@ def ggm_mixed(family: TwirledFamily, grid=None, *,
     )
 
 
-def _closed_form_rank2_sym(params):
-    x = params[0]
-    return 0.5 * (1.0 - 2.0 * math.sqrt(x * (1.0 - x)))
+def _closed_form_rank2_sym(weights):
+    x, rest = weights
+    return 0.5 * (1.0 - 2.0 * math.sqrt(x * rest))
 
 
-def _closed_form_rank3_ghz_w(params):
-    x1, x2 = params
-    x3 = 1.0 - x1 - x2
+def _closed_form_rank3_ghz_w(weights):
+    x1, x2, x3 = weights
     cross = math.sqrt(max(x2 * x3, 0.0))
     radicand = (1.0 - 5.0 * x1 * x1 - 12.0 * x2 * (x2 - 1.0)
                 + 8.0 * math.sqrt(max(6.0 * x1 * x2, 0.0)) * (1.0 + cross - x1 - x2)
@@ -482,9 +490,8 @@ def _closed_form_rank3_ghz_w(params):
     return (3.0 - math.sqrt(max(radicand, 0.0))) / 6.0
 
 
-def _closed_form_rank5_5qubit(params):
-    x1, x2 = params
-    x3 = 1.0 - x1 - x2
+def _closed_form_rank5_5qubit(weights):
+    x1, x2, x3 = weights
     a = (2.0 * x1 + 4.0 * x2 + 3.0) / 10.0
     b = (7.0 - 2.0 * x1 - 4.0 * x2) / 10.0
     c = (math.sqrt(max(x1 * x2, 0.0) / 20.0)
@@ -495,9 +502,8 @@ def _closed_form_rank5_5qubit(params):
     return 0.5 * (1.0 - math.sqrt(max(1.0 - 4.0 * (a * b - c * c), 0.0)))
 
 
-def _closed_form_qutrit(params):
-    x1, x2 = params
-    x3 = 1.0 - x1 - x2
+def _closed_form_qutrit(weights):
+    x1, x2, x3 = weights
     return (2.0 / 3.0) * (1.0 - math.sqrt(max(x1 * x2, 0.0))
                           - math.sqrt(max(x1 * x3, 0.0))
                           - math.sqrt(max(x2 * x3, 0.0)))
@@ -512,7 +518,13 @@ CLOSED_FORMS = {
 
 
 def closed_form(form_id: str, params) -> float:
-    """Literal evaluation of one of the printed mixed-state expressions."""
+    """Literal evaluation of one of the printed mixed-state expressions.
+
+    Each expression reads the weight vector of ``params``, the residual
+    weight last, with weights below 4 ulps of 1 set to exactly 0 as
+    :meth:`TwirledFamily.params_to_weights` sets them, so on the face
+    x1 + x2 = 1 it matches ``raw`` to rounding.
+    """
     if form_id not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {form_id!r}; "
                          f"expected one of {sorted(CLOSED_FORMS)}")
@@ -520,9 +532,10 @@ def closed_form(form_id: str, params) -> float:
     params = np.asarray(params, dtype=float).reshape(-1)
     if params.size != arity:
         raise ValueError(f"{form_id} takes {arity} parameter(s), got {params.size}")
-    if params.min() < -1e-12 or params.sum() > 1.0 + 1e-12:
+    if not (params.min() >= -1e-12 and params.sum() <= 1.0 + 1e-12):
         raise ValueError(f"parameters {params} lie outside the closed simplex")
-    return float(fn(np.clip(params, 0.0, 1.0)))
+    params = np.clip(params, 0.0, 1.0)
+    return float(fn(_snapped(np.append(params, 1.0 - params.sum())).tolist()))
 
 
 def _haar_isometries(rng: np.random.Generator, count: int, m: int,

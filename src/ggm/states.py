@@ -81,7 +81,7 @@ def _unit_coefficients(values, label: str) -> np.ndarray:
     """``values`` as a flat complex vector, rejecting a norm off 1."""
     values = np.asarray(values, dtype=complex).reshape(-1)
     norm = np.linalg.norm(values)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"{label} norm {norm!r} deviates from 1")
     return values
 
@@ -167,10 +167,12 @@ def superpose(basis, weights, phases=None) -> PureState:
     phases = np.asarray(phases, dtype=float).reshape(-1)
     if not len(basis) == weights.size == phases.size:
         raise ValueError("basis, weights, and phases must have equal lengths")
-    if np.any(weights < -NORM_TOL):
-        raise ValueError("weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > NORM_TOL:
+    if not np.all(weights >= -NORM_TOL):
+        raise ValueError(f"weights {weights} must be nonnegative")
+    if not abs(weights.sum() - 1.0) <= NORM_TOL:
         raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases {phases} must be finite")
     shape = basis[0].shape
     if any(b.shape != shape for b in basis):
         raise ValueError("all basis states must share a shape")

@@ -30,8 +30,7 @@ __all__ = [
     "builtin_group",
     "verify_invariance",
     "verify_preimage",
-    "InvarianceResult",
-    "PreimageResult",
+    "CheckResult",
     "VerificationError",
     "GROUP_KINDS",
 ]
@@ -65,7 +64,7 @@ class LocalUnitaryElement:
             if mat.shape != (d, d):
                 raise ValueError(f"factor shape {mat.shape} does not match dimension {d}")
             dev = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if dev > UNITARY_TOL:
+            if not dev <= UNITARY_TOL:
                 raise ValueError(f"factor is not unitary (deviation {dev:.3e})")
             mat = mat.copy()
             mat.setflags(write=False)
@@ -222,18 +221,16 @@ def builtin_group(kind: str, shape: SystemShape) -> UnitaryGroup:
     raise ValueError(f"unknown group kind {kind!r}; expected one of {GROUP_KINDS}")
 
 
-class InvarianceResult(NamedTuple):
-    ok: bool
-    max_deviation: float
+class CheckResult(NamedTuple):
+    """Outcome of a verification: whether the deviation is within its
+    tolerance, and the deviation measured."""
 
-
-class PreimageResult(NamedTuple):
     ok: bool
     max_deviation: float
 
 
 def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
-                      tol: float = GROUP_TOL) -> InvarianceResult:
+                      tol: float = GROUP_TOL) -> CheckResult:
     """Check that the twirl fixes ``rho`` to within ``tol`` (max-entry norm).
 
     Works for an arbitrary density matrix, on the doubled system: the
@@ -254,7 +251,7 @@ def verify_invariance(group: UnitaryGroup, rho: DensityMatrix,
         total += _moved_block(doubled, row, elements).sum(axis=0)
     total /= group.order
     dev = float(np.max(np.abs(total.reshape(rho.entries.shape) - rho.entries)))
-    return InvarianceResult(dev <= tol, dev)
+    return CheckResult(dev <= tol, dev)
 
 
 def _element_blocks(order: int, rows: np.ndarray) -> list[slice]:
@@ -284,7 +281,7 @@ def _moved_block(stacks: tuple[np.ndarray, ...], rows: np.ndarray,
     return vec.reshape((len(vec),) + rows.shape)
 
 
-def verify_preimage(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL) -> PreimageResult:
+def verify_preimage(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL) -> CheckResult:
     """Check that phased superpositions of ``basis`` twirl onto their mixture.
 
     Every member sum_k sqrt(w_k) e^{i phi_k}|basis_k> must twirl to
@@ -297,7 +294,7 @@ def verify_preimage(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL) -> Pr
 
 
 def _verify_family(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL
-                   ) -> tuple[InvarianceResult, PreimageResult, tuple[str, str]]:
+                   ) -> tuple[CheckResult, CheckResult, tuple[str, str]]:
     """Invariance of every mixture of ``basis`` and :func:`verify_preimage`,
     read from the characters of the group on the basis, with no weights.
 
@@ -339,6 +336,6 @@ def _verify_family(group: UnitaryGroup, basis, *, tol: float = GROUP_TOL
     eps = float(residuals[g, state])
     inv = math.sqrt(2.0) * eps
     pre = inv + float(overlaps[k, l]) + (len(rows) - 1) * (2.0 * eps + eps * eps)
-    return InvarianceResult(inv <= tol, inv), PreimageResult(pre <= tol, pre), (
+    return CheckResult(inv <= tol, inv), CheckResult(pre <= tol, pre), (
         f"element {g} moves basis state {state} off its ray by {eps:.3e}",
         f"basis pair ({k}, {l}) has character overlap {overlaps[k, l]:.3e}")

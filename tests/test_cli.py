@@ -190,6 +190,15 @@ class TestPureCommand:
     def test_missing_file(self, capsys):
         assert main(["pure", "/nonexistent/state.json"]) == EXIT_USAGE
 
+    def test_nan_amplitude_exits_1(self, tmp_path, capsys):
+        # a report would hold "value": NaN, which is not JSON
+        spec = tmp_path / "nan.json"
+        spec.write_text('{"shape": [2, 2], "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}')
+        out = tmp_path / "report.json"
+        assert main(["pure", str(spec), "--out", str(out)]) == EXIT_USAGE
+        assert "state norm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMixedCommand:
     def test_writes_surface_csv(self, rank2_family_spec, tmp_path):

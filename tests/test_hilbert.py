@@ -49,6 +49,12 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(shape, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # NaN > tol is False, so the norm check must pass only within tol
+        with pytest.raises(ValueError, match="state norm"):
+            PureState(SystemShape((2, 2)), np.array([bad, 0.0, 0.0, 0.0]))
+
     def test_immutable(self):
         shape = SystemShape((2, 2))
         psi = PureState(shape, np.array([1.0, 0.0, 0.0, 0.0]))

@@ -986,8 +986,7 @@ class TestJointSeeds:
         reference_joint_seeds(objective, roots, *reference, active, gauge)
         assert np.array_equal(seeded[0], reference[0])
         assert np.max(np.abs(seeded[1] - reference[1])) <= 1e-13
-        if len(family.basis) > 2:
-            assert np.any(seeded[1] < values)
+        assert np.any(seeded[1] < values)
 
     @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
     def test_lattice_values_match_full_evaluations(self, name):

@@ -239,6 +239,13 @@ class TestSuperpose:
         with pytest.raises(ValueError):
             superpose([ghz(3), dicke(3, 1)], [0.5, 0.6])
 
+    @pytest.mark.parametrize("weights, phases", [([np.nan, 0.5], None),
+                                                 ([0.5, 0.5], [np.inf, 0.0])],
+                             ids=["NaN weight", "infinite phase"])
+    def test_rejects_non_finite_input(self, weights, phases):
+        with pytest.raises(ValueError, match="weights|phases"):
+            superpose([ghz(3), dicke(3, 1)], weights, phases)
+
 
 class TestGhzMixtureRotation:
     def test_hadamard_maps_ghz_to_parity_sectors(self):

@@ -71,6 +71,10 @@ class TestLocalUnitaryElement:
         with pytest.raises(ValueError):
             LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2), np.ones((2, 2))))
 
+    def test_rejects_non_finite_factor(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2), np.diag([np.nan, 1.0])))
+
     def test_rejects_wrong_factor_count(self):
         with pytest.raises(ValueError):
             LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2)))

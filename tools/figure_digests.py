@@ -1,10 +1,11 @@
 """Print the sha256 of each reference figure's CSV, one ``sha256  argv`` line a run,
 then of ``ggm verify-group`` reports, one ``ggm mixed`` surface of a custom
-family, decomposition-sampler bounds and pure-state values.
+family, decomposition-sampler bounds, pure-state values and raw phase
+minima of the built-in families with more than 2 parameters.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change keeps
 every figure, every group verification, the custom surface, every sampler
-bound and every pure value byte-identical:
+bound, every pure value and every raw minimum byte-identical:
 
     python3 tools/figure_digests.py > digests.txt
 """
@@ -33,9 +34,11 @@ RUNS = ("1", "4", "2 --grid 41", "3 --grid 61", "5 --grid 31", "6 --grid 21",
 
 # ggm mixed run: an omega(3) family of the three charge sectors of 3 qubits,
 # each a seeded complex superposition written with the "sector" constructor.
-# Its minimizing phases move with the weights, so its Hessian column depends
-# on the warm start of the stencil's minimizations, which no built-in figure's
-# does.
+# Its minimizing phases move with the weights, so its raw values depend on
+# where the optimizer's cycles stop, and its Hessian column on the warm start
+# of the stencil's minimizations, which no built-in figure's does: of the
+# lines printed here, this is the one that a change to the optimizer's search
+# moves while every figure keeps its bits.
 MIXED_SEED, MIXED_GRID = 5, 31
 
 
@@ -111,6 +114,12 @@ PURE_SHAPES = {"8 qubits": (2,) * 8, "6 qutrits": (3,) * 6, "2x3x4x5": (2, 3, 4,
                "10 qubits": (2,) * 10}
 PURE_STATES = 40
 
+# min_phase_ggm_many at seeded interior points of the built-in families no
+# figure runs, with 4 and 3 free phases, so the seed lattice is a joint one.
+MANY_FAMILIES = {"ghz_dicke_mixture(5)": lambda: ggm.ghz_dicke_mixture(5),
+                 "zeta_family": ggm.zeta_family}
+MANY_POINTS = 200
+
 
 def digest(values):
     return hashlib.sha256("".join(map(repr, values)).encode()).hexdigest()
@@ -157,3 +166,11 @@ for seed, (name, dims) in enumerate(PURE_SHAPES.items()):
         state = ggm.PureState(ggm.SystemShape(dims), amps / np.linalg.norm(amps))
         values.append(ggm.ggm_pure(state).value)
     print(f"{digest(values)}  ggm_pure {name}", flush=True)
+
+for seed, (name, build) in enumerate(MANY_FAMILIES.items()):
+    family = build()
+    rng = np.random.default_rng([seed, 17])
+    params = rng.dirichlet(np.ones(len(family.param_names) + 1), size=MANY_POINTS)[:, :-1]
+    values, phases = ggm.min_phase_ggm_many(family, params)
+    print(f"{digest([*values.tolist(), *phases.ravel().tolist()])}  min_phase_ggm_many {name}",
+          flush=True)

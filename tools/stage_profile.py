@@ -13,7 +13,6 @@ shared (1, m) K * m.
 
 - ``joint seed``: ``_apply_joint_seeds`` of the cold (raw-surface) start;
 - ``pencil``: ``PhaseObjective.pencil`` builds of the cold start;
-- ``scan``: the grid scan of the cold start (probes of a row of angles);
 - ``golden``: ``_golden_refine`` of the cold start;
 - ``cycle-end values``: the other ``values`` calls of the cold start (the
   starting values and each cycle's end);
@@ -21,8 +20,10 @@ shared (1, m) K * m.
 - ``envelope``: ``convex_envelope_1d`` and ``convex_envelope_2d``.
 
 ``other`` is the rest of the figure command: family construction, the
-optimizer's own bookkeeping and the CSV. It runs on any checkout of the
-package (``--src`` points at its ``src``), so two trees can be compared.
+optimizer's own bookkeeping and the CSV. A probe outside the joint seed, the
+golden refinement and the stencil belongs to no stage and raises. It runs on
+any checkout of the package whose optimizer probes only in those stages
+(``--src`` points at its ``src``), so two trees can be compared.
 """
 
 import argparse
@@ -39,8 +40,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
-STAGES = ("joint seed", "pencil", "scan", "golden", "cycle-end values", "stencil",
-          "envelope")
+STAGES = ("joint seed", "pencil", "golden", "cycle-end values", "stencil", "envelope")
 
 
 class StageProfile:
@@ -100,7 +100,9 @@ class StageProfile:
             probe = self._timed("pencil", pencil, obj, roots, phases, coord)
 
             def counted_probe(angles):
-                stage = self.active or "scan"
+                stage = self.active
+                if stage is None:
+                    raise RuntimeError("a pencil probe outside every profiled stage")
                 self.rows[stage] += len(roots) * math.prod(np.shape(angles)[1:])
                 return self._timed(stage, probe, angles)
             return counted_probe
