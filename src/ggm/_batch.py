@@ -25,9 +25,10 @@ _BLOCK_ENTRIES = 1 << 16
 
 # Phase minimizer settings, shared by every caller: the seed lattice of a
 # row with one free phase (its spacing is also the golden-section half
-# width), the bracket width at which refinement stops, the per-cycle
-# improvement below which cycles stop, and the cycle budgets of cold
-# (seeded) and warm starts.
+# width), the bracket width at which refinement stops (half of the width
+# golden section stops at is also the step of the bracket test that decides
+# whether a row needs refining), the per-cycle improvement below which
+# cycles stop, and the cycle budgets of cold (seeded) and warm starts.
 PHASE_GRID_POINTS = 32
 PHASE_STEP_TOL = 1e-4
 PHASE_VALUE_TOL = 1e-9
@@ -847,21 +848,25 @@ def _scaled(arrays: tuple[np.ndarray, ...], cos: np.ndarray, sin: np.ndarray,
     return np.add(shifted, np.multiply(sin, pst[2], scaled), out)
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _golden_refine(probe, phases, coord, rows):
     """Lockstep golden-section refinement of one phase coordinate.
 
     Only ``rows`` participate, ``probe`` giving their values at angles of
     ``coord``; the rest keep their phase. Brackets start one spacing of the
     ``PHASE_GRID_POINTS`` lattice either side of the phase and shrink until
-    narrower than ``PHASE_STEP_TOL`` radians.
+    narrower than ``PHASE_STEP_TOL`` radians, at :func:`_golden_stop_width`;
+    each row takes its final bracket's midpoint. :func:`minimize_phases`
+    calls it only for rows that fail :func:`_bracketed`.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     half_width = 2.0 * np.pi / PHASE_GRID_POINTS
     lo = phases[rows, coord] - half_width
     hi = phases[rows, coord] + half_width
     width = hi - lo
-    c = hi - invphi * width
-    d = lo + invphi * width
+    c = hi - _INVPHI * width
+    d = lo + _INVPHI * width
     fc, fd = probe(c), probe(d)
     while np.max(width) > PHASE_STEP_TOL:
         # a row that keeps [lo, d] probes a new c, one that keeps [c, hi] a new d
@@ -869,12 +874,34 @@ def _golden_refine(probe, phases, coord, rows):
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
         width = hi - lo
-        step = invphi * width
+        step = _INVPHI * width
         angle = np.where(left, hi - step, lo + step)
         c, d = np.where(left, angle, d), np.where(left, c, angle)
         fresh = probe(angle)
         fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
     phases[rows, coord] = 0.5 * (lo + hi)
+
+
+def _golden_stop_width() -> float:
+    """Bracket width at which :func:`_golden_refine` stops: its starting
+    width, two lattice spacings, shrunk by the golden ratio until no wider
+    than ``PHASE_STEP_TOL`` (6.80e-5 rad at the module's settings)."""
+    width = 4.0 * np.pi / PHASE_GRID_POINTS
+    while width > PHASE_STEP_TOL:
+        width *= _INVPHI
+    return width
+
+
+def _bracketed(probe, theta: np.ndarray, delta: float) -> np.ndarray:
+    """Which pencil rows already bracket a minimum at their phase ``theta``.
+
+    One (K, 3) probe at theta - delta, theta and theta + delta; a row whose
+    middle value is no larger than both neighbours has a minimum in
+    [theta - delta, theta + delta] (ties included, so a flat direction keeps
+    its phase), and needs no golden section.
+    """
+    around = probe(theta[:, None] + np.array([-delta, 0.0, delta]))
+    return (around[:, 1] <= around[:, 0]) & (around[:, 1] <= around[:, 2])
 
 
 def _joint_seed_size(n_free: int) -> int:
@@ -972,10 +999,16 @@ def minimize_phases(
     its free phases (:func:`_apply_joint_seeds`), ``PHASE_GRID_POINTS``
     angles for one free phase and a coarser joint lattice for more; that
     is the only discrete search. A warm start begins at ``init_phases``.
-    Either way every cycle refines each free coordinate in turn by golden
-    section to below ``PHASE_STEP_TOL`` radians, for up to ``COLD_CYCLES``
-    cycles of a cold start and ``WARM_CYCLES`` of a warm one. Cycles stop
-    early once no row improves by more than ``PHASE_VALUE_TOL``.
+    Either way every cycle takes each free coordinate in turn, for up to
+    ``COLD_CYCLES`` cycles of a cold start and ``WARM_CYCLES`` of a warm
+    one. A row whose value at its phase is no larger than at the phase plus
+    or minus half the width at which golden section stops
+    (:func:`_bracketed`) already brackets a minimum that tightly and keeps
+    its phase exactly, ties included; only the other rows are refined by
+    golden section to below ``PHASE_STEP_TOL`` radians
+    (:func:`_golden_refine`). Cycles stop once no row enters golden section,
+    since then no phase moved and the values are the cycle's start values,
+    or once no row improves by more than ``PHASE_VALUE_TOL``.
 
     The seed makes its discrete choice by one tie rule: take the first
     lattice point (in lattice order) within ``PHASE_VALUE_TOL`` of the
@@ -1002,15 +1035,31 @@ def minimize_phases(
     if cold_start:
         _apply_joint_seeds(objective, roots, phases, values, active, gauge)
 
+    # a kept phase is located as tightly as golden section's midpoint
+    delta = 0.5 * _golden_stop_width()
     step = max(1, _BLOCK_ENTRIES // objective.row_entries)
     for _ in range(COLD_CYCLES if cold_start else WARM_CYCLES):
-        cycle_start = values.copy()
+        refined = False
         for coord in range(n):
             rows = np.flatnonzero(active[:, coord] & (gauge != coord))
             for start in range(0, rows.size, step):
                 block = rows[start:start + step]
-                _golden_refine(objective.pencil(roots[block], phases[block], coord),
-                               phases, coord, block)
+                probe = objective.pencil(roots[block], phases[block], coord)
+                loose = ~_bracketed(probe, phases[block, coord], delta)
+                if not loose.any():
+                    continue
+                if not loose.all():
+                    # a pencil of the loose rows is cheaper than golden
+                    # section over the block's; freed first, as peak memory
+                    # follows the lifetime of such temporaries
+                    del probe
+                    block = block[loose]
+                    probe = objective.pencil(roots[block], phases[block], coord)
+                _golden_refine(probe, phases, coord, block)
+                refined = True
+        if not refined:
+            break  # no phase moved, so the values are the cycle's start values
+        cycle_start = values
         values = objective.values(roots, phases)
         if np.max(cycle_start - values) <= PHASE_VALUE_TOL:
             break

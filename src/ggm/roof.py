@@ -158,8 +158,12 @@ def _snapped(weights: np.ndarray) -> np.ndarray:
 def _off_simplex(weights: np.ndarray) -> np.ndarray:
     """Which weight vectors of a (..., n_basis) array leave the mixing
     simplex: a weight below -1e-9, or a sum off 1 by more than 1e-9. A
-    vector with a NaN or infinite weight is off it too."""
-    return ~((weights.min(axis=-1) >= -1e-9) & (np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9))
+    vector with a NaN or infinite weight is off it too, tested first: a sum
+    of inf and -inf would warn before the comparison rejects it."""
+    finite = np.isfinite(weights).all(axis=-1)
+    weights = np.where(finite[..., None], weights, 0.0)
+    return ~(finite & (weights.min(axis=-1) >= -1e-9)
+             & (np.abs(weights.sum(axis=-1) - 1.0) <= 1e-9))
 
 
 def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.ndarray]:
@@ -177,12 +181,15 @@ def min_phase_ggm(family: TwirledFamily, weights) -> tuple[float, np.ndarray]:
 
     Seeds from the best point of a phase lattice over the free phases
     (``_batch.PHASE_GRID_POINTS`` angles for one, a coarser joint lattice
-    for more), then runs cyclic coordinate descent: each free phase is
-    refined by golden section until the step falls below
-    ``_batch.PHASE_STEP_TOL`` radians. Basis elements with weight exactly 0
-    are dropped from the search; the first active element carries phase 0
-    as the global-phase gauge. Raises ``ValueError`` for weights off the
-    mixing simplex, by the rule of :meth:`TwirledFamily.params_to_weights`.
+    for more), then runs cyclic coordinate descent. Each free phase is
+    first probed 3.4e-5 rad either side, half the width at which golden
+    section stops; where neither side is lower, the phase already brackets
+    a minimum and is kept as it is. Otherwise it is refined by golden
+    section until the step falls below ``_batch.PHASE_STEP_TOL`` radians.
+    Basis elements with weight exactly 0 are dropped from the search; the
+    first active element carries phase 0 as the global-phase gauge. Raises
+    ``ValueError`` for weights off the mixing simplex, by the rule of
+    :meth:`TwirledFamily.params_to_weights`.
 
     Returns ``(value, phases)`` with one phase per basis element.
     """
@@ -432,7 +439,9 @@ def ggm_mixed(family: TwirledFamily, grid=None, *,
     verified at its construction, convexifies over the sampled simplex (1-
     or 2-parameter grids), and fills central-difference Hessian diagnostics
     at interior points (warm-started from each point's own minimizing
-    phases).
+    phases; a stencil point whose phases still bracket a minimum keeps
+    them, and only the others are refined by golden section). Where the
+    objective is flat in a phase, that phase keeps its seed lattice value.
     """
     arity = len(family.param_names)
     if arity > 2:

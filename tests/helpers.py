@@ -10,7 +10,9 @@ central-difference Hessian on a plain function of simplex points, as
 probe of the Gram pencil as it was before its P, S and T were stored
 component-major: interleaved Gram reals per row, the closed forms of
 ``reference_eigmax_packed`` on them, and the outer-product reals of
-``reference_outer_reals``.
+``reference_outer_reals``. ``reference_minimize_phases`` is the phase
+minimizer as it was before its bracket test: golden section on every row
+and free phase of every cycle.
 """
 
 import functools
@@ -216,3 +218,37 @@ def reference_probe(objective, roots, phases, coord):
         return 1.0 - np.clip(top, 0.0, 1.0, out=top).reshape(angles.shape)
 
     return probe
+
+
+def reference_minimize_phases(objective, weights, init_phases=None):
+    """``_batch.minimize_phases`` without its bracket test: every cycle
+    refines every free phase of every row by golden section, and every cycle
+    ends with a full evaluation."""
+    weights = np.asarray(weights, dtype=float)
+    k, n = weights.shape
+    roots = np.sqrt(np.clip(weights, 0.0, None))
+    active = weights > 0.0
+    gauge = np.argmax(active, axis=1)
+    cold_start = init_phases is None
+    phases = np.zeros((k, n)) if cold_start else np.array(init_phases, dtype=float)
+    phases[~active] = 0.0
+    phases[np.arange(k), gauge] = 0.0
+    values = objective.values(roots, phases)
+    if cold_start:
+        _batch._apply_joint_seeds(objective, roots, phases, values, active, gauge)
+    step = max(1, _batch._BLOCK_ENTRIES // objective.row_entries)
+    for _ in range(_batch.COLD_CYCLES if cold_start else _batch.WARM_CYCLES):
+        cycle_start = values.copy()
+        for coord in range(n):
+            rows = np.flatnonzero(active[:, coord] & (gauge != coord))
+            for start in range(0, rows.size, step):
+                block = rows[start:start + step]
+                _batch._golden_refine(objective.pencil(roots[block], phases[block], coord),
+                                      phases, coord, block)
+        values = objective.values(roots, phases)
+        if np.max(cycle_start - values) <= _batch.PHASE_VALUE_TOL:
+            break
+    phases = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
+    phases[~active] = 0.0
+    phases[np.arange(k), gauge] = 0.0
+    return values, phases

@@ -11,7 +11,7 @@ import scipy.spatial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ggm import _batch, pure
+from ggm import _batch, pure, roof
 from ggm.families import (
     FAMILY_BUILDERS,
     ghz_dicke_mixture,
@@ -24,9 +24,10 @@ from ggm.families import (
 )
 from ggm.hilbert import PureState, SystemShape, enumerate_bipartitions
 from ggm.pure import ggm_pure, max_schmidt_sq
-from ggm.roof import ggm_mixed, hjw_upper_bound, min_phase_ggm
+from ggm.roof import HESSIAN_STEP, ggm_mixed, hjw_upper_bound, min_phase_ggm, simplex_grid
 from ggm.states import dicke, ghz, superpose, uniform_sector_state
-from helpers import reference_eigmax_packed, reference_outer_reals, reference_probe
+from helpers import (reference_eigmax_packed, reference_minimize_phases, reference_outer_reals,
+                     reference_probe, seeded_sector_family)
 
 GENERIC_SHAPES = [(2,) * 6, (2,) * 8, (2,) * 10, (3,) * 4, (3,) * 6, (2, 3, 4, 5)]
 
@@ -1023,6 +1024,76 @@ class TestJointSeeds:
         alone = [_batch._lattice_values(objective, roots[i:i + 1], phases[i:i + 1], free,
                                         angles) for i in range(13)]
         assert np.array_equal(np.concatenate(alone), whole)
+
+
+def record_golden(monkeypatch):
+    """Patch ``_batch._golden_refine`` to append the rows of every call to
+    the returned list."""
+    refined = []
+    golden = _batch._golden_refine
+
+    def recording(probe, phases, coord, rows):
+        refined.extend(rows.tolist())
+        return golden(probe, phases, coord, rows)
+
+    monkeypatch.setattr(_batch, "_golden_refine", recording)
+    return refined
+
+
+class TestPhaseBrackets:
+    """The three-point bracket test ahead of golden section loses nothing
+    against golden section on every row (``reference_minimize_phases``)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_match_golden_only(self, seed, monkeypatch):
+        # a cold start, then warm starts from its phases at the Hessian
+        # stencil points, as ggm_mixed runs them, on families whose argmin
+        # moves with the weights, so that golden section runs on some rows
+        family = seeded_sector_family(seed)
+        grid = simplex_grid(21, 2)
+        weights = family.params_to_weights(grid)
+        refined = record_golden(monkeypatch)
+        values, phases = _batch.minimize_phases(family.objective, weights)
+        assert 0 < len(refined)
+        reference, _ = reference_minimize_phases(family.objective, weights)
+        assert np.max(np.abs(values - reference)) <= 1e-12
+        inner = np.flatnonzero(roof._interior(grid, HESSIAN_STEP))
+        offsets = roof._hessian_offsets(2, HESSIAN_STEP)
+        stencil = family.params_to_weights((grid[inner, None] + offsets).reshape(-1, 2))
+        start = phases[np.repeat(inner, len(offsets))]
+        warm, _ = _batch.minimize_phases(family.objective, stencil, start)
+        reference, _ = reference_minimize_phases(family.objective, stencil, start)
+        assert np.max(np.abs(warm - reference)) <= 1e-12
+
+    def test_warm_start_at_a_bracketed_argmin_is_kept(self, monkeypatch):
+        # figure 7's family, whose argmin phases include -pi; rows that the
+        # cold start refined by golden section end inside golden's last
+        # bracket, not necessarily at a bracketed point, and are left out
+        family = zeta_slice_family()
+        weights = family.params_to_weights(simplex_grid(21, 2))
+        refined = record_golden(monkeypatch)
+        values, phases = _batch.minimize_phases(family.objective, weights)
+        kept = np.setdiff1d(np.arange(len(weights)), refined)
+        assert np.any(phases[kept] != 0.0)
+        refined.clear()
+        warm, warm_phases = _batch.minimize_phases(family.objective, weights[kept], phases[kept])
+        assert refined == []
+        assert np.array_equal(warm, values[kept])
+        assert np.array_equal(warm_phases, phases[kept])
+
+    @pytest.mark.parametrize("coord", [1, 2])
+    def test_displaced_start_is_refined(self, coord, monkeypatch):
+        family = rank3_ghz_w()
+        grid = simplex_grid(21, 2)
+        weights = family.params_to_weights(grid[roof._interior(grid, HESSIAN_STEP)])
+        _, phases = _batch.minimize_phases(family.objective, weights)
+        start = phases.copy()
+        start[:, coord] += 0.1
+        refined = record_golden(monkeypatch)
+        warm, _ = _batch.minimize_phases(family.objective, weights, start)
+        assert set(refined) == set(range(len(weights)))
+        reference, _ = reference_minimize_phases(family.objective, weights, start)
+        assert np.max(np.abs(warm - reference)) <= 1e-12
 
 
 def reference_objective_values(objective, roots, phases):

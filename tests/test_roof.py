@@ -7,7 +7,7 @@ from scipy.spatial import ConvexHull
 
 import ggm.roof
 from ggm import _batch
-from ggm.cli import FIGURES
+from ggm.cli import DEFAULT_ALPHA, FIGURES
 from ggm.families import (
     ghz_mixture,
     qutrit_sector_family,
@@ -178,19 +178,34 @@ class TestMinPhaseGgm:
         with pytest.raises(ValueError, match="not a probability vector"):
             min_phase_ggm(rank3_ghz_w(), np.array(weights))
 
+    # Infinite entries too: a sum of inf and -inf must not warn (an error
+    # under this suite's warning filter) before the ValueError.
     def test_rejects_non_finite_weights(self):
-        with pytest.raises(ValueError, match="not a probability vector"):
-            min_phase_ggm(rank3_ghz_w(), np.array([np.nan, 0.5, 0.5]))
+        for weights in ([np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="not a probability vector"):
+                min_phase_ggm(rank3_ghz_w(), np.array(weights))
 
     def test_params_to_weights_rejects_a_nan_point(self):
-        with pytest.raises(ValueError, match="leave the mixing simplex"):
-            rank3_ghz_w().params_to_weights([np.nan, 0.2])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="leave the mixing simplex"):
+                rank3_ghz_w().params_to_weights([bad, 0.2])
 
     def test_ggm_mixed_rejects_a_nan_grid_point(self):
         # rejected up front, not in an SVD that does not converge
-        grid = [[0.2, 0.2], [np.nan, 0.1], [0.1, 0.1]]
-        with pytest.raises(ValueError, match="leave the mixing simplex"):
-            ggm_mixed(rank3_ghz_w(), grid)
+        for bad in (np.nan, np.inf, -np.inf):
+            grid = [[0.2, 0.2], [bad, 0.1], [0.1, 0.1]]
+            with pytest.raises(ValueError, match="leave the mixing simplex"):
+                ggm_mixed(rank3_ghz_w(), grid)
+
+    @pytest.mark.parametrize("figure", [2, 3, 5, 6, 8])
+    def test_builtin_argmin_phases_are_lattice_points(self, figure):
+        # Their argmins lie on the seed lattice, and where the objective is
+        # flat in a phase the bracket test keeps the seed's; golden section
+        # walked such phases to its bracket's edge, up to 2 pi / 32 away.
+        family = FIGURES[figure][0](DEFAULT_ALPHA)
+        _, phases = min_phase_ggm_many(family, simplex_grid(21, 2))
+        steps = phases / (np.pi / 4)
+        assert np.max(np.abs(steps - np.rint(steps))) * np.pi / 4 <= 1e-12
 
     def test_many_matches_single(self):
         fam = rank3_ghz_w()

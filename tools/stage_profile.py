@@ -13,6 +13,8 @@ shared (1, m) K * m.
 
 - ``joint seed``: ``_apply_joint_seeds`` of the cold (raw-surface) start;
 - ``pencil``: ``PhaseObjective.pencil`` builds of the cold start;
+- ``bracket``: the three-point bracket tests (``_bracketed``) of the cold
+  start, K * 3 rows a probe;
 - ``golden``: ``_golden_refine`` of the cold start;
 - ``cycle-end values``: the other ``values`` calls of the cold start (the
   starting values and each cycle's end);
@@ -20,10 +22,13 @@ shared (1, m) K * m.
 - ``envelope``: ``convex_envelope_1d`` and ``convex_envelope_2d``.
 
 ``other`` is the rest of the figure command: family construction, the
-optimizer's own bookkeeping and the CSV. A probe outside the joint seed, the
-golden refinement and the stencil belongs to no stage and raises. It runs on
-any checkout of the package whose optimizer probes only in those stages
-(``--src`` points at its ``src``), so two trees can be compared.
+optimizer's own bookkeeping and the CSV. Two last lines give the
+row-coordinates (a row and one of its free phases) that were bracket-tested
+and that entered golden section, in the cold start and in the stencil. A
+probe outside the joint seed, the bracket tests, the golden refinement and
+the stencil belongs to no stage and raises. It runs on any checkout of the
+package whose optimizer probes only in those stages (``--src`` points at
+its ``src``), so two trees can be compared.
 """
 
 import argparse
@@ -40,7 +45,8 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
-STAGES = ("joint seed", "pencil", "golden", "cycle-end values", "stencil", "envelope")
+STAGES = ("joint seed", "pencil", "bracket", "golden", "cycle-end values", "stencil",
+          "envelope")
 
 
 class StageProfile:
@@ -51,6 +57,9 @@ class StageProfile:
         self.rows = dict.fromkeys(STAGES, 0)
         self.seconds = dict.fromkeys(STAGES, 0.0)
         self.faults = dict.fromkeys(STAGES, 0)
+        # row-coordinates bracket-tested and refined by golden section
+        self.tested = {"cold": 0, "stencil": 0}
+        self.entered = {"cold": 0, "stencil": 0}
         self.active = None
         self.undo = []
 
@@ -71,14 +80,24 @@ class StageProfile:
             self.faults[stage] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             self.active = None
 
-    def _stage(self, stage, fn):
-        return lambda *args, **kwargs: self._timed(stage, fn, *args, **kwargs)
+    def _stage(self, stage, fn, counts=None, rows_at=None):
+        def staged(*args, **kwargs):
+            if counts is not None:
+                counts["stencil" if self.active == "stencil" else "cold"] += len(args[rows_at])
+            return self._timed(stage, fn, *args, **kwargs)
+        return staged
 
     def __enter__(self):
         batch, roof, cli = self.batch, self.roof, self.cli
-        for name in ("_apply_joint_seeds", "_golden_refine"):
-            stage = "joint seed" if name == "_apply_joint_seeds" else "golden"
-            self._set(batch, name, self._stage(stage, getattr(batch, name)))
+        self._set(batch, "_apply_joint_seeds",
+                  self._stage("joint seed", batch._apply_joint_seeds))
+        # _bracketed(probe, theta, delta) and _golden_refine(probe, phases, coord, rows);
+        # a checkout without bracket tests refines every row-coordinate
+        if hasattr(batch, "_bracketed"):
+            self._set(batch, "_bracketed",
+                      self._stage("bracket", batch._bracketed, self.tested, rows_at=1))
+        self._set(batch, "_golden_refine",
+                  self._stage("golden", batch._golden_refine, self.entered, rows_at=3))
         self._set(roof, "_hessian_min_eig", self._stage("stencil", roof._hessian_min_eig))
         for name in ("convex_envelope_1d", "convex_envelope_2d"):
             self._set(roof, name, self._stage("envelope", getattr(roof, name)))
@@ -145,6 +164,9 @@ def main():
     print(f"{'other':>18} {'':>10} {total - sum(profile.seconds.values()):>9.4f}"
           f" {faults - sum(profile.faults.values()):>8}")
     print(f"{'total':>18} {sum(profile.rows.values()):>10} {total:>9.4f} {faults:>8}")
+    for label, counts in (("bracket-tested", profile.tested),
+                          ("into golden section", profile.entered)):
+        print(f"row-coordinates {label}: cold {counts['cold']}, stencil {counts['stencil']}")
 
 
 if __name__ == "__main__":
