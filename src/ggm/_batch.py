@@ -27,13 +27,12 @@ _BLOCK_ENTRIES = 1 << 16
 # row with one free phase (its spacing is also the golden-section half
 # width), the bracket width at which refinement stops (half of the width
 # golden section stops at is also the step of the bracket test that decides
-# whether a row needs refining), the per-cycle improvement below which
-# cycles stop, and the cycle budgets of cold (seeded) and warm starts.
+# whether a row needs refining), the seed lattice's tie gap, and the cycle
+# budget of cold and warm starts alike.
 PHASE_GRID_POINTS = 32
 PHASE_STEP_TOL = 1e-4
 PHASE_VALUE_TOL = 1e-9
-COLD_CYCLES = 8
-WARM_CYCLES = 3
+PHASE_CYCLES = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -997,26 +996,22 @@ def minimize_phases(
     the first active element is gauged to phase 0. A cold start (no
     ``init_phases``) is seeded with the best point of a phase lattice over
     its free phases (:func:`_apply_joint_seeds`), ``PHASE_GRID_POINTS``
-    angles for one free phase and a coarser joint lattice for more; that
-    is the only discrete search. A warm start begins at ``init_phases``.
-    Either way every cycle takes each free coordinate in turn, for up to
-    ``COLD_CYCLES`` cycles of a cold start and ``WARM_CYCLES`` of a warm
-    one. A row whose value at its phase is no larger than at the phase plus
-    or minus half the width at which golden section stops
-    (:func:`_bracketed`) already brackets a minimum that tightly and keeps
-    its phase exactly, ties included; only the other rows are refined by
-    golden section to below ``PHASE_STEP_TOL`` radians
-    (:func:`_golden_refine`). Cycles stop once no row enters golden section,
-    since then no phase moved and the values are the cycle's start values,
-    or once no row improves by more than ``PHASE_VALUE_TOL``.
+    angles for one free phase and a coarser joint lattice for more, the
+    only discrete search; a warm start begins at ``init_phases``, and
+    nothing else differs. Each of up to ``PHASE_CYCLES`` cycles takes every
+    free coordinate in turn. A phase whose value is no larger at plus or
+    minus half the width at which golden section stops (:func:`_bracketed`)
+    is kept exactly, ties included; any other is refined by golden section
+    (:func:`_golden_refine`). A row leaves after a cycle that kept all its
+    phases, as no later cycle would move them. If any phase moved, every
+    row is evaluated once at its final phases.
 
-    The seed makes its discrete choice by one tie rule: take the first
-    lattice point (in lattice order) within ``PHASE_VALUE_TOL`` of the
-    row's minimum, and move only if it beats the current value by more
-    than ``PHASE_VALUE_TOL``. Symmetric families have tied argmins whose
-    values differ in the last bits; the rule keeps a last-bit change in the
-    objective (a Gram formed another way, say) from switching a point, or
-    the warm-started Hessian stencil around it, to another branch.
+    The seed's tie rule: take the first lattice point within
+    ``PHASE_VALUE_TOL`` of the row's minimum, and move only if it beats the
+    current value by more than ``PHASE_VALUE_TOL``. Tied argmins of
+    symmetric families differ in their last bits; the rule keeps a last-bit
+    change in the objective from switching a point, or the warm-started
+    Hessian stencil around it, to another branch.
 
     Returns (values, phases), shapes (K,) and (K, n_basis).
     """
@@ -1038,10 +1033,11 @@ def minimize_phases(
     # a kept phase is located as tightly as golden section's midpoint
     delta = 0.5 * _golden_stop_width()
     step = max(1, _BLOCK_ENTRIES // objective.row_entries)
-    for _ in range(COLD_CYCLES if cold_start else WARM_CYCLES):
-        refined = False
+    moving = np.ones(k, dtype=bool)  # rows whose phases may still move
+    for cycle in range(PHASE_CYCLES):
+        moved = np.zeros(k, dtype=bool)
         for coord in range(n):
-            rows = np.flatnonzero(active[:, coord] & (gauge != coord))
+            rows = np.flatnonzero(moving & active[:, coord] & (gauge != coord))
             for start in range(0, rows.size, step):
                 block = rows[start:start + step]
                 probe = objective.pencil(roots[block], phases[block], coord)
@@ -1056,13 +1052,12 @@ def minimize_phases(
                     block = block[loose]
                     probe = objective.pencil(roots[block], phases[block], coord)
                 _golden_refine(probe, phases, coord, block)
-                refined = True
-        if not refined:
-            break  # no phase moved, so the values are the cycle's start values
-        cycle_start = values
-        values = objective.values(roots, phases)
-        if np.max(cycle_start - values) <= PHASE_VALUE_TOL:
+                moved[block] = True
+        moving = moved
+        if not moving.any():
             break
+    if cycle > 0 or moving.any():  # a phase moved
+        values = objective.values(roots, phases)
     phases = np.mod(phases + np.pi, 2.0 * np.pi) - np.pi
     phases[~active] = 0.0
     phases[np.arange(k), gauge] = 0.0

@@ -179,17 +179,14 @@ def min_phase_ggm_many(family: TwirledFamily, params) -> tuple[np.ndarray, np.nd
 def min_phase_ggm(family: TwirledFamily, weights) -> tuple[float, np.ndarray]:
     """Minimize the pure measure of a preimage member over its free phases.
 
-    Seeds from the best point of a phase lattice over the free phases
-    (``_batch.PHASE_GRID_POINTS`` angles for one, a coarser joint lattice
-    for more), then runs cyclic coordinate descent. Each free phase is
-    first probed 3.4e-5 rad either side, half the width at which golden
-    section stops; where neither side is lower, the phase already brackets
-    a minimum and is kept as it is. Otherwise it is refined by golden
-    section until the step falls below ``_batch.PHASE_STEP_TOL`` radians.
-    Basis elements with weight exactly 0 are dropped from the search; the
-    first active element carries phase 0 as the global-phase gauge. Raises
-    ``ValueError`` for weights off the mixing simplex, by the rule of
-    :meth:`TwirledFamily.params_to_weights`.
+    A cold start of :func:`ggm._batch.minimize_phases`: a phase lattice
+    seed, then coordinate descent that keeps a phase already bracketing a
+    minimum and refines any other by golden section, until a cycle keeps
+    every phase or ``_batch.PHASE_CYCLES`` cycles have run. Weights below
+    4 ulps of 1 count as 0, as in :meth:`TwirledFamily.params_to_weights`,
+    and drop their element from the search; the first active element
+    carries phase 0 as the gauge. Raises ``ValueError`` for weights off
+    the mixing simplex, by the same method's rule.
 
     Returns ``(value, phases)`` with one phase per basis element.
     """
@@ -198,7 +195,7 @@ def min_phase_ggm(family: TwirledFamily, weights) -> tuple[float, np.ndarray]:
         raise ValueError("weights length does not match the family basis")
     if _off_simplex(weights):
         raise ValueError(f"weights {weights} are not a probability vector")
-    values, phases = _batch.minimize_phases(family.objective, weights[None, :])
+    values, phases = _batch.minimize_phases(family.objective, _snapped(weights)[None, :])
     return float(values[0]), phases[0]
 
 
@@ -403,8 +400,17 @@ class GgmSurface:
     phase_argmin: np.ndarray
 
     def envelope_at(self, query) -> np.ndarray:
-        """Envelope value at arbitrary points of the sampled region."""
-        return self._envelope_evaluator(np.atleast_2d(np.asarray(query, dtype=float)))
+        """Envelope value at points (K, arity), or one point, of the sampled
+        region. Raises ``ValueError`` for another arity, or a point off the
+        simplex (residual 1 - sum) by ``params_to_weights``' rule."""
+        query = np.atleast_2d(np.asarray(query, dtype=float))
+        if query.shape[1] != self.grid.shape[1]:
+            raise ValueError(f"expected {self.grid.shape[1]} parameters, got {query.shape[1]}")
+        with np.errstate(invalid="ignore"):
+            bad = _off_simplex(np.column_stack([query, 1.0 - query.sum(axis=1)]))
+        if bad.any():
+            raise ValueError(f"points {query[bad]} leave the parameter simplex")
+        return self._envelope_evaluator(query)
 
     @functools.cached_property
     def _envelope_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -438,9 +444,8 @@ def ggm_mixed(family: TwirledFamily, grid=None, *,
     Phase-minimizes the pure measure at every grid point of a family
     verified at its construction, convexifies over the sampled simplex (1-
     or 2-parameter grids), and fills central-difference Hessian diagnostics
-    at interior points (warm-started from each point's own minimizing
-    phases; a stencil point whose phases still bracket a minimum keeps
-    them, and only the others are refined by golden section). Where the
+    at interior points. Their stencils start from each point's minimizing
+    phases, with the cold start's cycle budget and stop rule. Where the
     objective is flat in a phase, that phase keeps its seed lattice value.
     """
     arity = len(family.param_names)

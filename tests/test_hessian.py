@@ -8,7 +8,7 @@ import pytest
 from ggm import _batch, closed_form, ggm_mixed, rank2_symmetric
 from ggm.families import zeta_slice_family
 from ggm.roof import HESSIAN_STEP, NONCONVEX_TOL, _hessian_min_eig
-from helpers import hessian_report, seeded_sector_family
+from helpers import hessian_report, reference_minimize_phases, seeded_sector_family
 
 H = 1e-3
 
@@ -146,3 +146,23 @@ def test_stencil_reminimizes_the_phases():
     moved = surface.hessian_min_eig[interior]
     assert np.max(np.abs(moved - fixed[interior])) > NONCONVEX_TOL
     assert np.any((moved < -NONCONVEX_TOL) & (fixed[interior] >= -NONCONVEX_TOL))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flags_match_a_converged_stencil(seed):
+    # The stencil's warm starts are re-minimized by golden section alone,
+    # on every row for 30 cycles, far past where its phases stop moving:
+    # the flags must not depend on where the optimizer's own cycles stop.
+    family = seeded_sector_family(seed)
+    surface = ggm_mixed(family, grid_resolution=21)
+
+    def converged(points, owners):
+        values, _ = reference_minimize_phases(
+            family.objective, family.params_to_weights(points), surface.phase_argmin[owners],
+            cycles=30)
+        return values
+
+    reference = _hessian_min_eig(surface.grid, HESSIAN_STEP, surface.raw.__getitem__,
+                                 converged)
+    assert np.array_equal(surface.hessian_min_eig < -NONCONVEX_TOL,
+                          reference < -NONCONVEX_TOL)

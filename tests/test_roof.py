@@ -185,6 +185,16 @@ class TestMinPhaseGgm:
             with pytest.raises(ValueError, match="not a probability vector"):
                 min_phase_ggm(rank3_ghz_w(), np.array(weights))
 
+    @pytest.mark.parametrize("build", [rank3_ghz_w, lambda: rank3_gghz(0.55)],
+                             ids=["rank3_ghz_w", "rank3_gghz"])
+    def test_residue_weights_are_snapped(self, build):
+        # as params_to_weights snaps them: the measure grows like the root
+        # of a weight, so a residue of 1e-16 would move it by about 1e-8
+        fam = build()
+        residue, _ = min_phase_ggm(fam, np.array([0.4, 0.6 - 1e-16, 1e-16]))
+        exact, _ = min_phase_ggm(fam, np.array([0.4, 0.6, 0.0]))
+        assert abs(residue - exact) <= 1e-15
+
     def test_params_to_weights_rejects_a_nan_point(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="leave the mixing simplex"):
@@ -220,7 +230,8 @@ class TestMinPhaseGgm:
         # (0.97, 0.03) give weight_map a last weight of about 3e-17, which
         # params_to_weights snaps to 0. Kept, it makes them share their active
         # pattern, and their seed lattice, with the 4,860 interior points;
-        # their seed must still be the one they take alone.
+        # their seed must still be the one they take alone (min_phase_ggm
+        # would snap the weight, so the row is minimized alone directly).
         fam = zeta_slice_family()
         grid = simplex_grid(101, 2)
         weights = fam.params_to_weights(grid)
@@ -230,9 +241,9 @@ class TestMinPhaseGgm:
         values, phases = _batch.minimize_phases(fam.objective, weights)
         for row in rows:
             assert 0.0 < weights[row, -1] < 1e-16
-            single, single_phases = min_phase_ggm(fam, weights[row])
-            assert values[row] == single
-            assert np.array_equal(phases[row], single_phases)
+            single, single_phases = _batch.minimize_phases(fam.objective, weights[row][None])
+            assert values[row] == single[0]
+            assert np.array_equal(phases[row], single_phases[0])
 
 
 class TestHessianReport:
@@ -417,6 +428,29 @@ class TestGgmMixed:
         q = np.array([[0.305]])
         direct = rank2_closed(0.305)
         assert abs(surface.envelope_at(q)[0] - direct) < 1e-3
+
+    def test_envelope_at_rejects_points_off_the_simplex(self):
+        # the hull's planes extrapolate past the simplex, and np.interp clamps
+        plane = ggm_mixed(rank3_ghz_w(), grid_resolution=9)
+        line = ggm_mixed(rank2_symmetric(3), grid_resolution=21)
+        for surface, point in ((plane, [0.8, 0.5]), (plane, [-0.1, 0.5]),
+                               (line, [1.7]), (line, [-3.0])):
+            with pytest.raises(ValueError, match="leave the parameter simplex"):
+                surface.envelope_at(point)
+        ends = line.envelope_at([[0.0], [1.0]])  # the simplex is closed
+        assert np.max(np.abs(ends - line.envelope[[0, -1]])) <= 1e-12
+
+    def test_envelope_at_rejects_non_finite_points(self):
+        surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9)
+        for point in ([np.nan, 0.2], [np.inf, -np.inf], [-np.inf, 0.2]):
+            with pytest.raises(ValueError, match="leave the parameter simplex"):
+                surface.envelope_at(point)
+
+    def test_envelope_at_rejects_another_arity(self):
+        surface = ggm_mixed(rank3_ghz_w(), grid_resolution=9)
+        for query in ([[0.3]], [[0.2, 0.3, 0.1]]):
+            with pytest.raises(ValueError, match="expected 2 parameters, got"):
+                surface.envelope_at(query)
 
     @pytest.mark.parametrize("build", [rank2_symmetric, ghz_mixture])
     def test_two_qubit_families_match_the_concurrence(self, build):

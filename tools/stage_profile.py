@@ -1,13 +1,18 @@
-"""Objective rows, seconds and page faults per phase-optimizer stage of a figure.
+"""Objective rows, seconds and page faults per phase-optimizer stage of a figure
+or of a custom family's surface.
 
     python3 tools/stage_profile.py FIGURE [--grid G] [--repeat R]
+    python3 tools/stage_profile.py --spec PATH [--grid G] [--repeat R]
 
-Runs ``ggm figure FIGURE`` in process (output discarded) ``R`` times (default
-2) and prints the last run. Functions of ``ggm._batch`` and ``ggm.roof`` are
-wrapped from outside the package; the package itself is not changed. A
-stage holds the time and the minor page faults (``ru_minflt`` of
-``resource.getrusage``) of its outermost calls, and every objective row
-evaluated inside it: a one-phase probe counts one row per pencil row and
+Runs ``ggm figure FIGURE``, or ``ggm mixed PATH`` on the family spec at PATH,
+in process (output discarded) ``R`` times (default 2) and prints the last
+run. The built-in figures barely enter golden section; a family whose
+minimizing phases move with the weights (the seeded sector family of
+``tools/figure_digests.py``, say) is where it runs. Functions of
+``ggm._batch`` and ``ggm.roof`` are wrapped from outside the package; the
+package itself is not changed. A stage holds the time and the minor page
+faults (``ru_minflt`` of ``resource.getrusage``) of its outermost calls, and
+every objective row evaluated inside it: a one-phase probe counts one row per pencil row and
 angle, so a probe of K rows at angles (K,) counts K, at (K, m) or at the
 shared (1, m) K * m.
 
@@ -16,12 +21,12 @@ shared (1, m) K * m.
 - ``bracket``: the three-point bracket tests (``_bracketed``) of the cold
   start, K * 3 rows a probe;
 - ``golden``: ``_golden_refine`` of the cold start;
-- ``cycle-end values``: the other ``values`` calls of the cold start (the
-  starting values and each cycle's end);
+- ``start/end values``: the other ``values`` calls of the cold start, the
+  starting values and the final evaluation once the cycles stop;
 - ``stencil``: the warm-started Hessian stencil, ``roof._hessian_min_eig``;
 - ``envelope``: ``convex_envelope_1d`` and ``convex_envelope_2d``.
 
-``other`` is the rest of the figure command: family construction, the
+``other`` is the rest of the command: family construction, the
 optimizer's own bookkeeping and the CSV. Two last lines give the
 row-coordinates (a row and one of its free phases) that were bracket-tested
 and that entered golden section, in the cold start and in the stencil. A
@@ -45,7 +50,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
-STAGES = ("joint seed", "pencil", "bracket", "golden", "cycle-end values", "stencil",
+STAGES = ("joint seed", "pencil", "bracket", "golden", "start/end values", "stencil",
           "envelope")
 
 
@@ -108,7 +113,7 @@ class StageProfile:
         values = objective.values
 
         def counted_values(obj, roots, phases):
-            stage = self.active or "cycle-end values"
+            stage = self.active or "start/end values"
             self.rows[stage] += len(roots)
             return self._timed(stage, values, obj, roots, phases)
 
@@ -137,7 +142,9 @@ class StageProfile:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("figure", type=int)
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("figure", type=int, nargs="?")
+    target.add_argument("--spec", help="profile ggm mixed on this family spec instead")
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument("--repeat", type=int, default=2)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -145,7 +152,8 @@ def main():
     sys.path.insert(0, args.src)
     from ggm import _batch, cli, roof
 
-    argv = ["figure", str(args.figure), "--out", os.devnull]
+    argv = (["mixed", args.spec] if args.spec else ["figure", str(args.figure)]) + [
+        "--out", os.devnull]
     if args.grid is not None:
         argv[2:2] = ["--grid", str(args.grid)]
     for _ in range(args.repeat):
