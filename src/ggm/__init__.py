@@ -53,7 +53,6 @@ from .states import (
     zeta,
 )
 from .twirl import (
-    LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
     builtin_group,
@@ -69,7 +68,6 @@ __all__ = [
     "FAMILY_BUILDERS",
     "GgmReport",
     "GgmSurface",
-    "LocalUnitaryElement",
     "PureState",
     "SystemShape",
     "TwirledFamily",

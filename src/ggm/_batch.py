@@ -429,37 +429,25 @@ def _outer_reals(coeff: np.ndarray) -> np.ndarray:
     of :func:`_gram_tables`: |c_k|^2 for every k, then the real and
     imaginary parts of c_k conj(c_l) for each pair k < l of :func:`_pairs`.
 
-    Formed from contiguous rows of each coefficient's real and imaginary
-    parts (:func:`_rows_last`) into column slices of the result, the pairs
-    (k, l > k) of one k at a time, so every operation runs along the rows;
-    gathering the pairs by index from row-major views loops over a few
-    pairs per row and took 1.5-2x as long on 5,041 rows of 3 or 5 states."""
+    Formed from contiguous (n, K) rows of each coefficient's real and
+    imaginary parts into column slices of the result, the pairs (k, l > k)
+    of one k at a time, so every operation runs along the rows; gathering
+    the pairs by index from row-major views loops over a few pairs per row
+    and took 1.5-2x as long on 5,041 rows of 3 or 5 states. The pairs are
+    real products and sums: numpy's complex product rounds some elements of
+    a long block differently from the same elements alone, so it would tie
+    a row's bits to its block."""
     n = coeff.shape[1]
-    re, im = _rows_last(coeff)
+    re, im = np.ascontiguousarray(coeff.real.T), np.ascontiguousarray(coeff.imag.T)
     reals = np.empty((len(coeff), n * n))
     np.add(np.square(re), np.square(im), out=reals[:, :n].T)
     at = n
     for k in range(n - 1):
         end = at + 2 * (n - 1 - k)
-        _pair_reals(re[k], im[k], re[k + 1:], im[k + 1:],
-                    reals[:, at:end:2].T, reals[:, at + 1:end:2].T)
+        np.add(re[k] * re[k + 1:], im[k] * im[k + 1:], out=reals[:, at:end:2].T)
+        np.subtract(im[k] * re[k + 1:], re[k] * im[k + 1:], out=reals[:, at + 1:end:2].T)
         at = end
     return reals
-
-
-def _rows_last(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of coefficient rows ``coeff`` (K, n),
-    each as a contiguous (n, K) array."""
-    return np.ascontiguousarray(coeff.real.T), np.ascontiguousarray(coeff.imag.T)
-
-
-def _pair_reals(re_k, im_k, re_l, im_l, out_re, out_im) -> None:
-    """Write the real and imaginary parts of c_k conj(c_l), rows last, into
-    ``out_re`` and ``out_im``, by real products and sums: numpy's complex
-    product rounds some elements of a long block differently from the same
-    elements alone, so it would tie a row's bits to its block."""
-    np.add(re_k * re_l, im_k * im_l, out=out_re)
-    np.subtract(im_k * re_l, re_k * im_l, out=out_im)
 
 
 def _phased(roots: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -714,12 +702,11 @@ class PhaseObjective:
         With c_coord = r e^{i theta} (r = roots[:, coord]; the phase there is
         ignored), a row's :func:`_outer_reals` are o(theta) = O_P + cos(theta)
         O_S + sin(theta) O_T: O_S the reals of the pairs with ``coord`` at
-        theta = 0, O_T those at theta = pi/2 (formed on those pairs only),
-        O_P the rest (r^2 included). Grams are linear in o, so each cut's
-        Gram is the Hermitian pencil P + cos(theta) S + sin(theta) T, whose
-        P, S and T are built here (the caller bounds the rows by
-        ``row_entries``) as one product of O_P, O_S and O_T with each table.
-        Tables of one Gram size are stacked along the cuts and stored
+        theta = 0, O_T those at theta = pi/2, O_P the rest (r^2 included).
+        Grams are linear in o, so each cut's Gram is the Hermitian pencil
+        P + cos(theta) S + sin(theta) T, whose P, S and T are built here (the
+        caller bounds the rows by ``row_entries``) as one product of O_P, O_S
+        and O_T with each table. Each table's pencils are stored
         component-major: for up to 3 rows, the diagonal reals as one
         (r, cuts, rows) array and the real and imaginary parts of the entries
         above it as one (2, pairs, cuts, rows) array, so a probe's scaled
@@ -747,28 +734,19 @@ class PhaseObjective:
         reals[0] = _outer_reals(coeff)
         reals[1][:, turned] = reals[0][:, turned]
         reals[0][:, turned] = 0.0
-        # O_T, with c_coord = i r, on the pairs (k, coord) for k < coord and
-        # then (coord, l) for l > coord, the order of _pairs
         coeff[:, coord] = 1j * roots[:, coord]
-        re, im = _rows_last(coeff)
-        o_t = reals[2]
-        for k, at in enumerate(turned[:2 * coord:2]):
-            _pair_reals(re[k], im[k], re[coord], im[coord], o_t[:, at], o_t[:, at + 1])
-        if coord < n - 1:
-            at, end = turned[2 * coord], turned[-1] + 1
-            _pair_reals(re[coord], im[coord], re[coord + 1:], im[coord + 1:],
-                        o_t[:, at:end:2].T, o_t[:, at + 1:end:2].T)
+        reals[2][:, turned] = _outer_reals(coeff)[:, turned]
         reals = reals.reshape(3 * count, n * n)
-        # one stack per Gram size, tables of one size (blocks of different
-        # column support) side by side along the cuts: a probe's maximum
-        # over the cuts does not depend on their order
-        sizes: dict[int, list] = {}
-        for columns, table in self.tables:
-            size = table.shape[1] // columns.size
-            sizes.setdefault(size, []).append(
-                _combine(reals, table).reshape(3, count, columns.size, size))
+        # one probe group per Gram size, its tables (adjacent, as
+        # _gram_tables orders them) side by side along the cuts: a probe's
+        # maximum over the cuts does not depend on their order, and each
+        # group costs every probe one more pass of its loop (figure 7's
+        # family has two tables of 2-row Grams)
         groups = []
-        for size, stacks in sizes.items():
+        for size, tables in itertools.groupby(
+                self.tables, lambda table: table[1].shape[1] // table[0].size):
+            stacks = [_combine(reals, table).reshape(3, count, columns.size, size)
+                      for columns, table in tables]
             pst = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
             if size > 9:
                 groups.append(pst)

@@ -42,7 +42,6 @@ from .states import (
 from .twirl import (
     GROUP_KINDS,
     GROUP_TOL,
-    LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
     _verify_family,
@@ -68,6 +67,14 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _array(value, context):
+    """``value`` if it is a JSON array; otherwise a ``SpecError`` naming the
+    field, before a malformed value can reach a ``tuple`` or an index."""
+    if not isinstance(value, list):
+        raise SpecError(f"{context}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _reject_unknown(mapping, fields, context):
     """Raise ``SpecError`` naming every key of ``mapping`` outside ``fields``:
     a field that would be parsed and ignored."""
@@ -76,6 +83,7 @@ def _reject_unknown(mapping, fields, context):
 
 
 def _complex_array(values, context):
+    values = _array(values, context)
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -96,10 +104,10 @@ def parse_state_spec(spec, context="state") -> PureState:
         raise SpecError(f"{context}: expected a JSON object")
     if "amplitudes" in spec:
         _reject_unknown(spec, ("shape", "amplitudes"), context)
-        shape = SystemShape(tuple(_require(spec, "shape", context)))
+        dims = _array(_require(spec, "shape", context), f"{context}.shape")
         amps = _complex_array(spec["amplitudes"], f"{context}.amplitudes")
         try:
-            return PureState(shape, amps)
+            return PureState(SystemShape(tuple(dims)), amps)
         except ValueError as exc:
             raise SpecError(f"{context}: {exc}") from exc
     _reject_unknown(spec, ("constructor", "args"), context)
@@ -165,26 +173,20 @@ def parse_group_spec(spec, context="group") -> UnitaryGroup:
         dims = spec.get("dims", [2, 2, 2] if kind == "zeta" else None)
         if dims is None:
             raise SpecError(f"{context}: field 'dims' is required for kind {kind!r}")
+        dims = _array(dims, f"{context}.dims")
         try:
             return builtin_group(kind, SystemShape(tuple(dims)))
         except ValueError as exc:
             raise SpecError(f"{context}: {exc}") from exc
     _reject_unknown(spec, ("elements",), context)
-    elements_spec = _require(spec, "elements", context)
-    elements = []
-    shape = None
-    for i, factors_spec in enumerate(elements_spec):
-        factors = tuple(
-            _complex_array(f, f"{context}.elements[{i}][{j}]")
-            for j, f in enumerate(factors_spec))
-        if shape is None:
-            shape = SystemShape(tuple(f.shape[0] for f in factors))
-        try:
-            elements.append(LocalUnitaryElement(shape, factors))
-        except ValueError as exc:
-            raise SpecError(f"{context}.elements[{i}]: {exc}") from exc
+    specs = _array(_require(spec, "elements", context), f"{context}.elements")
+    elements = [tuple(_complex_array(f, f"{context}.elements[{i}][{j}]")
+                      for j, f in enumerate(_array(factors, f"{context}.elements[{i}]")))
+                for i, factors in enumerate(specs)]
     try:
-        return UnitaryGroup(shape, tuple(elements))
+        # the dims are the row counts of the first element's factors
+        shape = SystemShape(tuple(map(len, specs[0]))) if specs else None
+        return UnitaryGroup(shape, elements)
     except VerificationError as exc:
         raise VerificationError(f"{context}: {exc}") from exc
     except ValueError as exc:
@@ -209,9 +211,9 @@ def parse_family_spec(spec, context="family") -> TwirledFamily:
             raise SpecError(f"{context}.args: {exc}") from exc
     _reject_unknown(spec, ("group", "basis", "param_names", "name"), context)
     group = parse_group_spec(_require(spec, "group", context), f"{context}.group")
-    basis = [parse_state_spec(s, f"{context}.basis[{i}]")
-             for i, s in enumerate(_require(spec, "basis", context))]
-    names = tuple(spec.get("param_names", ()))
+    basis = [parse_state_spec(s, f"{context}.basis[{i}]") for i, s in
+             enumerate(_array(_require(spec, "basis", context), f"{context}.basis"))]
+    names = tuple(_array(spec.get("param_names", []), f"{context}.param_names"))
     try:
         return TwirledFamily(group=group, basis=tuple(basis),
                              name=spec.get("name", "custom"), param_names=names)

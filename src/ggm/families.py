@@ -15,7 +15,7 @@ import numpy as np
 from .hilbert import SystemShape
 from .roof import TwirledFamily
 from .states import dicke, gghz, ghz, uniform_sector_state, zeta
-from .twirl import LocalUnitaryElement, UnitaryGroup, builtin_group
+from .twirl import UnitaryGroup, builtin_group
 
 __all__ = [
     "rank2_symmetric",
@@ -170,10 +170,7 @@ def ghz_mixture(n_parties: int = 3) -> TwirledFamily:
     shape = SystemShape.uniform(n_parties, 2)
     eye = np.eye(2)
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    group = UnitaryGroup(shape, (
-        LocalUnitaryElement(shape, (eye,) * n_parties),
-        LocalUnitaryElement(shape, (sigma_x,) * n_parties),
-    ))
+    group = UnitaryGroup(shape, [(eye,) * n_parties, (sigma_x,) * n_parties])
     return TwirledFamily(
         group=group,
         basis=(ghz(n_parties, sign=1), ghz(n_parties, sign=-1)),

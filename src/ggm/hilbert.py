@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
     return arr
 
 
+def _integral(d) -> int:
+    """``d`` as an int: an integer, or a real number with an integral value
+    such as 2.0. Bools, strings and fractional values are rejected rather
+    than truncated."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) or not float(d).is_integer():
+        raise ValueError(f"local dimensions must be integers, got {d!r}")
+    return int(d)
+
+
 @dataclass(frozen=True)
 class SystemShape:
     """Ordered per-party local dimensions of a tensor-product space."""
@@ -47,7 +57,7 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(_integral, self.dims))
         if len(dims) < 2:
             raise ValueError(f"need at least 2 parties, got {len(dims)}")
         if any(d < 2 for d in dims):

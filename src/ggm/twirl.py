@@ -22,10 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import DensityMatrix, SystemShape
+from .hilbert import DensityMatrix, SystemShape, _frozen_array
 
 __all__ = [
-    "LocalUnitaryElement",
     "UnitaryGroup",
     "builtin_group",
     "verify_invariance",
@@ -46,30 +45,6 @@ _CLOSURE_BLOCK = 1 << 16
 
 class VerificationError(ValueError):
     """A group axiom or a family's symmetry premise fails its tolerance check."""
-
-
-@dataclass(frozen=True, eq=False)
-class LocalUnitaryElement:
-    """Tensor product U_1 (x) ... (x) U_N of per-party unitaries."""
-
-    shape: SystemShape
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.factors) != self.shape.party_count:
-            raise ValueError("need one factor per party")
-        frozen = []
-        for d, factor in zip(self.shape.dims, self.factors):
-            mat = np.asarray(factor, dtype=complex)
-            if mat.shape != (d, d):
-                raise ValueError(f"factor shape {mat.shape} does not match dimension {d}")
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if not dev <= UNITARY_TOL:
-                raise ValueError(f"factor is not unitary (deviation {dev:.3e})")
-            mat = mat.copy()
-            mat.setflags(write=False)
-            frozen.append(mat)
-        object.__setattr__(self, "factors", tuple(frozen))
 
 
 def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> np.ndarray:
@@ -107,27 +82,42 @@ def _factors_equal_up_to_phase(a, b, total_dim: int, tol: float = GROUP_TOL) -> 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
-    """Finite set of local-unitary elements, validated as a group.
+    """Finite set of local unitaries U_1 (x) ... (x) U_N, validated as a group.
 
-    ``stacks`` holds one (|G|, d, d) array of factors per party. The axioms
-    are checked on it by :func:`_factors_equal_up_to_phase` and the group
-    acts through it, so no D x D matrix is formed.
+    Each element is given as its tuple of per-party factors, party 0 first.
+    ``stacks`` holds one read-only (|G|, d, d) array of factors per party
+    and is the group's only stored form: ``elements`` are views of it. The
+    axioms are checked on it by :func:`_factors_equal_up_to_phase` and the
+    group acts through it, so no D x D matrix is formed.
     """
 
     shape: SystemShape
-    elements: tuple[LocalUnitaryElement, ...]
+    elements: tuple[tuple[np.ndarray, ...], ...]
     stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.elements:
+        elements = tuple(self.elements)
+        if not elements:
             raise ValueError("a unitary group needs at least one element")
-        for el in self.elements:
-            if el.shape != self.shape:
-                raise ValueError("all elements must share the group's shape")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        stacks = tuple(np.stack([el.factors[p] for el in self.elements])
-                       for p in range(self.shape.party_count))
+        dims = self.shape.dims
+        for i, factors in enumerate(elements):
+            if len(factors) != len(dims):
+                raise ValueError(f"element {i}: need one factor per party, "
+                                 f"got {len(factors)} for {len(dims)}")
+            for p, (d, factor) in enumerate(zip(dims, factors)):
+                if np.shape(factor) != (d, d):
+                    raise ValueError(f"element {i}: factor {p} has shape "
+                                     f"{np.shape(factor)}, not ({d}, {d})")
+        stacks = tuple(map(_frozen_array, zip(*elements)))
+        # (|G|, parties); a non-finite factor fails the test too
+        dev = np.stack([np.max(np.abs(f.conj().swapaxes(-1, -2) @ f - np.eye(d)), axis=(1, 2))
+                        for d, f in zip(dims, stacks)], axis=1)
+        if len(nonunitary := np.argwhere(~(dev <= UNITARY_TOL))):
+            i, p = nonunitary[0]
+            raise ValueError(f"element {i}: factor {p} is not unitary "
+                             f"(deviation {dev[i, p]:.3e})")
         object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "elements", tuple(zip(*stacks)))
         dim = self.shape.total_dim
         if not _factors_equal_up_to_phase(
                 stacks, [np.eye(d) for d in self.shape.dims], dim).any():
@@ -167,13 +157,9 @@ def _phase_group(shape: SystemShape, order: int) -> UnitaryGroup:
     basis by the digit sum modulo ``order`` and its twirl kills every
     cross-sector term exactly.
     """
-    elements = []
-    for q in range(order):
-        factors = tuple(
-            np.diag(np.exp(2j * np.pi * q * np.arange(d) / order)) for d in shape.dims
-        )
-        elements.append(LocalUnitaryElement(shape, factors))
-    return UnitaryGroup(shape, tuple(elements))
+    return UnitaryGroup(shape, [
+        tuple(np.diag(np.exp(2j * np.pi * q * np.arange(d) / order)) for d in shape.dims)
+        for q in range(order)])
 
 
 def _zeta_group() -> UnitaryGroup:
@@ -181,13 +167,12 @@ def _zeta_group() -> UnitaryGroup:
     eye = np.eye(2)
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     h_prime = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-    elements = (
-        LocalUnitaryElement(shape, (eye, eye, eye)),
-        LocalUnitaryElement(shape, (1j * sigma_y, h_prime, h_prime)),
-        LocalUnitaryElement(shape, (eye, sigma_y, sigma_y)),
-        LocalUnitaryElement(shape, (-1j * sigma_y, h_prime.T, h_prime.T)),
-    )
-    return UnitaryGroup(shape, elements)
+    return UnitaryGroup(shape, [
+        (eye, eye, eye),
+        (1j * sigma_y, h_prime, h_prime),
+        (eye, sigma_y, sigma_y),
+        (-1j * sigma_y, h_prime.T, h_prime.T),
+    ])
 
 
 def builtin_group(kind: str, shape: SystemShape) -> UnitaryGroup:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ggm import (LocalUnitaryElement, PureState, SystemShape, TwirledFamily, UnitaryGroup,
-                 _batch, builtin_group, roof, sector_state)
+from ggm import (PureState, SystemShape, TwirledFamily, UnitaryGroup, _batch, builtin_group,
+                 roof, sector_state)
 from ggm.twirl import GROUP_TOL
 
 TWO_QUBITS = SystemShape((2, 2))
@@ -34,7 +34,7 @@ def kron_all(factors):
 
 def dense_twirl(group, operator):
     """(1/|G|) sum_g g A g^dagger over full matrices, for a D x D array A."""
-    fulls = [kron_all(el.factors) for el in group.elements]
+    fulls = [kron_all(el) for el in group.elements]
     return sum(m @ operator @ m.conj().T for m in fulls) / group.order
 
 
@@ -90,15 +90,14 @@ def seeded_two_qubit_basis(seed=0):
 
 def trivial_group(shape):
     """The one-element group on a system of qubits."""
-    return UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * shape.party_count),))
+    return UnitaryGroup(shape, [(np.eye(2),) * shape.party_count])
 
 
 def swapping_group():
     """{I, X(x)X, Z(x)I, ZX(x)X}, a group up to phases whose X(x)X swaps
     |00> and |11>."""
     eye, x, z = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    return UnitaryGroup(TWO_QUBITS, tuple(
-        LocalUnitaryElement(TWO_QUBITS, f) for f in ((eye, eye), (x, x), (z, eye), (z @ x, x))))
+    return UnitaryGroup(TWO_QUBITS, [(eye, eye), (x, x), (z, eye), (z @ x, x)])
 
 
 class HessianReport(NamedTuple):

@@ -54,7 +54,7 @@ def pairs(array):
 
 def group_doc(group):
     """Explicit-elements spec of ``group``: nested [re, im] factor matrices."""
-    return {"elements": [[np.reshape(pairs(f), f.shape + (2,)).tolist() for f in el.factors]
+    return {"elements": [[np.reshape(pairs(f), f.shape + (2,)).tolist() for f in el]
                          for el in group.elements]}
 
 
@@ -81,6 +81,43 @@ PARITY_SECTORS = [
     {"constructor": "uniform_sector", "args": {"dims": [2, 2, 2], "modulus": 2, "k": k}}
     for k in (0, 1)
 ]
+
+
+EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+# Malformed fields: command, spec and the start of the error, which names the
+# field. A field of the wrong JSON type is caught before it reaches a tuple()
+# or an index, and a fractional dimension is rejected, not truncated.
+MALFORMED_SPECS = {
+    "elements": ("verify-group", {"elements": 5}, "group.elements: expected a JSON array"),
+    "element": ("verify-group", {"elements": [5]}, "group.elements[0]: expected a JSON array"),
+    "factor": ("verify-group", {"elements": [[5, 5]]},
+               "group.elements[0][0]: expected a JSON array"),
+    "dims": ("verify-group", {"kind": "omega", "dims": 5}, "group.dims: expected a JSON array"),
+    "shape": ("pure", {"shape": 4, "amplitudes": [[1, 0]]}, "state.shape: expected a JSON array"),
+    "amplitudes": ("pure", {"shape": [2, 2], "amplitudes": 5},
+                   "state.amplitudes: expected a JSON array"),
+    "basis": ("mixed", {"group": {"kind": "parity", "dims": [2, 2, 2]}, "basis": 5},
+              "family.basis: expected a JSON array"),
+    "param_names": ("mixed", {**parity_family_doc(PARITY_SECTORS), "param_names": 5},
+                    "family.param_names: expected a JSON array"),
+    "fractional_shape": ("pure", {"shape": [2, 2.5], "amplitudes": [[1, 0]] + [[0, 0]] * 3},
+                         "state: local dimensions must be integers, got 2.5"),
+    "fractional_dims": ("verify-group", {"kind": "omega", "dims": [2, 2.5]},
+                        "group: local dimensions must be integers, got 2.5"),
+    "nonunitary_factor": ("verify-group", {"elements": [[EYE, EYE], [EYE, [[[2, 0], [0, 0]],
+                                                                           [[0, 0], [1, 0]]]]]},
+                          "group: element 1: factor 1 is not unitary (deviation 3.000e+00)"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_SPECS)
+def test_malformed_spec_field_exits_1_naming_it(name, tmp_path, capsys):
+    command, doc, message = MALFORMED_SPECS[name]
+    assert main([command, write_json(tmp_path / "spec.json", doc)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {message}")
 
 
 class TestParseSpecs:

@@ -32,6 +32,17 @@ class TestSystemShape:
         with pytest.raises(ValueError):
             SystemShape((3,))
 
+    @pytest.mark.parametrize("bad, shown", [(2.5, "2.5"), (True, "True"), ("2", "'2'"),
+                                            (float("nan"), "nan"), (None, "None")])
+    def test_rejects_non_integral_dims(self, bad, shown):
+        # truncating would read (2, 2.5) as (2, 2)
+        with pytest.raises(ValueError, match=f"local dimensions must be integers, got {shown}"):
+            SystemShape((2, bad))
+
+    def test_keeps_integral_values(self):
+        shape = SystemShape((2.0, np.int64(3), np.float64(4)))
+        assert shape.dims == (2, 3, 4) and all(type(d) is int for d in shape.dims)
+
     def test_index_roundtrip(self):
         shape = SystemShape((2, 3, 4))
         for i in range(shape.total_dim):

@@ -35,7 +35,6 @@ from ggm.roof import (
 )
 from ggm.states import dicke, ghz
 from ggm.twirl import (
-    LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
     _verify_family,
@@ -85,7 +84,7 @@ class TestTwirledFamily:
     def test_broken_preimage_raises_verification_error(self):
         # the trivial group fixes every mixture but no coherent superposition
         shape = SystemShape((2, 2, 2))
-        trivial = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 3),))
+        trivial = UnitaryGroup(shape, [(np.eye(2),) * 3])
         with pytest.raises(VerificationError, match="preimage") as info:
             TwirledFamily(group=trivial, basis=(ghz(3), dicke(3, 1)))
         assert isinstance(info.value, ValueError)

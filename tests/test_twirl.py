@@ -15,7 +15,6 @@ from ggm.states import dicke, ghz, superpose, uniform_sector_state
 from ggm.twirl import (
     GROUP_KINDS,
     GROUP_TOL,
-    LocalUnitaryElement,
     UnitaryGroup,
     VerificationError,
     _element_blocks,
@@ -51,7 +50,7 @@ def moved(stacks, rows):
 
 def element_stacks(element):
     """One single-element stack per party, in the layout of ``_moved_block``."""
-    return tuple(f[None] for f in element.factors)
+    return tuple(f[None] for f in element)
 
 
 def act(element, state):
@@ -66,46 +65,71 @@ def act_on_matrix(element, rho):
     return moved(doubled, rho.entries.reshape(1, -1))[0, 0].reshape(rho.entries.shape)
 
 
-class TestLocalUnitaryElement:
+class TestGroupElements:
+    # each element is checked before the axioms: the identity comes first,
+    # so a failure names element 1
+    IDENTITY = (np.eye(2),) * 3
+
     def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError):
-            LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2), np.ones((2, 2))))
+        with pytest.raises(ValueError, match=r"^element 1: factor 2 is not unitary"):
+            UnitaryGroup(QUBITS3, [self.IDENTITY, (np.eye(2), np.eye(2), np.ones((2, 2)))])
 
     def test_rejects_non_finite_factor(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2), np.diag([np.nan, 1.0])))
+        with pytest.raises(ValueError, match=r"^element 1: factor 2 is not unitary"):
+            UnitaryGroup(QUBITS3, [self.IDENTITY,
+                                   (np.eye(2), np.eye(2), np.diag([np.nan, 1.0]))])
+
+    def test_names_the_first_nonunitary_element(self):
+        # element 1 fails at party 2 and element 2 at party 0: element 1 is named
+        bad = 2.0 * np.eye(2)
+        with pytest.raises(ValueError, match=r"^element 1: factor 2 .*deviation 3\.000e\+00"):
+            UnitaryGroup(QUBITS3, [self.IDENTITY, (np.eye(2), np.eye(2), bad),
+                                   (bad, np.eye(2), np.eye(2))])
 
     def test_rejects_wrong_factor_count(self):
-        with pytest.raises(ValueError):
-            LocalUnitaryElement(QUBITS3, (np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=r"^element 1: need one factor per party"):
+            UnitaryGroup(QUBITS3, [self.IDENTITY, (np.eye(2), np.eye(2))])
+
+    def test_rejects_wrong_factor_shape(self):
+        with pytest.raises(ValueError, match=r"^element 1: factor 1 has shape \(3, 3\)"):
+            UnitaryGroup(QUBITS3, [self.IDENTITY, (np.eye(2), np.eye(3), np.eye(2))])
+
+    def test_elements_are_read_only_views_of_the_stacks(self):
+        group = UnitaryGroup(QUBITS3, [self.IDENTITY, (SIGMA_Z,) * 3])
+        assert group.order == 2 and all(len(el) == 3 for el in group.elements)
+        for p, stack in enumerate(group.stacks):
+            assert stack.shape == (2, 2, 2) and not stack.flags.writeable
+            for g, el in enumerate(group.elements):
+                assert np.shares_memory(el[p], stack) and np.array_equal(el[p], stack[g])
+                assert not el[p].flags.writeable
 
     def test_full_matrix_order(self):
-        el = LocalUnitaryElement(QUBITS3, (SIGMA_Z, np.eye(2), np.eye(2)))
-        full = kron_all(el.factors)
+        group = UnitaryGroup(QUBITS3, [self.IDENTITY, (SIGMA_Z, np.eye(2), np.eye(2))])
+        full = kron_all(group.elements[1])
         # party 0 is most significant: sign flips on indices >= 4
         assert np.allclose(np.diagonal(full), [1, 1, 1, 1, -1, -1, -1, -1])
         # _moved_block acts in the same order: g on the identity rows gives g^T
-        assert np.array_equal(moved(element_stacks(el), np.eye(8))[0], full.T)
+        assert np.array_equal(moved(group.stacks, np.eye(8))[1], full.T)
 
 
 class TestApply:
     def test_identity(self):
-        ident = LocalUnitaryElement(QUBITS3, (np.eye(2),) * 3)
+        ident = (np.eye(2),) * 3
         psi = dicke(3, 1)
         assert np.allclose(act(ident, psi), psi.amplitudes)
 
     def test_sigma_z_on_w(self):
-        el = LocalUnitaryElement(QUBITS3, (SIGMA_Z,) * 3)
+        el = (SIGMA_Z,) * 3
         assert np.allclose(act(el, dicke(3, 1)), -dicke(3, 1).amplitudes)
 
     def test_phase_on_dicke2(self):
         # each weight-2 term picks up the phase twice
         w = np.exp(2j * np.pi / 3)
-        el = LocalUnitaryElement(QUBITS3, (np.diag([1.0, w]),) * 3)
+        el = (np.diag([1.0, w]),) * 3
         assert np.allclose(act(el, dicke(3, 2)), w**2 * dicke(3, 2).amplitudes)
 
     def test_density_matrix_action(self):
-        el = LocalUnitaryElement(QUBITS3, (SIGMA_Z,) * 3)
+        el = (SIGMA_Z,) * 3
         rho = dicke(3, 1).projector()
         assert np.allclose(act_on_matrix(el, rho), rho.entries)  # phases cancel in rho
 
@@ -118,15 +142,15 @@ class TestBuiltinGroups:
     def test_omega_order(self):
         group = builtin_group("omega", SystemShape((2,) * 5))
         assert group.order == 5
-        gen = group.elements[1].factors[0]
+        gen = group.elements[1][0]
         assert np.allclose(gen, np.diag([1.0, np.exp(2j * np.pi / 5)]))
 
     def test_qudit_qutrits(self):
         group = builtin_group("qudit", SystemShape((3, 3, 3)))
         assert group.order == 3
         z3 = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-        assert np.allclose(group.elements[1].factors[0], z3)
-        assert np.allclose(group.elements[2].factors[0], z3 @ z3)
+        assert np.allclose(group.elements[1][0], z3)
+        assert np.allclose(group.elements[2][0], z3 @ z3)
 
     def test_qudit_mixed_dims_order_is_lcm(self):
         group = builtin_group("qudit", SystemShape((2, 4)))
@@ -163,23 +187,18 @@ class TestBuiltinGroups:
         rot = np.array([[c, -s], [s, c]])
         shape = SystemShape((2, 2))
         with pytest.raises(ValueError):
-            UnitaryGroup(shape, (
-                LocalUnitaryElement(shape, (np.eye(2),) * 2),
-                LocalUnitaryElement(shape, (rot, rot)),
-            ))
+            UnitaryGroup(shape, [(np.eye(2),) * 2, (rot, rot)])
 
     def test_missing_identity_rejected(self):
         shape = SystemShape((2, 2))
         with pytest.raises(ValueError):
-            UnitaryGroup(shape, (
-                LocalUnitaryElement(shape, (SIGMA_Z, SIGMA_Z)),
-            ))
+            UnitaryGroup(shape, [(SIGMA_Z, SIGMA_Z)])
 
 
 class TestTwirl:
     def test_identity_group_fixes_everything(self):
         shape = SystemShape((2, 2))
-        group = UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 2),))
+        group = UnitaryGroup(shape, [(np.eye(2),) * 2])
         rho = DensityMatrix(shape, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
         assert np.allclose(dense_twirl(group, rho.entries), rho.entries)
 
@@ -231,7 +250,7 @@ class TestTwirl:
         twice = dense_twirl(group, once)
         assert np.max(np.abs(twice - once)) < 1e-9
         for el in group.elements:
-            full = kron_all(el.factors)
+            full = kron_all(el)
             comm = full @ once - once @ full
             assert np.max(np.abs(comm)) < 1e-9
         assert verify_invariance(group, DensityMatrix(shape, once)).ok
@@ -356,7 +375,7 @@ def near_unitary(d, eps, seed):
 class TestFactoredAxioms:
     @pytest.mark.parametrize("group", AXIOM_GROUPS, ids=lambda g: str(g.shape.dims))
     def test_decisions_equal_reference_on_builtin_groups(self, group):
-        factors = [el.factors for el in group.elements]
+        factors = group.elements
         full = [kron_all(fi) for fi in factors]
         eye = tuple(np.eye(d) for d in group.shape.dims)
         for fi, mi in zip(factors, full):
@@ -374,7 +393,7 @@ class TestFactoredAxioms:
     def test_never_accepts_where_full_check_rejects(self, group_index, element,
                                                     party, exponent, seed):
         group = AXIOM_GROUPS[group_index]
-        b = group.elements[element % group.order].factors
+        b = group.elements[element % group.order]
         a = list(b)
         a[party] = a[party] @ near_unitary(2, 10.0 ** exponent, seed)
         if factored_match(a, b):
@@ -384,7 +403,7 @@ class TestFactoredAxioms:
     def test_perturbation_sweep_brackets_the_tolerance(self, kind, element):
         # both checks accept far below GROUP_TOL and reject far above it; in
         # between, on a fine sweep, the factored check may only be stricter
-        b = builtin_group(kind, QUBITS3).elements[element].factors
+        b = builtin_group(kind, QUBITS3).elements[element]
         scales = np.concatenate([np.geomspace(1e-3, 1e3, 25), np.linspace(0.5, 3.0, 101)])
         decisions = []
         for scale in scales:
@@ -409,16 +428,14 @@ class TestFactoredAxioms:
         r60 = np.array([[c, -s], [s, c]])
         shape = SystemShape((2, 2))
         with pytest.raises(VerificationError, match="inverse"):
-            UnitaryGroup(shape, (LocalUnitaryElement(shape, (np.eye(2),) * 2),
-                                 LocalUnitaryElement(shape, (r60, np.eye(2)))))
+            UnitaryGroup(shape, [(np.eye(2),) * 2, (r60, np.eye(2))])
 
     def test_closure_violation_names_the_pair(self):
         # closed under inverse (every element is its own), not under products
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         shape = SystemShape((2, 2))
         with pytest.raises(VerificationError, match=r"composition \(elements 1, 2\)"):
-            UnitaryGroup(shape, tuple(LocalUnitaryElement(shape, (f, np.eye(2)))
-                                      for f in (np.eye(2), sigma_x, SIGMA_Z)))
+            UnitaryGroup(shape, [(f, np.eye(2)) for f in (np.eye(2), sigma_x, SIGMA_Z)])
 
 
 def dense_residual(group, rows, coeff, weights):
@@ -432,7 +449,7 @@ def dense_residual(group, rows, coeff, weights):
 def dense_state_residuals(group, rows):
     """||g|b_k><b_k|g^dagger - |b_k><b_k|||_F over full matrices, (|G|, n)."""
     projectors = [np.outer(r, r.conj()) for r in rows]
-    fulls = [kron_all(el.factors) for el in group.elements]
+    fulls = [kron_all(el) for el in group.elements]
     return np.array([[np.linalg.norm(m @ p @ m.conj().T - p) for p in projectors]
                      for m in fulls])
 
@@ -495,7 +512,7 @@ class TestFactoredResidual:
         # the invariance deviation is the largest moved projector, sqrt(2) e
         eps = dense_state_residuals(group, rows).max() / math.sqrt(2.0)
         assert abs(inv.max_deviation - math.sqrt(2.0) * eps) <= 1e-12
-        fulls = [kron_all(el.factors) for el in group.elements]
+        fulls = [kron_all(el) for el in group.elements]
         chars = np.array([[np.vdot(r, m @ r) for r in rows] for m in fulls])
         overlaps = np.abs(chars.T @ chars.conj()) / group.order
         np.fill_diagonal(overlaps, 0.0)
@@ -530,7 +547,7 @@ class TestFactoredResidual:
     @pytest.mark.parametrize("name,group,rows", family_cases(),
                              ids=[c[0] for c in family_cases()])
     def test_moved_rows_match_full_matrices(self, name, group, rows):
-        dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
+        dense = np.stack([rows @ kron_all(el).T for el in group.elements])
         assert np.max(np.abs(moved(group.stacks, rows) - dense)) <= 1e-14
 
     @pytest.mark.parametrize("name,group,rows", family_cases(),
@@ -556,12 +573,11 @@ class TestFactoredResidual:
         # powers of a non-diagonal generator of order 6 on a 2 x 3 x 4 system
         shape = SystemShape((2, 3, 4))
         gen = (np.eye(2)[::-1], np.roll(np.eye(3), 1, axis=0), np.eye(4)[[1, 0, 3, 2]])
-        group = UnitaryGroup(shape, tuple(
-            LocalUnitaryElement(shape, tuple(np.linalg.matrix_power(f, k) for f in gen))
-            for k in range(6)))
+        group = UnitaryGroup(shape, [tuple(np.linalg.matrix_power(f, k) for f in gen)
+                                     for k in range(6)])
         rng = np.random.default_rng(29)
         rows = rng.standard_normal((3, 24)) + 1j * rng.standard_normal((3, 24))
-        dense = np.stack([rows @ kron_all(el.factors).T for el in group.elements])
+        dense = np.stack([rows @ kron_all(el).T for el in group.elements])
         whole = moved(group.stacks, rows)
         assert np.max(np.abs(whole - dense)) <= 1e-14
         # element blocks of 4 and 2, then one element at a time

@@ -1,7 +1,8 @@
 """Print the sha256 of each reference figure's CSV, one ``sha256  argv`` line a run,
-then of ``ggm verify-group`` reports, one ``ggm mixed`` surface of a custom
-family, decomposition-sampler bounds, pure-state values and raw phase
-minima of the built-in families with more than 2 parameters.
+then of ``ggm verify-group`` reports, ``ggm mixed`` surfaces of a custom
+family and of ``ghz_mixture``, decomposition-sampler bounds, pure-state
+values and raw phase minima of the built-in families with more than 2
+parameters.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change keeps
 every figure, every group verification, the custom surface, every sampler
@@ -54,8 +55,16 @@ def seeded_sector_family(seed):
     return {"group": {"kind": "omega", "dims": [2, 2, 2]}, "basis": basis}
 
 
+def elements_spec(group):
+    """``group`` written out as an explicit-elements spec of [re, im] factors."""
+    return {"elements": [[[[[z.real, z.imag] for z in row] for row in stack[g].tolist()]
+                          for stack in group.stacks] for g in range(group.order)]}
+
+
 # verify-group runs: each built-in group kind against a family it fixes, then
-# omega(3) against the seeded sector family as a spec with its own group.
+# omega(3) against the seeded sector family as a spec with its own group, then
+# the zeta group written out element by element, which builds the group from
+# explicit factors as a custom spec does.
 VERIFY_RUNS = {
     "parity rank2_symmetric": ({"kind": "parity", "dims": [2] * 3},
                                {"family": "rank2_symmetric"}),
@@ -68,6 +77,9 @@ VERIFY_RUNS = {
                                    {"family": "qutrit_sector_family"}),
     f"omega sector family (seed {MIXED_SEED})": ({"kind": "omega", "dims": [2] * 3},
                                                  seeded_sector_family(MIXED_SEED)),
+    "zeta elements zeta_family": (
+        elements_spec(ggm.builtin_group("zeta", ggm.SystemShape((2,) * 3))),
+        {"family": "zeta_family"}),
 }
 
 BOUND_POINTS, BOUND_SAMPLES = 10, 300
@@ -150,6 +162,13 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit("mixed seeded sector family failed")
     sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
     print(f"{sha}  mixed sector family (seed {MIXED_SEED}) --grid {MIXED_GRID}", flush=True)
+
+    # ghz_mixture's group is built in families.py from explicit factors
+    Path(family).write_text(json.dumps({"family": "ghz_mixture"}))
+    if main(["mixed", family, "--out", out]) != 0:
+        sys.exit("mixed ghz_mixture failed")
+    sha = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    print(f"{sha}  mixed ghz_mixture", flush=True)
 
 for seed, (name, draw) in enumerate(BOUND_TARGETS.items()):
     rng = np.random.default_rng([seed, 15])
